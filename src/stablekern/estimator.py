@@ -8,6 +8,11 @@ order n, never at the data length N: the prior enters only through its
 closed-form tridiagonal inverse and log-determinant, and the N-dim
 log-determinant and quadratic form are folded down to n-dim identities.
 
+Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
+``fit`` builds Phi once and folds the data into these statistics once,
+in O(N n^2); every tuning candidate and the final posterior mean then
+cost O(n^3), independent of N.
+
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional simplex refinement in
 log-space.  Tuning is deterministic given the search configuration, and
@@ -31,6 +36,8 @@ from .errors import (
     InvalidParameter,
     NotPositiveDefinite,
     OrderTooLarge,
+    SingularGram,
+    StableKernError,
 )
 from .grid import SamplingGrid
 from .kernels import SS1, WIENER, KernelSpec
@@ -89,35 +96,65 @@ def toeplitz_regressor(u: np.ndarray, order: int) -> np.ndarray:
     return scipy.linalg.toeplitz(uu, np.zeros(order))
 
 
-def _check_regression_shapes(phi: np.ndarray, y: np.ndarray, sigma2: float, grid: SamplingGrid) -> None:
+@dataclass(frozen=True, eq=False)
+class _DataStats:
+    """The data folded down to FIR order: all the estimator needs of Phi and y."""
+
+    gram: np.ndarray  # Phi'Phi
+    cross: np.ndarray  # Phi'y
+    yy: float  # y'y
+    n_data: int
+
+
+def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
+    """Check the regression shapes, then form Phi'Phi, Phi'y and y'y: O(N n^2)."""
+    phi = np.asarray(phi, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
     if phi.ndim != 2:
         raise DimensionMismatch(f"regressor must be 2-D, got shape {phi.shape}")
     if y.shape != (phi.shape[0],):
         raise DimensionMismatch(f"y must have length {phi.shape[0]}, got shape {y.shape}")
     if grid.n != phi.shape[1]:
         raise DimensionMismatch(f"grid has {grid.n} points but regressor has {phi.shape[1]} columns")
+    return _DataStats(gram=phi.T @ phi, cross=phi.T @ y, yy=y @ y, n_data=y.shape[0])
+
+
+def _posterior_factor(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid):
+    """Cholesky factor of A = P^{-1} + Phi'Phi/sigma2, from the folded data: O(n^3)."""
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise InvalidParameter(f"sigma2 must be finite and > 0, got {sigma2!r}")
-
-
-def _posterior_system(phi, y, sigma2, spec, grid):
-    """Factor A = P^{-1} + Phi'Phi/sigma2 and form b = Phi'y.  All n-dim."""
-    a = closed_form_inverse(spec, grid).to_dense()
-    a += phi.T @ phi / sigma2
+    # Overflow is reported by the finiteness checks, not as a numpy warning.
+    with np.errstate(divide="ignore", over="ignore"):
+        prec = closed_form_inverse(spec, grid)
+        if not (np.all(np.isfinite(prec.diag)) and np.all(np.isfinite(prec.offdiag))):
+            raise SingularGram("prior Gram is numerically singular: its closed-form inverse overflows")
+        a = prec.to_dense()
+        a += stats.gram / sigma2
+    if not np.all(np.isfinite(a)):
+        raise NotPositiveDefinite("posterior system overflows the float range")
     try:
-        cho = scipy.linalg.cho_factor(a, lower=True)
+        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         raise NotPositiveDefinite("posterior system is numerically indefinite") from None
-    return cho, phi.T @ y
+
+
+def _posterior_mean(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
+    cho = _posterior_factor(stats, sigma2, spec, grid)
+    return scipy.linalg.cho_solve(cho, stats.cross / sigma2)
+
+
+def _log_ml(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
+    cho = _posterior_factor(stats, sigma2, spec, grid)
+    b = stats.cross
+    ldet_a = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    ldet_cov = log_det(spec, grid) + ldet_a + stats.n_data * math.log(sigma2)
+    quad = (stats.yy - b @ scipy.linalg.cho_solve(cho, b) / sigma2) / sigma2
+    return -0.5 * (stats.n_data * _LOG_2PI + ldet_cov + quad)
 
 
 def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
     """Posterior mean (P^{-1} + Phi'Phi/sigma2)^{-1} Phi'y / sigma2."""
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_regression_shapes(phi, y, sigma2, grid)
-    cho, b = _posterior_system(phi, y, sigma2, spec, grid)
-    return scipy.linalg.cho_solve(cho, b / sigma2)
+    return _posterior_mean(_fold(phi, y, grid), sigma2, spec, grid)
 
 
 def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
@@ -127,15 +164,7 @@ def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec:
     with A = P^{-1} + Phi'Phi/sigma2, and the matching identity for the
     quadratic form, so no N x N matrix is ever formed.
     """
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_regression_shapes(phi, y, sigma2, grid)
-    n_data = y.shape[0]
-    cho, b = _posterior_system(phi, y, sigma2, spec, grid)
-    ldet_a = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    ldet_cov = log_det(spec, grid) + ldet_a + n_data * math.log(sigma2)
-    quad = (y @ y - b @ scipy.linalg.cho_solve(cho, b) / sigma2) / sigma2
-    return -0.5 * (n_data * _LOG_2PI + ldet_cov + quad)
+    return _log_ml(_fold(phi, y, grid), sigma2, spec, grid)
 
 
 def _as_axis(values) -> Tuple[float, ...]:
@@ -250,8 +279,17 @@ def tune_hyperparameters(problem: EstimationProblem, grid: SamplingGrid, search:
 
     Every candidate evaluated (grid points and simplex iterates) is
     recorded in the trace, and the returned optimum is the argmax over
-    the whole trace.  Deterministic given the inputs.
+    the whole trace.  A candidate whose prior or posterior system is
+    numerically singular counts in ``n_failed``.  When every grid
+    candidate fails, the error raised has the type of the last candidate
+    error (``NotPositiveDefinite`` if none raised).  Deterministic given
+    the inputs.
     """
+    return _tune(problem, grid, search)[0]
+
+
+def _tune(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> Tuple[TuneResult, _DataStats]:
+    """Tune from the data folded once; also return the folded data."""
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
     if len(search.c_grid) == 0:
@@ -263,17 +301,18 @@ def tune_hyperparameters(problem: EstimationProblem, grid: SamplingGrid, search:
     if tune_sigma2 and not search.sigma2_grid:
         raise EmptySearchSpace("sigma2 is free but the sigma2 grid is empty")
 
-    phi = toeplitz_regressor(problem.u, problem.order)
-    y = problem.y
+    stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid)
     trace: list = []
     failures = [0]
+    last_error: list = [None]
 
     def evaluate(c: float, beta: Optional[float], sigma2: float) -> float:
         try:
             spec = _candidate_spec(search.family, c, beta)
-            value = log_marginal_likelihood(phi, y, sigma2, spec, grid)
-        except (InvalidParameter, NotPositiveDefinite, OverflowError):
+            value = _log_ml(stats, sigma2, spec, grid)
+        except (InvalidParameter, NotPositiveDefinite, SingularGram, OverflowError) as exc:
             failures[0] += 1
+            last_error[0] = exc
             return -math.inf
         if not math.isfinite(value):
             failures[0] += 1
@@ -291,7 +330,10 @@ def tune_hyperparameters(problem: EstimationProblem, grid: SamplingGrid, search:
             for sigma2 in sigma2_axis:
                 evaluate(c, beta, sigma2)
     if not trace:
-        raise NotPositiveDefinite("no search candidate produced a finite log marginal likelihood")
+        message = "no search candidate produced a finite log marginal likelihood"
+        if isinstance(last_error[0], StableKernError):
+            raise type(last_error[0])(f"{message}; last failure: {last_error[0]}")
+        raise NotPositiveDefinite(message)
 
     if search.refine:
         best = max(trace, key=lambda e: e["log_ml"])
@@ -319,20 +361,24 @@ def tune_hyperparameters(problem: EstimationProblem, grid: SamplingGrid, search:
         )
 
     best = max(trace, key=lambda e: e["log_ml"])
-    return TuneResult(
+    tuned = TuneResult(
         spec=_candidate_spec(search.family, best["c"], best.get("beta")),
         sigma2=best["sigma2"],
         log_ml=best["log_ml"],
         trace=tuple(trace),
         n_failed=failures[0],
     )
+    return tuned, stats
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
-    """Tune hyperparameters, then compute the posterior-mean coefficients."""
-    tuned = tune_hyperparameters(problem, grid, search)
-    phi = toeplitz_regressor(problem.u, problem.order)
-    coefficients = posterior_mean(phi, problem.y, tuned.sigma2, tuned.spec, grid)
+    """Tune hyperparameters, then compute the posterior-mean coefficients.
+
+    The data are folded once; the tuner and the final posterior mean both
+    read the same Phi'Phi, Phi'y and y'y.
+    """
+    tuned, stats = _tune(problem, grid, search)
+    coefficients = _posterior_mean(stats, tuned.sigma2, tuned.spec, grid)
     diagnostics = {
         "sigma2_tuned": problem.sigma2 is None,
         "n_evaluations": len(tuned.trace),

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stablekern
 from stablekern import (
     NOISE_ALGORITHM,
     SS1,
@@ -270,6 +273,22 @@ class TestFit:
         assert payload["sigma2"] == 0.0025
         assert payload["diagnostics"]["sigma2_tuned"] is False
 
+    @pytest.mark.filterwarnings("error")
+    def test_all_underflow_search_is_a_domain_error(self, tmp_path, capsys):
+        # On the default grid 1..40, beta >= 30 underflows exp(-beta * t_n).
+        data, *_ = self.write_problem(tmp_path, n_data=80, order=40)
+        search_file = tmp_path / "underflow.json"
+        search_file.write_text(json.dumps({"c": {"min": 1, "max": 1, "num": 1},
+                                           "beta": {"min": 30, "max": 50, "num": 2},
+                                           "sigma2": {"min": 0.01, "max": 0.01, "num": 1}}))
+        code = run(["fit", "--data", str(data), "--order", "40",
+                    "--kernel-family", SS1, "--search", str(search_file)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR SingularGram:")
+        assert captured.err.count("\n") == 1
+
     def test_bad_header(self, tmp_path, capsys):
         data, search_file, *_ , order = self.write_problem(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -360,5 +379,18 @@ class TestInstalledEntryPoint:
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0
+        value = float(result.stdout.strip().splitlines()[-1])
+        assert value == pytest.approx(-8.0 * LN2, rel=1e-12)
+
+    def test_python_m_stablekern(self, tmp_path):
+        kernel = tmp_path / "ss1.json"
+        kernel.write_text(json.dumps({"family": SS1, "c": 1.0, "beta": LN2}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stablekern.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "stablekern", "logdet", "--kernel", str(kernel), "--uniform", "3,1,1"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
         value = float(result.stdout.strip().splitlines()[-1])
         assert value == pytest.approx(-8.0 * LN2, rel=1e-12)

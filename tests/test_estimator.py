@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import stablekern.estimator
 from stablekern import (
     SS1,
     WIENER,
@@ -215,6 +216,19 @@ class TestLogMarginalLikelihood:
         value = log_marginal_likelihood(phi, y, 0.1, spec, grid)
         assert math.isfinite(value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_float_range_overflow_is_a_domain_error(self):
+        grid = uniform_grid(10, 1.0, 1.0)
+        rng = np.random.default_rng(9)
+        phi = toeplitz_regressor(rng.standard_normal(40), 10)
+        y = rng.standard_normal(40)
+        # exp(-100 * 10) is below the float range: the prior inverse overflows.
+        with pytest.raises(errors.SingularGram):
+            log_marginal_likelihood(phi, y, 0.1, KernelSpec(family=SS1, c=1.0, beta=100.0), grid)
+        # Phi'Phi / sigma2 overflows for a subnormal noise variance.
+        with pytest.raises(errors.NotPositiveDefinite):
+            posterior_mean(phi, y, 1e-310, KernelSpec(family=WIENER, c=1.0), grid)
+
 
 class TestSearchConfig:
     def test_axes_become_tuples(self):
@@ -400,3 +414,63 @@ class TestFit:
         assert set(d) == {"coefficients", "kernel", "sigma2", "log_ml", "diagnostics"}
         assert all(isinstance(x, float) for x in d["coefficients"])
         assert d["kernel"]["family"] == SS1
+
+    def test_beta_underflow_is_a_failed_candidate(self):
+        # beta * t_n = 2000 underflows exp(-beta * t_n), so that prior's
+        # closed-form inverse overflows; the candidate must count as failed.
+        rng = np.random.default_rng(3)
+        order, n_data = 40, 200
+        u = rng.standard_normal(n_data)
+        y = np.convolve(u, np.exp(-0.3 * np.arange(order)))[:n_data] + 0.1 * rng.standard_normal(n_data)
+        problem = EstimationProblem(u=u, y=y, order=order)
+        grid = uniform_grid(order, 1.0, 1.0)
+        search = SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(0.1, 50.0), sigma2_grid=(0.01, 0.1))
+        est = fit(problem, grid, search)
+        assert est.diagnostics["n_failed"] >= 1
+        assert all(e["beta"] != 50.0 for e in est.diagnostics["trace"])
+        assert np.all(np.isfinite(est.coefficients))
+
+        underflow_only = SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(30.0, 50.0), sigma2_grid=(0.01,))
+        with pytest.raises(errors.SingularGram):
+            fit(problem, grid, underflow_only)
+
+
+class TestSingleEvaluationPath:
+    """fit folds the data once, and the tuner evaluates exactly the public functions."""
+
+    def test_fit_builds_the_regressor_once(self, monkeypatch):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        calls = []
+
+        def counting(u, order):
+            calls.append(order)
+            return toeplitz_regressor(u, order)
+
+        monkeypatch.setattr(stablekern.estimator, "toeplitz_regressor", counting)
+        search = SearchConfig(family=SS1, c_grid=(c, 2 * c), beta_grid=(beta,), sigma2_grid=(sigma2,))
+        fit(problem, grid, search)
+        assert calls == [8]
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("fixed_sigma2", [False, True])
+    def test_trace_and_coefficients_equal_public_functions(self, family, fixed_sigma2):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=100)
+        if fixed_sigma2:
+            problem = EstimationProblem(u=problem.u, y=problem.y, order=8, sigma2=sigma2)
+        search = SearchConfig(
+            family=family,
+            c_grid=(0.5 * c, 2 * c),
+            beta_grid=(beta, 2 * beta) if family == SS1 else None,
+            sigma2_grid=(sigma2, 4 * sigma2),
+            refine=True,
+            refine_maxiter=40,
+        )
+        est = fit(problem, grid, search)
+        trace = est.diagnostics["trace"]
+        assert len(trace) > 4
+        phi = toeplitz_regressor(problem.u, problem.order)
+        for entry in trace:
+            spec = KernelSpec(family=family, c=entry["c"], beta=entry.get("beta"))
+            assert entry["log_ml"] == log_marginal_likelihood(phi, problem.y, entry["sigma2"], spec, grid)
+        coefficients = posterior_mean(phi, problem.y, est.sigma2, est.spec, grid)
+        np.testing.assert_array_equal(coefficients, est.coefficients)
