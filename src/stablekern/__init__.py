@@ -4,6 +4,10 @@ Wiener and first-order stable-spline (SS-1) kernels with closed-form
 inverses, determinants and factorizations, maximum-entropy audits,
 exact process samplers, and a kernel-regularized FIR estimator whose
 linear algebra runs at the FIR order rather than the data length.
+
+Importing the package loads numpy only.  scipy is imported where it is
+called, on first use: by the samplers' inverse normal CDF and by the
+estimator's regressor, Cholesky solves and simplex refinement.
 """
 
 from .errors import (

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DimensionMismatch,
@@ -93,6 +91,8 @@ def toeplitz_regressor(u: np.ndarray, order: int) -> np.ndarray:
         raise InvalidParameter(f"FIR order must be >= 1, got {order}")
     if order > uu.shape[0]:
         raise OrderTooLarge(f"FIR order {order} exceeds the {uu.shape[0]} data samples")
+    import scipy.linalg
+
     return scipy.linalg.toeplitz(uu, np.zeros(order))
 
 
@@ -132,6 +132,8 @@ def _posterior_factor(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: 
         a += stats.gram / sigma2
     if not np.all(np.isfinite(a)):
         raise NotPositiveDefinite("posterior system overflows the float range")
+    import scipy.linalg
+
     try:
         return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
@@ -139,11 +141,15 @@ def _posterior_factor(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: 
 
 
 def _posterior_mean(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
+    import scipy.linalg
+
     cho = _posterior_factor(stats, sigma2, spec, grid)
     return scipy.linalg.cho_solve(cho, stats.cross / sigma2)
 
 
 def _log_ml(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
+    import scipy.linalg
+
     cho = _posterior_factor(stats, sigma2, spec, grid)
     b = stats.cross
     ldet_a = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
@@ -336,6 +342,8 @@ def _tune(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) 
         raise NotPositiveDefinite(message)
 
     if search.refine:
+        import scipy.optimize
+
         best = max(trace, key=lambda e: e["log_ml"])
         x0 = [math.log(best["c"])]
         if tune_beta:

@@ -79,7 +79,10 @@ def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
         raise InvalidParameter(f"uniform grid needs delta > 0, got {delta!r}")
     if not (t_start > 0.0):
         raise InvalidParameter(f"uniform grid needs t_start > 0, got {t_start!r}")
-    return make_grid(t_start + delta * np.arange(n, dtype=float))
+    # make_grid rejects the non-finite times an overflow leaves behind.
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = t_start + delta * np.arange(n, dtype=float)
+    return make_grid(times)
 
 
 def parse_grid_lines(lines: Iterable[str]) -> SamplingGrid:

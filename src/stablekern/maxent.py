@@ -230,6 +230,11 @@ def _random_correlation_chol(rng: np.random.Generator, n: int) -> np.ndarray:
             continue
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed}")
+
+
 def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, seed, trials: int) -> GaussianEntropyReport:
     """Entropy dominance of the kernel law over correlated-increment laws.
 
@@ -244,6 +249,7 @@ def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, see
     reproducible individually and the report is deterministic given
     ``seed``.
     """
+    _check_seed(seed)
     if trials < 1:
         raise InvalidParameter(f"need at least one trial, got {trials}")
     amap = _increment_map(spec, grid)
@@ -267,6 +273,7 @@ def completion_entropy_audit(spec: KernelSpec, grid: SamplingGrid, seed, trials:
     entropy against ``trials`` random positive extensions of the same
     band.  Candidate k is generated with seed (seed, k).
     """
+    _check_seed(seed)
     if trials < 1:
         raise InvalidParameter(f"need at least one trial, got {trials}")
     skeleton = band_project(gram(spec, grid).values)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch, InvalidParameter, TooFewPaths
 from .grid import SamplingGrid, make_grid
@@ -61,9 +60,13 @@ class WhiteNoiseSource:
     def __post_init__(self) -> None:
         if not (isinstance(self.variance, (int, float)) and math.isfinite(self.variance) and self.variance > 0):
             raise InvalidParameter(f"noise variance must be finite and > 0, got {self.variance!r}")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise InvalidParameter(f"seed must be a nonnegative integer, got {self.seed}")
         self._rng = np.random.default_rng(self.seed)
 
     def draw(self, shape) -> np.ndarray:
+        from scipy.special import ndtri
+
         u = self._rng.random(shape)
         # rng.random can return exactly 0.0, where the inverse CDF is -inf.
         u[u == 0.0] = np.nextafter(0.0, 1.0)

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from stablekern import (
     log_det,
     make_grid,
     precision_factor,
+    sample_ss1,
     sample_wiener,
     sqrt_factor,
     toeplitz_regressor,
@@ -166,6 +169,16 @@ class TestSample:
         run(["sample", "--kernel", wiener_kernel, "--uniform", "3,1,1", "--paths", "2", "--seed", "2"])
         assert first != capsys.readouterr().out
 
+    @pytest.mark.parametrize("family", ["wiener", "ss1"])
+    def test_negative_seed_is_a_domain_error(self, family, wiener_kernel, ss1_kernel, capsys):
+        kernel = wiener_kernel if family == "wiener" else ss1_kernel
+        code = run(["sample", "--kernel", kernel, "--uniform", "3,1,1", "--paths", "2", "--seed", "-5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR InvalidParameter:")
+        assert captured.err.count("\n") == 1
+
 
 class TestAudit:
     def test_matched_paths_pass(self, tmp_path, wiener_kernel, capsys):
@@ -228,6 +241,15 @@ class TestMaxentAudit:
         assert len(report["completion"]["candidate_entropies"]) == 50
         assert report["meta"]["trials"] == 50
         assert report["meta"]["seed"] == 3
+
+    def test_negative_seed_is_a_domain_error(self, ss1_kernel, capsys):
+        code = run(["maxent-audit", "--kernel", ss1_kernel, "--uniform", "4,1,1",
+                    "--trials", "5", "--seed", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR InvalidParameter:")
+        assert captured.err.count("\n") == 1
 
 
 class TestFit:
@@ -366,6 +388,14 @@ class TestErrorsAndUsage:
         assert run(["logdet", "--kernel", ss1_kernel, "--uniform", "3,1,1", "--quiet"]) == 0
         assert capsys.readouterr().out == before
 
+    @pytest.mark.parametrize("uniform", ["10,1e308,1e308", "3,inf,1"])
+    def test_non_finite_uniform_grid_warns_nothing(self, ss1_kernel, uniform, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["logdet", "--kernel", ss1_kernel, "--uniform", uniform]) == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR InvalidParameter: grid times must be finite\n"
+
     def test_nonincreasing_grid_file(self, tmp_path, ss1_kernel, capsys):
         grid_file = tmp_path / "g.txt"
         grid_file.write_text("2.0\n1.0\n")
@@ -426,3 +456,106 @@ class TestInstalledEntryPoint:
         assert result.returncode == 0, result.stderr
         value = float(result.stdout.strip().splitlines()[-1])
         assert value == pytest.approx(-8.0 * LN2, rel=1e-12)
+
+    def test_python_m_stablekern_cli(self, tmp_path):
+        kernel = tmp_path / "ss1.json"
+        kernel.write_text(json.dumps({"family": SS1, "c": 1.0, "beta": LN2}))
+        env = source_env()
+        result = subprocess.run(
+            [sys.executable, "-m", "stablekern.cli", "logdet", "--kernel", str(kernel), "--uniform", "3,1,1"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        value = float(result.stdout.strip().splitlines()[-1])
+        assert value == pytest.approx(-8.0 * LN2, rel=1e-12)
+
+        result = subprocess.run(
+            [sys.executable, "-m", "stablekern.cli", "logdet", "--kernel", str(kernel), "--uniform", "3,-1,1"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("ERROR InvalidParameter:")
+        assert "Traceback" not in result.stderr
+
+
+# Runs in a fresh interpreter: argv[1] is a JSON list of CLI argument lists.
+# Prints one JSON line: per command, its exit code and the scipy modules
+# loaded once it has run; "import" holds those loaded by the imports alone.
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    import stablekern, stablekern.cli
+
+    def loaded():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    steps = [{"argv": ["import"], "code": 0, "scipy": loaded()}]
+    for argv in json.loads(sys.argv[1]):
+        steps.append({"argv": argv, "code": stablekern.cli.run(argv), "scipy": loaded()})
+    print(json.dumps(steps))
+""")
+
+
+def _probe(commands):
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, env=source_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+class TestScipyImportedOnUse:
+    def test_structured_commands_load_no_scipy(self, tmp_path, ss1_kernel):
+        band = tmp_path / "band.csv"
+        band.write_text("0.5,0.25,0.125\n0.25,0.125\n")
+        paths_file = tmp_path / "paths.csv"
+        ps = sample_ss1(uniform_grid(4, 1.0, 1.0), c=1.0, beta=LN2, seed=0, p=200)
+        np.savetxt(paths_file, ps.paths, fmt="%.17g", delimiter=",")
+        common = ["--kernel", ss1_kernel, "--uniform", "4,1,1", "--quiet"]
+        commands = [
+            ["gram", *common, "--out", str(tmp_path / "gram.csv")],
+            ["inverse", *common, "--out", str(tmp_path / "inverse.csv")],
+            ["logdet", *common, "--out", str(tmp_path / "logdet.csv")],
+            ["factor", *common, "--out", str(tmp_path / "factor.csv")],
+            ["sqrt", *common, "--out", str(tmp_path / "sqrt.csv")],
+            ["extend", "--band", str(band), "--out", str(tmp_path / "extend.csv")],
+            ["audit", "--paths", str(paths_file), *common, "--out", str(tmp_path / "audit.json")],
+            ["check", *common, "--out", str(tmp_path / "check.json")],
+            ["maxent-audit", *common, "--trials", "20", "--out", str(tmp_path / "maxent.json")],
+        ]
+        steps = _probe(commands)
+        for step in steps:
+            assert step["code"] == 0, step["argv"]
+            assert step["scipy"] == [], step["argv"]
+
+    def test_sampling_and_fit_import_scipy_on_first_use(self, tmp_path, ss1_kernel):
+        paths_file = tmp_path / "paths.csv"
+        audit_file = tmp_path / "audit.json"
+        fit_file = tmp_path / "fit.json"
+        data, search_file, search, u, y, order = TestFit().write_problem(tmp_path, n_data=60, order=6)
+        search["refine"] = True
+        search_file.write_text(json.dumps(search))
+        commands = [
+            ["sample", "--kernel", ss1_kernel, "--uniform", "5,0.5,0.5", "--paths", "200",
+             "--seed", "7", "--out", str(paths_file)],
+            ["audit", "--paths", str(paths_file), "--kernel", ss1_kernel, "--uniform", "5,0.5,0.5",
+             "--out", str(audit_file)],
+            ["fit", "--data", str(data), "--order", str(order), "--kernel-family", SS1,
+             "--search", str(search_file), "--quiet", "--out", str(fit_file)],
+        ]
+        steps = _probe(commands)
+        assert [step["code"] for step in steps] == [0, 0, 0, 0]
+        assert steps[0]["scipy"] == []
+        assert "scipy.special" in steps[1]["scipy"]
+        assert steps[2]["scipy"] == steps[1]["scipy"]  # the audit imports nothing more
+        assert {"scipy.linalg", "scipy.optimize"} <= set(steps[3]["scipy"])
+
+        ps = sample_ss1(uniform_grid(5, 0.5, 0.5), c=1.0, beta=LN2, seed=7, p=200)
+        np.testing.assert_array_equal(parse_csv(paths_file.read_text()), ps.paths)
+        assert json.loads(audit_file.read_text())["n_paths"] == 200
+        payload = json.loads(fit_file.read_text())
+        est = fit(EstimationProblem(u=u, y=y, order=order), uniform_grid(order, 1.0, 1.0),
+                  SearchConfig.from_dict(search, SS1))
+        assert est.diagnostics["n_evaluations"] > 8  # the simplex refinement ran
+        np.testing.assert_array_equal(payload["coefficients"], est.coefficients)
+        assert payload["log_ml"] == est.log_ml

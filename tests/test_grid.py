@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -63,6 +65,13 @@ class TestUniformGrid:
     def test_invalid_parameters(self, n, delta, t_start):
         with pytest.raises(errors.InvalidParameter):
             uniform_grid(n, delta, t_start)
+
+    @pytest.mark.parametrize("n,delta,t_start", [(10, 1e308, 1e308), (3, float("inf"), 1.0)])
+    def test_non_finite_times_raise_without_a_warning(self, n, delta, t_start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InvalidParameter, match="finite"):
+                uniform_grid(n, delta, t_start)
 
 
 class TestGridFile:

@@ -176,6 +176,13 @@ class TestEntropyDominance:
         with pytest.raises(errors.InvalidParameter):
             completion_entropy_audit(SS1_SPEC, SS1_GRID, seed=0, trials=0)
 
+    def test_negative_seed(self):
+        for seed in (-1, np.int64(-5)):
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                increment_constrained_entropy_test(SS1_SPEC, SS1_GRID, seed=seed, trials=3)
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                completion_entropy_audit(SS1_SPEC, SS1_GRID, seed=seed, trials=3)
+
 
 class TestReport:
     def test_dominance_flag_uses_tolerance(self):

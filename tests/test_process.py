@@ -58,6 +58,15 @@ class TestWhiteNoiseSource:
             with pytest.raises(errors.InvalidParameter):
                 WhiteNoiseSource(seed=0, variance=v)
 
+    def test_negative_seed(self):
+        for seed in (-1, np.int64(-5)):
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                WhiteNoiseSource(seed=seed)
+        with pytest.raises(errors.InvalidParameter, match="seed"):
+            sample_wiener(GRID, c=1.0, seed=-1, p=2)
+        with pytest.raises(errors.InvalidParameter, match="seed"):
+            sample_ss1(GRID, c=1.0, beta=LN2, seed=-1, p=2)
+
     def test_algorithm_id(self):
         assert NOISE_ALGORITHM == "pcg64-inverse-cdf"
 
