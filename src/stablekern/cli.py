@@ -32,8 +32,7 @@ from .process import (
     NOISE_ALGORITHM,
     PathSet,
     audit_constraints,
-    sample_ss1,
-    sample_wiener,
+    sample,
 )
 from .structure import (
     apply_precision,
@@ -232,10 +231,7 @@ def _cmd_sqrt(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     spec = read_kernel_file(args.kernel)
     g = _resolve_grid(args)
-    if spec.family == WIENER:
-        ps = sample_wiener(g, spec.c, args.seed, args.paths)
-    else:
-        ps = sample_ss1(g, spec.c, spec.beta, args.seed, args.paths)
+    ps = sample(spec, g, args.seed, args.paths)
     meta = _meta_lines("sample", spec, g, {
         "paths": ps.p,
         "seed": args.seed,

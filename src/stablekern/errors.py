@@ -49,7 +49,8 @@ class InvalidParameter(StableKernError):
 
 
 class SingularGram(StableKernError):
-    """The requested Gram matrix is singular (Wiener kernel with t1 = 0)."""
+    """The Gram matrix is singular (Wiener kernel with t1 = 0) or its inverse
+    leaves the float range (SS-1 kernel with c*exp(-beta*t_n) below 1e-308)."""
 
 
 class DimensionMismatch(StableKernError):

@@ -1,10 +1,12 @@
-"""Kernel specifications and Gram matrices.
+"""Kernel specifications, Gram matrices and the Markov-chain core.
 
-Two covariance kernels are supported on time grids:
-
-* Wiener:  K(t, s) = c * min(t, s)
-* SS-1:    K(t, s) = c * min(exp(-beta*t), exp(-beta*s))
-                   = c * exp(-beta * max(t, s))
+Both kernels are K(t, s) = c * min(phi(t), phi(s)) for a monotone clock:
+Wiener phi(t) = t, SS-1 phi(t) = exp(-beta*t), the exponential change of
+time that turns one into the other.  On a grid either is a Wiener process
+run on phi: a Gauss-Markov chain of independent increments started where
+phi vanishes (before t_1 for Wiener, after t_n for SS-1).  :class:`_Chain`
+holds that fact; the Gram matrix, inverse, log-determinant, factors,
+sampler and audits are each written once over it.
 
 Hyperparameters are the scale c > 0 and, for SS-1, the decay beta > 0.
 """
@@ -96,15 +98,78 @@ class KernelMatrix:
         return f"KernelMatrix(n={self.n})"
 
 
+# Bound on c*delta below which its reciprocal, or the sum of two reciprocals
+# on the inverse's diagonal, would leave the float range.
+_MIN_STEP = 2.0 / np.finfo(float).max
+
+
+def _regular(x: np.ndarray, lo: float, message: str) -> np.ndarray:
+    """The chain's one zero/non-finite check: x, unless an entry is NaN, infinite or not above lo."""
+    if not (lo < x.min() and x.max() < math.inf):
+        raise SingularGram(message)
+    return x
+
+
+class _Chain:
+    """A kernel on a grid as the Markov chain c * min(phi_i, phi_j).
+
+    ``clock`` is phi.  Step delta_i is the increment of phi from point i
+    to its neighbour toward the end where phi vanishes (phi = 0 past it),
+    kept as scale * rel, scale = exp(log_scale), each factor free of
+    cancellation: Wiener scale 1, rel = t_i - t_{i-1} (t_0 = 0); SS-1
+    scale phi, rel = -expm1(-beta*(t_{i+1} - t_i)), rel_n = 1.  ``order``
+    lists the grid from the vanishing end; ``rising`` is true when that
+    end is t = 0.  Methods allocate at most one n-array each: the closed
+    forms run at n = 10^6.
+    """
+
+    def __init__(self, spec: KernelSpec, times: np.ndarray) -> None:
+        self.c = spec.c
+        self.rising = spec.family == WIENER
+        if self.rising:
+            self.clock = times
+            self.log_scale = 0.0
+            self.scale = 1.0
+            self.rel = np.diff(times, prepend=0.0)
+        else:
+            self.log_scale = -spec.beta * times
+            self.clock = self.scale = np.exp(self.log_scale)
+            self.rel = np.empty(times.shape[0])
+            self.rel[-1] = 1.0
+            head = self.rel[:-1]
+            np.subtract(times[1:], times[:-1], out=head)
+            head *= -spec.beta
+            np.expm1(head, out=head)
+            np.negative(head, out=head)
+        self.order = slice(None) if self.rising else slice(None, None, -1)
+
+    def steps(self) -> np.ndarray:
+        return self.scale * self.rel
+
+    def scaled_steps(self) -> np.ndarray:
+        """c * delta, the increments' variances, whose reciprocals are the chain's precisions."""
+        cd = self.steps()
+        cd *= self.c
+        return _regular(cd, _MIN_STEP, "a chain increment c*delta is zero or too small to invert "
+                                       "(Wiener needs t1 > 0, SS-1 needs c*exp(-beta*t_n) > 1e-308)")
+
+    def log_det(self) -> float:
+        """The sum of ln(c * delta) = ln(c * rel) + log_scale, finite where delta underflows."""
+        logs = self.c * self.rel
+        with np.errstate(divide="ignore"):
+            np.log(logs, out=logs)
+        logs += self.log_scale
+        return float(_regular(logs.sum(), -math.inf,
+                              "a chain increment c*delta is zero or not finite (Wiener needs t1 > 0)"))
+
+
 def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
-    """Evaluate K(t, s) at a single pair of times."""
-    if spec.family == WIENER:
-        return spec.c * min(t, s)
-    return spec.c * math.exp(-spec.beta * max(t, s))
+    """Evaluate K(t, s) = c * min(phi(t), phi(s)) at a single pair of times."""
+    return spec.c * float(_Chain(spec, np.sort([float(t), float(s)])).clock.min())
 
 
 def gram(spec: KernelSpec, grid: SamplingGrid) -> KernelMatrix:
-    """Assemble the Gram matrix P with P[i, j] = K(t_i, t_j).
+    """Assemble the Gram matrix P with P[i, j] = c * min(phi_i, phi_j).
 
     Each unit-scale entry is evaluated once and mirrored, then scaled by
     c, so the result is bit-exact symmetric and satisfies
@@ -113,17 +178,13 @@ def gram(spec: KernelSpec, grid: SamplingGrid) -> KernelMatrix:
     Raises
     ------
     SingularGram
-        For the Wiener family when t1 = 0 (first row and column vanish).
+        When a chain increment is zero or out of range, for example for
+        the Wiener family when t1 = 0 (first row and column vanish).
     """
-    t = grid.times
-    if spec.family == WIENER:
-        if t[0] == 0.0:
-            raise SingularGram("Wiener Gram is singular when t1 = 0")
-        unit = np.minimum(t[:, None], t[None, :])
-    else:
-        e = np.exp(-spec.beta * t)
-        unit = np.minimum(e[:, None], e[None, :])
-    values = spec.c * unit
+    chain = _Chain(spec, grid.times)
+    chain.scaled_steps()
+    phi = chain.clock
+    values = spec.c * np.minimum(phi[:, None], phi[None, :])
     values.setflags(write=False)
     return KernelMatrix(grid=grid, values=values)
 
@@ -137,19 +198,12 @@ def stable_increments(grid: SamplingGrid, beta: float) -> np.ndarray:
         delta_n = exp(-beta*t_n),
 
     the last one being the increment down to the virtual instant
-    t_{n+1} = +infinity.  The differences are computed as
-    exp(-beta*t_i) * (-expm1(-beta*(t_{i+1} - t_i))), which avoids the
-    catastrophic cancellation of subtracting two nearly equal
-    exponentials when beta*(t_{i+1} - t_i) is small.
+    t_{n+1} = +infinity: the SS-1 chain's steps, computed as
+    exp(-beta*t_i) * (-expm1(-beta*(t_{i+1} - t_i))) without cancellation.
     """
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
         raise InvalidParameter(f"stable increments need finite beta > 0, got {beta!r}")
-    t = grid.times
-    e = np.exp(-beta * t)
-    out = np.empty(t.shape[0])
-    out[:-1] = e[:-1] * -np.expm1(-beta * np.diff(t))
-    out[-1] = e[-1]
-    return out
+    return _Chain(KernelSpec(family=SS1, c=1.0, beta=beta), grid.times).steps()
 
 
 def read_kernel_file(path: Union[str, os.PathLike]) -> KernelSpec:

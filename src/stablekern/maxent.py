@@ -4,8 +4,9 @@ A symmetric matrix whose diagonal and first off-diagonal are given has
 many positive-definite completions; among them the one maximizing
 Gaussian differential entropy is unique, has a tridiagonal inverse, and
 is obtained by the multiplicative fill-in implemented in
-:func:`band_extend`.  For Wiener and SS-1 Gram matrices the completion
-reproduces the Gram matrix itself: the band determines the kernel.
+:func:`band_extend`.  Wiener and SS-1 Gram matrices are Markov chains
+(see :mod:`stablekern.kernels`), so the completion reproduces the Gram
+matrix itself: the band determines the kernel.
 
 The second audit in this module approaches the same maximality from the
 process side: among all zero-mean Gaussian laws whose increments have
@@ -31,8 +32,9 @@ from .errors import (
     NotSymmetric,
 )
 from .grid import SamplingGrid
-from .kernels import WIENER, KernelSpec, gram, stable_increments
-from .structure import log_det
+from .kernels import KernelSpec, gram
+from .process import _check_seed
+from .structure import log_det, sqrt_factor
 
 __all__ = [
     "ENTROPY_TOLERANCE",
@@ -143,12 +145,10 @@ def band_extend(a: BandSkeleton) -> np.ndarray:
     m = np.diag(d.astype(float))
     idx = np.arange(n - 1)
     m[idx, idx + 1] = o
-    m[idx + 1, idx] = o
-    for dist in range(2, n):
-        for i in range(n - dist):
-            j = i + dist
-            m[i, j] = m[i, j - 1] * m[j - 1, j] / m[j - 1, j - 1]
-            m[j, i] = m[i, j]
+    for j in range(2, n):
+        m[: j - 1, j] = m[: j - 1, j - 1] * m[j - 1, j] / m[j - 1, j - 1]
+    lower = np.tril_indices(n, -1)
+    m[lower] = m.T[lower]
     return m
 
 
@@ -177,6 +177,7 @@ def random_positive_extension(a: BandSkeleton, seed, scale: float = 0.05, max_tr
     rejections, so termination is certain: the completion lies strictly
     inside the positive-definite cone.  Deterministic given ``seed``.
     """
+    _check_seed(seed)
     if a.n < 3:
         raise InvalidParameter("extensions beyond the band need n >= 3")
     base = band_extend(a)
@@ -201,24 +202,6 @@ def random_positive_extension(a: BandSkeleton, seed, scale: float = 0.05, max_tr
     raise NotPositiveDefinite(f"no positive-definite extension found in {max_tries} attempts")
 
 
-def _increment_map(spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
-    """Map A with h = A z for z the standardized increments of the kernel law.
-
-    Wiener accumulates increments from the origin (lower-triangular
-    cumulative sum); SS-1 accumulates exponential-coordinate increments
-    from the virtual instant at +infinity (upper-triangular cumulative
-    sum).  Columns are scaled by the increment standard deviations.
-    """
-    n = grid.n
-    if spec.family == WIENER:
-        delta = spec.c * np.diff(grid.times, prepend=0.0)
-        v = np.tril(np.ones((n, n)))
-    else:
-        delta = spec.c * stable_increments(grid, spec.beta)
-        v = np.triu(np.ones((n, n)))
-    return v * np.sqrt(delta)
-
-
 def _random_correlation_chol(rng: np.random.Generator, n: int) -> np.ndarray:
     """Cholesky factor of a random correlation matrix (unit diagonal)."""
     while True:
@@ -230,20 +213,17 @@ def _random_correlation_chol(rng: np.random.Generator, n: int) -> np.ndarray:
             continue
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed}")
-
-
 def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, seed, trials: int) -> GaussianEntropyReport:
     """Entropy dominance of the kernel law over correlated-increment laws.
 
-    Each candidate law keeps the per-increment variances prescribed by
-    the kernel but correlates the increments through a random
-    correlation matrix; its entropy differs from the kernel entropy by
-    half the log-determinant of that correlation, which is never
-    positive.  The first candidate always uses the identity correlation
-    and must therefore match the reference entropy exactly.
+    The kernel law is h = U z, U the structured square root of the Gram
+    matrix and z independent unit innovations of the chain (for SS-1
+    its standardized increments).  Each candidate correlates the
+    innovations through a random correlation matrix C; its entropy
+    differs from the kernel entropy by half the log-determinant of C,
+    which is never positive.  The first candidate always uses the
+    identity correlation and must therefore match the reference entropy
+    up to rounding.
 
     Trial k draws from a generator seeded with (seed, k), so trials are
     reproducible individually and the report is deterministic given
@@ -252,7 +232,7 @@ def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, see
     _check_seed(seed)
     if trials < 1:
         raise InvalidParameter(f"need at least one trial, got {trials}")
-    amap = _increment_map(spec, grid)
+    root = sqrt_factor(spec, grid).to_dense()
     reference = 0.5 * grid.n * _LOG_2PIE + 0.5 * log_det(spec, grid)
     entropies = []
     for k in range(trials):
@@ -260,7 +240,7 @@ def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, see
             corr_chol = np.eye(grid.n)
         else:
             corr_chol = _random_correlation_chol(np.random.default_rng((seed, k)), grid.n)
-        mixed = amap @ corr_chol
+        mixed = root @ corr_chol
         entropies.append(gaussian_entropy(mixed @ mixed.T))
     return GaussianEntropyReport.from_entropies(reference, entropies)
 

@@ -1,13 +1,12 @@
 """Gaussian process samplers on time grids, plus Monte Carlo audits.
 
-Both kernels are sampled directly from their independent-increment
-constructions, so a path costs O(n) draws and one cumulative sum:
-
-* Wiener: increments over (t_{i-1}, t_i] with t_0 = 0, accumulated
-  left to right.
-* SS-1: increments in the exponential coordinate exp(-beta*t),
-  accumulated right to left; the increment past t_n down to the virtual
-  instant t_{n+1} = +infinity carries the tail variance c*exp(-beta*t_n).
+Both kernels are c * min(phi(t), phi(s)) for a monotone clock phi (see
+:mod:`stablekern.kernels`), so a path is a sum of independent
+N(0, c*delta_i) increments of the clock, accumulated from the end where
+phi vanishes: left to right for Wiener (phi = t), right to left for
+SS-1 (phi = exp(-beta*t)), whose last increment carries the tail
+variance c*exp(-beta*t_n).  One sampler and one increment audit serve
+both kernels; a path costs O(n) draws and one cumulative sum.
 
 The exponential time transformation maps one construction onto the
 other: sampling Wiener paths on the transformed grid and reversing the
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, TooFewPaths
 from .grid import SamplingGrid, make_grid
-from .kernels import SS1, WIENER, KernelSpec, stable_increments
+from .kernels import SS1, WIENER, KernelSpec, _Chain
 
 __all__ = [
     "NOISE_ALGORITHM",
@@ -40,6 +39,7 @@ __all__ = [
     "TimeTransform",
     "IncrementCheck",
     "ConstraintAuditReport",
+    "sample",
     "sample_wiener",
     "sample_ss1",
     "stable_time_transform",
@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 NOISE_ALGORITHM = "pcg64-inverse-cdf"
+
+
+def _check_seed(seed) -> None:
+    """Raise InvalidParameter unless seed is a nonnegative integer or a tuple of seeds."""
+    if isinstance(seed, tuple):
+        for part in seed:
+            _check_seed(part)
+    elif not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameter(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")
 
 
 @dataclass(eq=False)
@@ -60,8 +69,7 @@ class WhiteNoiseSource:
     def __post_init__(self) -> None:
         if not (isinstance(self.variance, (int, float)) and math.isfinite(self.variance) and self.variance > 0):
             raise InvalidParameter(f"noise variance must be finite and > 0, got {self.variance!r}")
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise InvalidParameter(f"seed must be a nonnegative integer, got {self.seed}")
+        _check_seed(self.seed)
         self._rng = np.random.default_rng(self.seed)
 
     def draw(self, shape) -> np.ndarray:
@@ -94,30 +102,24 @@ class PathSet:
         return f"PathSet(p={self.p}, n={self.grid.n})"
 
 
-def _check_sampling_args(c: float, p: int) -> None:
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-        raise InvalidParameter(f"scale c must be finite and > 0, got {c!r}")
+def sample(spec: KernelSpec, grid: SamplingGrid, seed, p: int) -> PathSet:
+    """Sample p paths, one per row: sums of the chain's N(0, c*delta_i) increments."""
     if p < 1:
         raise InvalidParameter(f"need at least one path, got p={p}")
+    chain = _Chain(spec, grid.times)
+    w = WhiteNoiseSource(seed=seed, variance=spec.c).draw((p, grid.n))
+    w *= np.sqrt(chain.steps())
+    return PathSet(grid=grid, paths=np.cumsum(w[:, chain.order], axis=1)[:, chain.order])
 
 
 def sample_wiener(grid: SamplingGrid, c: float, seed: int, p: int) -> PathSet:
     """Sample p Wiener paths: cumulative sums of N(0, c*(t_i - t_{i-1})) increments."""
-    _check_sampling_args(c, p)
-    noise = WhiteNoiseSource(seed=seed, variance=c)
-    w = noise.draw((p, grid.n))
-    w *= np.sqrt(np.diff(grid.times, prepend=0.0))
-    return PathSet(grid=grid, paths=np.cumsum(w, axis=1))
+    return sample(KernelSpec(family=WIENER, c=c), grid, seed, p)
 
 
 def sample_ss1(grid: SamplingGrid, c: float, beta: float, seed: int, p: int) -> PathSet:
     """Sample p SS-1 paths: right-to-left sums of exponential-coordinate increments."""
-    _check_sampling_args(c, p)
-    delta = stable_increments(grid, beta)
-    noise = WhiteNoiseSource(seed=seed, variance=c)
-    w = noise.draw((p, grid.n))
-    w *= np.sqrt(delta)
-    return PathSet(grid=grid, paths=np.cumsum(w[:, ::-1], axis=1)[:, ::-1])
+    return sample(KernelSpec(family=SS1, c=c, beta=beta), grid, seed, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,25 +209,19 @@ def _z_score(deviation: float, se: float) -> float:
 def audit_constraints(ps: PathSet, spec: KernelSpec, z_limit: float = 5.0) -> ConstraintAuditReport:
     """Check sampled increments against the kernel's mean and variance targets.
 
-    The increments audited are the defining ones of each construction:
-    differences between consecutive grid points (taken toward the
-    origin for Wiener, toward the virtual instant at +infinity for
-    SS-1), each with model mean 0 and model variance c*increment.  A
-    check is flagged when the sample mean or sample variance sits more
-    than ``z_limit`` standard errors from its target.
+    The increments audited are the defining ones of the chain:
+    differences between consecutive grid points taken toward the end
+    where the clock vanishes (the origin for Wiener, the virtual instant
+    at +infinity for SS-1), each with model mean 0 and model variance
+    c*delta_i.  A check is flagged when the sample mean or sample
+    variance sits more than ``z_limit`` standard errors from its target.
     """
     p = ps.p
     if p < 100:
         raise TooFewPaths(f"audit needs at least 100 paths, got {p}")
-    paths = ps.paths
-    if spec.family == WIENER:
-        increments = np.diff(paths, axis=1, prepend=0.0)
-        targets = spec.c * np.diff(ps.grid.times, prepend=0.0)
-    else:
-        increments = np.empty_like(paths)
-        increments[:, :-1] = paths[:, :-1] - paths[:, 1:]
-        increments[:, -1] = paths[:, -1]
-        targets = spec.c * stable_increments(ps.grid, spec.beta)
+    chain = _Chain(spec, ps.grid.times)
+    increments = np.diff(ps.paths[:, chain.order], axis=1, prepend=0.0)[:, chain.order]
+    targets = spec.c * chain.steps()
     means = increments.mean(axis=0)
     variances = increments.var(axis=0, ddof=1)
     mean_se = np.sqrt(targets / p)

@@ -1,17 +1,10 @@
 """Closed-form structure of Wiener and SS-1 Gram matrices.
 
-Both kernels are Markov on a time grid, so the inverse of the Gram
-matrix P is tridiagonal and is available in closed form from the grid
-increments alone, without any elimination:
-
-* Wiener: with time increments D_i = t_i - t_{i-1} (t_0 = 0),
-  the inverse is the chain tridiagonal built from the weights 1/(c*D_i).
-* SS-1: the same chain, built from the exponential-coordinate
-  increments delta_i of :func:`stablekern.kernels.stable_increments`,
-  which include the increment to the virtual instant t_{n+1} = +inf.
-
-On top of the tridiagonal inverse this module provides an upper
-bidiagonal factor F with F.T @ F == inverse(P) (so applying the
+Both Gram matrices are the Markov chain c * min(phi_i, phi_j) of
+:mod:`stablekern.kernels`, so everything here follows, with no
+elimination, from the chain's independent increments c * delta_k: a
+tridiagonal inverse, the log-determinant sum of ln(c * delta_k), an
+upper bidiagonal factor F with F.T @ F == inverse(P) (so applying the
 precision is two O(n) sweeps) and a closed-form upper-triangular square
 root U with U @ U.T == P.
 
@@ -26,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularGram
+from .errors import DimensionMismatch
 from .grid import SamplingGrid
-from .kernels import SS1, WIENER, KernelSpec, stable_increments
+from .kernels import KernelSpec, _Chain
 
 __all__ = [
     "TridiagonalMatrix",
@@ -97,10 +90,9 @@ class StructuredSqrt:
     """Upper-triangular square root of a Gram matrix, stored implicitly.
 
     Only the n reciprocals of the precision-factor diagonal are kept;
-    the dense triangle is materialized on demand.  For SS-1 the square
-    root is constant down each column, U[i, j] = inv_diag[j] for i <= j;
-    for Wiener the column is modulated by the time ratio,
-    U[i, j] = (t_i / t_j) * inv_diag[j] for i <= j.
+    the dense triangle is materialized on demand as
+    U[i, j] = (min(phi_i, phi_j) / phi_j) * inv_diag[j] for i <= j, which
+    is constant down each SS-1 column.
     """
 
     spec: KernelSpec
@@ -112,75 +104,63 @@ class StructuredSqrt:
         return self.grid.n
 
     def to_dense(self) -> np.ndarray:
-        if self.spec.family == WIENER:
-            t = self.grid.times
-            return np.triu(np.outer(t, self.inv_diag / t))
-        return np.triu(np.broadcast_to(self.inv_diag, (self.n, self.n)).copy())
-
-
-def _increments(spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
-    """Per-kernel chain increments, already scaled by c."""
-    if spec.family == WIENER:
-        if grid.times[0] == 0.0:
-            raise SingularGram("Wiener Gram is singular when t1 = 0")
-        return spec.c * np.diff(grid.times, prepend=0.0)
-    return spec.c * stable_increments(grid, spec.beta)
+        phi = _Chain(self.spec, self.grid.times).clock
+        return np.triu(np.minimum(phi[:, None], phi[None, :]) / phi * self.inv_diag)
 
 
 def closed_form_inverse(spec: KernelSpec, grid: SamplingGrid) -> TridiagonalMatrix:
     """Tridiagonal inverse of the Gram matrix, in closed form.
 
-    With r_i the reciprocal chain increments, the Wiener inverse has
-    diagonal (r_1 + r_2, ..., r_{n-1} + r_n, r_n) and off-diagonal
-    (-r_2, ..., -r_n); the SS-1 inverse has diagonal
-    (r_1, r_1 + r_2, ..., r_{n-1} + r_n) and off-diagonal
-    (-r_1, ..., -r_{n-1}).  The two differ only in which end of the
-    chain is anchored.
+    With r_k = 1/(c*delta_k) in chain order (from the end where the
+    clock vanishes), the diagonal is (r_1 + r_2, ..., r_{n-1} + r_n, r_n)
+    and the off-diagonal (-r_2, ..., -r_n), both read back in grid order.
+    Raises SingularGram where an entry would not be a finite float.
     """
-    r = 1.0 / _increments(spec, grid)
-    diag = r.copy()
-    if spec.family == WIENER:
-        diag[:-1] += r[1:]
-        off = -r[1:]
-    else:
-        diag[1:] += r[:-1]
-        off = -r[:-1]
-    return TridiagonalMatrix(diag=diag, offdiag=off)
+    chain = _Chain(spec, grid.times)
+    r = chain.scaled_steps()
+    np.divide(1.0, r, out=r)
+    r = r[chain.order]
+    diag = np.empty(grid.n)
+    offdiag = np.empty(grid.n - 1)
+    d = diag[chain.order]
+    d[:] = r
+    d[:-1] += r[1:]
+    np.negative(r[1:], out=offdiag[chain.order])
+    return TridiagonalMatrix(diag=diag, offdiag=offdiag)
 
 
 def log_det(spec: KernelSpec, grid: SamplingGrid) -> float:
-    """ln det of the Gram matrix: the increments multiply.
+    """ln det of the Gram matrix: sum ln(c * delta_k), the increments multiply.
 
-    Wiener: ln det = n ln c + ln t_1 + sum ln(t_{k+1} - t_k).
-    SS-1:   ln det = n ln c + sum ln(delta_k)  (the last increment
-    contributes -beta * t_n exactly).
-
-    Accumulated in the log domain, so grids whose raw determinant
-    underflows or overflows a double still evaluate.
+    Each term is formed in the log domain (SS-1:
+    ln delta_k = -beta*t_k + ln(-expm1(-beta*(t_{k+1} - t_k))) and
+    ln delta_n = -beta*t_n), so it stays finite where the increments or
+    the raw determinant underflow a double.
     """
-    d = _increments(spec, grid)
-    return float(np.sum(np.log(d)))
+    return _Chain(spec, grid.times).log_det()
 
 
 def precision_factor(spec: KernelSpec, grid: SamplingGrid) -> UpperBidiagonal:
     """Upper bidiagonal F with F.T @ F equal to the Gram inverse.
 
-    The diagonal is taken positive, which fixes F uniquely.  For SS-1,
-    F(i, i) = -F(i, i+1) = 1/sqrt(c * delta_i) and
-    F(n, n) = 1/sqrt(c * delta_n).  For Wiener,
-    F(i, i) = sqrt((t_{i+1}/t_i) / (c * (t_{i+1} - t_i))),
-    F(i, i+1) = -(t_i/t_{i+1}) * F(i, i), and F(n, n) = 1/sqrt(c * t_n).
+    Row i < n is the law of point i given point i+1: mean rho_i times
+    that point, rho_i = min(phi_i, phi_{i+1}) / phi_{i+1} (1 for SS-1,
+    t_i / t_{i+1} for Wiener), variance rho_i * c * |phi_{i+1} - phi_i|;
+    row n is the marginal law, variance c * phi_n.  So F(i, i) =
+    1/sqrt(variance_i) > 0, which fixes F, and F(i, i+1) = -rho_i * F(i, i).
     """
-    d = _increments(spec, grid)
-    if spec.family == SS1:
-        diag = 1.0 / np.sqrt(d)
-        sup = -diag[:-1]
-    else:
-        t = grid.times
-        diag = np.empty(grid.n)
-        diag[:-1] = np.sqrt(t[1:] / (t[:-1] * d[1:]))
-        diag[-1] = 1.0 / math.sqrt(spec.c * t[-1])
-        sup = -(t[:-1] / t[1:]) * diag[:-1]
+    chain = _Chain(spec, grid.times)
+    phi = chain.clock
+    rho = phi[:-1] / phi[1:] if chain.rising else 1.0
+    diag = np.empty(grid.n)
+    head = diag[:-1]  # 1 / sqrt(rho * c * |phi_{i+1} - phi_i|), formed in place
+    # c * |phi_{i+1} - phi_i| is every scaled step but the one at the vanishing end.
+    np.multiply(chain.scaled_steps()[chain.order][1:][chain.order], rho, out=head)
+    np.sqrt(head, out=head)
+    np.divide(1.0, head, out=head)
+    diag[-1] = 1.0 / math.sqrt(spec.c * phi[-1])
+    sup = rho * head
+    np.negative(sup, out=sup)
     return UpperBidiagonal(diag=diag, super=sup)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -559,3 +560,66 @@ class TestScipyImportedOnUse:
         assert est.diagnostics["n_evaluations"] > 8  # the simplex refinement ran
         np.testing.assert_array_equal(payload["coefficients"], est.coefficients)
         assert payload["log_ml"] == est.log_ml
+
+
+class TestGoldenBytes:
+    """stdout of fixed commands, pinned by its sha256.
+
+    The digests were recorded before the kernels were rewritten over one
+    Markov-chain core, so they lock the outputs that rewrite keeps
+    bit-identical: seed-reproducible samples, Gram matrices, inverses,
+    audits, the band completion, the Wiener log-determinant and the SS-1
+    precision factor.  Commands run from the working directory with
+    relative file names, so the meta lines are fixed too.
+    """
+
+    GRID = "0.3\n0.75\n1.2\n2.05\n2.5\n3.9\n4.0\n5.25\n"
+    KERNELS = {"wiener": {"family": WIENER, "c": 2.2}, "ss1": {"family": SS1, "c": 1.3, "beta": 0.45}}
+    DIGESTS = {
+        "wiener": {
+            "gram": "ad1360c22bd305d2264a64e615576786be6ec9f6ed579d1a0414176e0b747086",
+            "inverse": "a99c41291efd873ec240716b2bc2ba38e7a0f3eeeb781ae142d7ac1d5d585244",
+            "sample": "12b0ae9913f263bd978200eed2e77b9119a5b1c9e94e76dd09f28bb68bca603d",
+            "audit": "43804aa9b2deef7c27eb696e4d645f84ca867500c553b9875ef7d333275af7b6",
+            "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
+        },
+        "ss1": {
+            "gram": "78d6f5a0dd24e59fa7c8368314a9d8eaee6b945a031e3528dc600f37aff57183",
+            "inverse": "8c029880fb6fd450e9ad46638ff3005eaacd1a98fd626c417af550ffa5cf3588",
+            "sample": "e1648f15fa2fe6886fc369eec6295a5ba02ea50d05b367218c9ff38658148733",
+            "audit": "0016ea06d55f5ab9cd65e8519cbe22813d33626e3c72beea107ba20ec770c7a7",
+            "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
+        },
+        "extend": "83f023398a05eb49fb08206858cf10a24dd9ac3e7a22165e510dab994bb00cc5",
+    }
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text(self.GRID)
+        (tmp_path / "band.csv").write_text("2.0,1.5,1.2,0.9,0.7\n1.1,0.8,0.6,0.5\n")
+        for name, payload in self.KERNELS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        return tmp_path
+
+    def stdout_digest(self, argv, capsys):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        return out, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("family", ["wiener", "ss1"])
+    def test_family_commands(self, workdir, family, capsys):
+        base = ["--kernel", f"{family}.json", "--grid", "g.txt"]
+        got = {}
+        for name, argv in (("gram", ["gram"]), ("inverse", ["inverse"]),
+                           ("sample", ["sample", "--paths", "120", "--seed", "7"])):
+            out, got[name] = self.stdout_digest(argv + base, capsys)
+        (workdir / "paths.csv").write_text(out)
+        _, got["audit"] = self.stdout_digest(["audit", "--paths", "paths.csv"] + base, capsys)
+        extra = {"wiener": ("logdet", ["logdet"]), "ss1": ("factor", ["factor", "--which", "precision"])}[family]
+        _, got[extra[0]] = self.stdout_digest(extra[1] + base, capsys)
+        assert got == self.DIGESTS[family]
+
+    def test_extend(self, workdir, capsys):
+        _, digest = self.stdout_digest(["extend", "--band", "band.csv"], capsys)
+        assert digest == self.DIGESTS["extend"]

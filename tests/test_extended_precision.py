@@ -6,6 +6,8 @@ and compared both to the frozen constants pinned elsewhere in the suite
 and to the library's float64 closed forms.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -67,3 +69,29 @@ class TestLogDeterminants:
         assert mpmath.e**ref < mpmath.mpf(10) ** -1000
         assert float(ref) == pytest.approx(-2557.125259435574, rel=1e-14)
         assert ld == pytest.approx(float(ref), rel=1e-12)
+
+
+class TestIncrementsBelowTheFloatRange:
+    """Once beta*t_n passes ~745 the increments underflow a double; their logs do not."""
+
+    def test_uniform_grid_to_t_1000(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ld = log_det(KernelSpec(family=SS1, c=1.0, beta=1.0), uniform_grid(10, 100.0, 100.0))
+        ref = mp_log_det([100.0 * k for k in range(1, 11)], 1.0, 1.0)
+        # -(100 + 200 + ... + 1000), up to the ln(1 - exp(-100)) terms.
+        assert float(ref) == -5500.0
+        assert ld == pytest.approx(float(ref), rel=1e-15)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            beta = 10.0 ** rng.uniform(-2, 1)
+            c = 10.0 ** rng.uniform(-3, 3)
+            steps = rng.uniform(1e-6, 1.0, int(rng.integers(2, 15)))
+            times = np.cumsum(steps) * rng.uniform(750, 1e4) / (beta * steps.sum())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ld = log_det(KernelSpec(family=SS1, c=c, beta=beta), make_grid(times))
+            ref = mp_log_det([float(t) for t in times], beta, c)
+            assert ld == pytest.approx(float(ref), rel=1e-13)

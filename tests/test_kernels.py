@@ -129,6 +129,11 @@ class TestGram:
         with pytest.raises(errors.SingularGram):
             gram(KernelSpec(family=WIENER, c=1.0), make_grid([0.0, 1.0]))
 
+    def test_ss1_clock_below_the_float_range_is_singular(self):
+        # exp(-1000) underflows to 0: the last row and column would vanish.
+        with pytest.raises(errors.SingularGram):
+            gram(KernelSpec(family=SS1, c=1.0, beta=1.0), uniform_grid(10, 100.0, 100.0))
+
     def test_ss1_allows_zero_start(self):
         p = gram(KernelSpec(family=SS1, c=2.0, beta=1.0), make_grid([0.0, 1.0])).values
         assert p[0, 0] == 2.0

@@ -32,6 +32,21 @@ SS1_GRID = make_grid([1.0, 2.0, 3.0])
 LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 
 
+def band_extend_by_loop(a):
+    """The fill-in one entry at a time, by increasing distance from the diagonal."""
+    n = a.n
+    m = np.diag(a.diag.astype(float))
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = a.offdiag
+    m[idx + 1, idx] = a.offdiag
+    for dist in range(2, n):
+        for i in range(n - dist):
+            j = i + dist
+            m[i, j] = m[i, j - 1] * m[j - 1, j] / m[j - 1, j - 1]
+            m[j, i] = m[i, j]
+    return m
+
+
 class TestBandProject:
     def test_keeps_band(self):
         p = gram(SS1_SPEC, SS1_GRID).values
@@ -81,6 +96,21 @@ class TestBandExtend:
         inv = oracle.dense_inverse(band_extend(band_project(p)))
         beyond = np.triu(inv, k=2)
         assert np.max(np.abs(beyond)) <= 1e-8 * np.max(np.abs(inv))
+
+    def test_matches_the_entrywise_fill_in_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            if trial % 2:
+                spec = random_spec(rng, (WIENER, SS1)[trial % 4 // 2])
+                p = gram(spec, random_grid(rng, n)).values
+                skel = BandSkeleton(diag=np.diag(p).copy(), offdiag=np.diag(p, 1).copy())
+            else:
+                # Signed off-diagonals, each 2x2 minor positive definite.
+                diag = rng.uniform(0.1, 10.0, size=n)
+                rho = rng.uniform(-0.95, 0.95, size=n - 1)
+                skel = BandSkeleton(diag=diag, offdiag=rho * np.sqrt(diag[:-1] * diag[1:]))
+            assert np.array_equal(band_extend(skel), band_extend_by_loop(skel))
 
     def test_not_completable_minor(self):
         skel = BandSkeleton(diag=np.array([1.0, 1.0, 1.0]), offdiag=np.array([1.1, 0.2]))
@@ -139,6 +169,10 @@ class TestRandomPositiveExtension:
         assert np.array_equal(ext, ext.T)
         oracle.dense_chol(ext)
 
+    def test_negative_seed(self):
+        with pytest.raises(errors.InvalidParameter, match="seed"):
+            random_positive_extension(self.skel, seed=-3)
+
     def test_changes_the_free_entry(self):
         base = band_extend(self.skel)
         for seed in range(20):
@@ -169,6 +203,10 @@ class TestEntropyDominance:
         others = np.asarray(report.candidate_entropies[1:])
         assert np.all(others <= report.reference_entropy + ENTROPY_TOLERANCE)
         assert np.all(others < report.reference_entropy)
+
+    def test_float_seed(self):
+        with pytest.raises(errors.InvalidParameter, match="seed"):
+            increment_constrained_entropy_test(SS1_SPEC, SS1_GRID, seed=1.5, trials=3)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(errors.InvalidParameter):

@@ -67,6 +67,19 @@ class TestWhiteNoiseSource:
         with pytest.raises(errors.InvalidParameter, match="seed"):
             sample_ss1(GRID, c=1.0, beta=LN2, seed=-1, p=2)
 
+    def test_non_integer_seed(self):
+        for seed in (1.5, "7", None, (3, -1), (2, 0.5)):
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                WhiteNoiseSource(seed=seed)
+
+    def test_string_seed_draw(self):
+        with pytest.raises(errors.InvalidParameter, match="seed"):
+            WhiteNoiseSource(seed="7").draw(2)
+
+    def test_tuple_seeds_are_accepted(self):
+        a = WhiteNoiseSource(seed=(4, np.int64(2))).draw(5)
+        assert np.array_equal(a, WhiteNoiseSource(seed=(4, 2)).draw(5))
+
     def test_algorithm_id(self):
         assert NOISE_ALGORITHM == "pcg64-inverse-cdf"
 
@@ -119,6 +132,16 @@ class TestSamplers:
         ps = sample_ss1(GRID, c=2.0, beta=0.7, seed=102, p=p)
         emp = empirical_cov(ps.paths)
         assert np.all(np.abs(emp - target) <= cov_tolerance(target, p))
+
+
+    def test_float_seed_is_a_domain_error(self):
+        with pytest.raises(errors.InvalidParameter, match="seed"):
+            sample_wiener(GRID, 1.0, 1.5, 2)
+
+    def test_wiener_zero_start_samples_a_pinned_origin(self):
+        paths = sample_wiener(make_grid([0.0, 1.0, 2.0]), c=1.0, seed=3, p=4).paths
+        assert np.all(paths[:, 0] == 0.0)
+        assert np.all(paths[:, 1:] != 0.0)
 
 
 class TestTimeTransform:

@@ -19,6 +19,7 @@ from stablekern import (
     precision_factor,
     solve_gram,
     sqrt_factor,
+    uniform_grid,
 )
 
 from helpers import inf_norm, random_grid, random_spec
@@ -174,6 +175,25 @@ class TestErrors:
         for op in (closed_form_inverse, log_det, precision_factor, sqrt_factor):
             with pytest.raises(errors.SingularGram):
                 op(W_SPEC, g)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ss1_inverse_beyond_the_float_range(self):
+        # exp(-1000) underflows: the inverse would reach 1e130 and then inf.
+        spec = KernelSpec(family=SS1, c=1.0, beta=1.0)
+        g = uniform_grid(10, 100.0, 100.0)
+        for op in (closed_form_inverse, precision_factor, sqrt_factor):
+            with pytest.raises(errors.SingularGram):
+                op(spec, g)
+        assert math.isfinite(log_det(spec, g))
+
+    @pytest.mark.filterwarnings("error")
+    def test_ss1_inverse_near_the_float_range(self):
+        # exp(-700) ~ 1e-304: the inverse reaches 1e304 and stays finite.
+        spec = KernelSpec(family=SS1, c=1.0, beta=1.0)
+        g = uniform_grid(7, 100.0, 100.0)
+        tri = closed_form_inverse(spec, g)
+        assert np.all(np.isfinite(tri.diag)) and tri.diag[-1] > 1e303
+        assert np.all(np.isfinite(precision_factor(spec, g).diag))
 
 
 @settings(max_examples=60, deadline=None)
