@@ -46,7 +46,6 @@ from .structure import (
     closed_form_inverse,
     log_det,
     precision_factor,
-    solve_gram,
     sqrt_factor,
 )
 from .maxent import (
@@ -126,7 +125,6 @@ __all__ = [
     "precision_factor",
     "sqrt_factor",
     "apply_precision",
-    "solve_gram",
     # maxent
     "ENTROPY_TOLERANCE",
     "BandSkeleton",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CheckFailed, InvalidParameter, StableKernError
-from .grid import SamplingGrid, read_grid_file, uniform_grid
+from .grid import SamplingGrid, _data_lines, read_grid_file, uniform_grid
 from .kernels import SS1, WIENER, KernelSpec, gram, read_kernel_file
 from .maxent import (
     BandSkeleton,
@@ -28,25 +28,12 @@ from .maxent import (
     completion_entropy_audit,
     increment_constrained_entropy_test,
 )
-from .process import (
-    NOISE_ALGORITHM,
-    PathSet,
-    audit_constraints,
-    sample,
-)
-from .structure import (
-    apply_precision,
-    closed_form_inverse,
-    log_det,
-    precision_factor,
-    sqrt_factor,
-)
+from .process import NOISE_ALGORITHM, PathSet, audit_constraints, sample
+from .structure import closed_form_inverse, log_det, precision_factor, sqrt_factor
 from .estimator import EstimationProblem, SearchConfig, fit
 from . import oracle
 
 __all__ = ["run", "main"]
-
-_log = logging.getLogger(__name__)
 
 
 def _fmt(x: float) -> str:
@@ -96,10 +83,7 @@ def _json_text(payload: dict) -> str:
 def _read_numeric_rows(path: str) -> List[List[float]]:
     rows: List[List[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
+        for lineno, text in _data_lines(fh):
             try:
                 rows.append([float(x) for x in text.split(",") if x.strip() != ""])
             except ValueError:
@@ -122,10 +106,7 @@ def _read_uy_csv(path: str):
     u: List[float] = []
     y: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
+        for lineno, text in _data_lines(fh):
             cells = [c.strip() for c in text.split(",")]
             if header is None:
                 header = [c.lower() for c in cells]
@@ -154,83 +135,38 @@ def _uniform_type(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as N,DELTA,T_START") from None
 
 
-def _add_grid_args(sp: argparse.ArgumentParser, required: bool = True) -> None:
-    group = sp.add_mutually_exclusive_group(required=required)
-    group.add_argument("--grid", metavar="PATH", help="grid file: one time per line, '#' comments ignored")
-    group.add_argument("--uniform", metavar="N,DELTA,T_START", type=_uniform_type,
-                       help="uniform grid t_i = t_start + (i-1)*delta")
-
-
-def _add_kernel_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--kernel", metavar="PATH", required=True,
-                    help='kernel spec JSON, e.g. {"family": "ss1", "c": 1.0, "beta": 0.693147}')
-
-
-def _add_out_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-
-
-def _resolve_grid(args: argparse.Namespace) -> SamplingGrid:
-    if getattr(args, "grid", None) is not None:
+def _resolve_grid(args: argparse.Namespace, default_uniform=None) -> SamplingGrid:
+    if args.grid is not None:
         return read_grid_file(args.grid)
-    return uniform_grid(*args.uniform)
+    return uniform_grid(*(args.uniform or default_uniform))
 
 
-def _grid_source(args: argparse.Namespace) -> str:
-    if getattr(args, "grid", None) is not None:
-        return f"file {args.grid}"
-    n, delta, t_start = args.uniform
-    return f"uniform {n},{_fmt(delta)},{_fmt(t_start)}"
-
-
-def _cmd_gram(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_gram(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     km = gram(spec, g)
     _emit(_rows_csv(km.values, _meta_lines("gram", spec, g)), args.out)
-    return 0
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_inverse(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     tri = closed_form_inverse(spec, g)
     meta = _meta_lines("inverse", spec, g, {"format": "tridiagonal: line 1 diag, line 2 offdiag"})
     _emit(_rows_csv([tri.diag, tri.offdiag], meta), args.out)
-    return 0
 
 
-def _cmd_logdet(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_logdet(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     meta = _meta_lines("logdet", spec, g)
     _emit("\n".join(meta + [_fmt(log_det(spec, g))]) + "\n", args.out)
-    return 0
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_factor(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     if args.which == "precision":
         f = precision_factor(spec, g)
-        meta = _meta_lines("factor", spec, g,
-                           {"format": "upper bidiagonal: line 1 diag, line 2 super"})
-        _emit(_rows_csv([f.diag, f.super], meta), args.out)
+        rows, layout = [f.diag, f.super], "upper bidiagonal: line 1 diag, line 2 super"
     else:
-        u = sqrt_factor(spec, g).to_dense()
-        meta = _meta_lines("factor", spec, g, {"format": "dense upper-triangular square root"})
-        _emit(_rows_csv(u, meta), args.out)
-    return 0
+        rows, layout = sqrt_factor(spec, g).to_dense(), "dense upper-triangular square root"
+    _emit(_rows_csv(rows, _meta_lines("factor", spec, g, {"format": layout})), args.out)
 
 
-def _cmd_sqrt(args: argparse.Namespace) -> int:
-    args.which = "sqrt"
-    return _cmd_factor(args)
-
-
-def _cmd_sample(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_sample(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     ps = sample(spec, g, args.seed, args.paths)
     meta = _meta_lines("sample", spec, g, {
         "paths": ps.p,
@@ -239,21 +175,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "layout": "one path per row",
     })
     _emit(_rows_csv(ps.paths, meta), args.out)
-    return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     ps = PathSet(grid=g, paths=_read_rectangular(args.paths))
     report = audit_constraints(ps, spec)
     payload = {"meta": _meta_dict("audit", spec, g, {"paths_file": args.paths})}
     payload.update(report.to_dict())
     _emit(_json_text(payload), args.out)
-    return 0
 
 
-def _cmd_extend(args: argparse.Namespace) -> int:
+def _cmd_extend(args: argparse.Namespace, spec: None, g: None) -> None:
     rows = _read_numeric_rows(args.band)
     if len(rows) not in (1, 2):
         raise InvalidParameter(f"{args.band}: band CSV needs two lines (diag, offdiag)")
@@ -263,12 +195,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     meta = _meta_lines("extend", extra={"band_file": args.band,
                                         "format": "dense maximum-entropy completion"})
     _emit(_rows_csv(extension, meta), args.out)
-    return 0
 
 
-def _cmd_maxent_audit(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_maxent_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     completion = completion_entropy_audit(spec, g, args.seed, args.trials)
     increments = increment_constrained_entropy_test(spec, g, args.seed, args.trials)
     payload = {
@@ -277,10 +206,9 @@ def _cmd_maxent_audit(args: argparse.Namespace) -> int:
         "increments": increments.to_dict(),
     }
     _emit(_json_text(payload), args.out)
-    return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace, spec: None, g: None) -> None:
     u, y = _read_uy_csv(args.data)
     with open(args.search, "r", encoding="utf-8") as fh:
         try:
@@ -289,26 +217,21 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise InvalidParameter(f"search config is not valid JSON: {exc}") from None
     config = SearchConfig.from_dict(search_payload, args.kernel_family)
     problem = EstimationProblem(u=u, y=y, order=args.order, sigma2=args.sigma2)
-    if args.grid is None and args.uniform is None:
-        g = uniform_grid(args.order, 1.0, 1.0)
-    else:
-        g = _resolve_grid(args)
+    # The grid is read last, so a bad data or search file is reported first.
+    g = _resolve_grid(args, default_uniform=(args.order, 1.0, 1.0))
     estimate = fit(problem, g, config)
     payload = {"meta": _meta_dict("fit", estimate.spec, g, {"data_file": args.data,
                                                             "n_samples": problem.n_samples,
                                                             "order": problem.order})}
     payload.update(estimate.to_dict())
     _emit(_json_text(payload), args.out)
-    return 0
 
 
 def _inf_norm(m: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    spec = read_kernel_file(args.kernel)
-    g = _resolve_grid(args)
+def _cmd_check(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
     n = g.n
     p = gram(spec, g).values
     tri = closed_form_inverse(spec, g)
@@ -339,7 +262,43 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not ok:
         worst = min(checks, key=lambda c: c["threshold"] - c["residual"])
         raise CheckFailed(f"{worst['name']} residual {worst['residual']:.3e} exceeds {worst['threshold']:.3e}")
-    return 0
+
+
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+# Markers in a command's options: --kernel then a required --grid | --uniform
+# group (read by run before the handler is called), or an optional grid alone.
+_KERNEL_AND_GRID = "kernel and grid"
+_OPTIONAL_GRID = "optional grid"
+
+# name, help, handler, options in the order the usage line lists them; --out comes last.
+_COMMANDS = (
+    ("gram", "write the Gram matrix as CSV", _cmd_gram, [_KERNEL_AND_GRID]),
+    ("inverse", "write the closed-form tridiagonal inverse", _cmd_inverse, [_KERNEL_AND_GRID]),
+    ("logdet", "write the log-determinant of the Gram matrix", _cmd_logdet, [_KERNEL_AND_GRID]),
+    ("factor", "write the precision factor or the square root", _cmd_factor,
+     [_KERNEL_AND_GRID, _arg("--which", choices=("precision", "sqrt"), default="precision")]),
+    ("sample", "sample process paths (one per CSV row)", _cmd_sample,
+     [_KERNEL_AND_GRID, _arg("--paths", type=int, required=True, help="number of paths"),
+      _arg("--seed", type=int, default=0)]),
+    ("audit", "audit sampled paths against a kernel's increment constraints", _cmd_audit,
+     [_arg("--paths", metavar="PATH", required=True, help="paths CSV (one path per row)"), _KERNEL_AND_GRID]),
+    ("extend", "maximum-entropy completion of a band skeleton", _cmd_extend,
+     [_arg("--band", metavar="PATH", required=True, help="band CSV: line 1 diagonal, line 2 off-diagonal")]),
+    ("maxent-audit", "entropy-dominance audits for a kernel on a grid", _cmd_maxent_audit,
+     [_KERNEL_AND_GRID, _arg("--trials", type=int, default=1000), _arg("--seed", type=int, default=0)]),
+    ("fit", "kernel-regularized FIR fit from u,y data", _cmd_fit,
+     [_arg("--data", metavar="PATH", required=True, help="two-column CSV (u, y) with header"),
+      _arg("--order", type=int, required=True, help="FIR order n"),
+      _arg("--kernel-family", choices=(WIENER, SS1), required=True),
+      _arg("--search", metavar="PATH", required=True, help="search config JSON"),
+      _arg("--sigma2", type=float, default=None,
+           help="fix the noise variance (default: tuned from the sigma2 axis)"),
+      _OPTIONAL_GRID]),
+    ("check", "closed forms vs dense oracle on one instance", _cmd_check, [_KERNEL_AND_GRID]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,87 +313,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress informational logging")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    sp = add_parser("gram", help="write the Gram matrix as CSV")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_gram)
-
-    sp = add_parser("inverse", help="write the closed-form tridiagonal inverse")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_inverse)
-
-    sp = add_parser("logdet", help="write the log-determinant of the Gram matrix")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_logdet)
-
-    sp = add_parser("factor", help="write the precision factor or the square root")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    sp.add_argument("--which", choices=("precision", "sqrt"), default="precision")
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_factor)
-
-    sp = add_parser("sqrt", help="write the closed-form triangular square root")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_sqrt)
-
-    sp = add_parser("sample", help="sample process paths (one per CSV row)")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    sp.add_argument("--paths", type=int, required=True, help="number of paths")
-    sp.add_argument("--seed", type=int, default=0)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_sample)
-
-    sp = add_parser("audit", help="audit sampled paths against a kernel's increment constraints")
-    sp.add_argument("--paths", metavar="PATH", required=True, help="paths CSV (one path per row)")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_audit)
-
-    sp = add_parser("extend", help="maximum-entropy completion of a band skeleton")
-    sp.add_argument("--band", metavar="PATH", required=True,
-                    help="band CSV: line 1 diagonal, line 2 off-diagonal")
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_extend)
-
-    sp = add_parser("maxent-audit", help="entropy-dominance audits for a kernel on a grid")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_maxent_audit)
-
-    sp = add_parser("fit", help="kernel-regularized FIR fit from u,y data")
-    sp.add_argument("--data", metavar="PATH", required=True, help="two-column CSV (u, y) with header")
-    sp.add_argument("--order", type=int, required=True, help="FIR order n")
-    sp.add_argument("--kernel-family", choices=(WIENER, SS1), required=True)
-    sp.add_argument("--search", metavar="PATH", required=True, help="search config JSON")
-    sp.add_argument("--sigma2", type=float, default=None,
-                    help="fix the noise variance (default: tuned from the sigma2 axis)")
-    _add_grid_args(sp, required=False)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_fit)
-
-    sp = add_parser("check", help="closed forms vs dense oracle on one instance")
-    _add_kernel_arg(sp)
-    _add_grid_args(sp)
-    _add_out_arg(sp)
-    sp.set_defaults(handler=_cmd_check)
-
+    for name, help_text, handler, options in _COMMANDS:
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        for option in options:
+            if option == _KERNEL_AND_GRID:
+                sp.add_argument("--kernel", metavar="PATH", required=True,
+                                help='kernel spec JSON, e.g. {"family": "ss1", "c": 1.0, "beta": 0.693147}')
+            if option in (_KERNEL_AND_GRID, _OPTIONAL_GRID):
+                group = sp.add_mutually_exclusive_group(required=option == _KERNEL_AND_GRID)
+                group.add_argument("--grid", metavar="PATH",
+                                   help="grid file: one time per line, '#' comments ignored")
+                group.add_argument("--uniform", metavar="N,DELTA,T_START", type=_uniform_type,
+                                   help="uniform grid t_i = t_start + (i-1)*delta")
+            else:
+                flags, kwargs = option
+                sp.add_argument(*flags, **kwargs)
+        sp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+        sp.set_defaults(handler=handler, reads_kernel=_KERNEL_AND_GRID in options)
     return parser
 
 
@@ -451,7 +346,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         package_logger.addHandler(handler)
     package_logger.setLevel(logging.ERROR if args.quiet else logging.INFO)
     try:
-        return args.handler(args)
+        spec = g = None
+        if args.reads_kernel:
+            spec = read_kernel_file(args.kernel)
+            g = _resolve_grid(args)
+        args.handler(args, spec, g)
+        return 0
     except StableKernError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

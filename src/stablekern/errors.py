@@ -5,6 +5,9 @@ The error code reported on the command line is the class name, so renaming
 a class here is a breaking interface change.
 """
 
+import math
+import numbers
+
 __all__ = [
     "StableKernError",
     "Empty",
@@ -87,3 +90,12 @@ class Singular(StableKernError):
 
 class CheckFailed(StableKernError):
     """A self-check found residuals above their thresholds."""
+
+
+def _check_positive(value, message: str) -> None:
+    """Raise InvalidParameter(message.format(value)) unless value is a finite real > 0.
+
+    A bool is a flag, not a number: JSON ``true`` is not a scale of 1.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InvalidParameter(message.format(value))

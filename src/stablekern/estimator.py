@@ -23,7 +23,7 @@ can never fall below a grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
     OrderTooLarge,
     SingularGram,
     StableKernError,
+    _check_positive,
 )
 from .grid import SamplingGrid
 from .kernels import SS1, WIENER, KernelSpec
@@ -76,8 +77,8 @@ class EstimationProblem:
             raise InvalidParameter(f"FIR order must be >= 1, got {self.order}")
         if self.order > u.shape[0]:
             raise OrderTooLarge(f"FIR order {self.order} exceeds the {u.shape[0]} data samples")
-        if self.sigma2 is not None and not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise InvalidParameter(f"sigma2 must be finite and > 0 when fixed, got {self.sigma2!r}")
+        if self.sigma2 is not None:
+            _check_positive(self.sigma2, "sigma2 must be finite and > 0 when fixed, got {!r}")
 
     @property
     def n_samples(self) -> int:
@@ -121,8 +122,7 @@ def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
 
 def _posterior_factor(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid):
     """Cholesky factor of A = P^{-1} + Phi'Phi/sigma2, from the folded data: O(n^3)."""
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise InvalidParameter(f"sigma2 must be finite and > 0, got {sigma2!r}")
+    _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
     a = closed_form_inverse(spec, grid).to_dense()
     # Overflow is reported by the finiteness check, not as a numpy warning.
     with np.errstate(over="ignore"):
@@ -200,9 +200,8 @@ class SearchConfig:
         if self.sigma2_grid is not None:
             object.__setattr__(self, "sigma2_grid", _as_axis(self.sigma2_grid))
         for name in ("c_grid", "beta_grid", "sigma2_grid"):
-            values = getattr(self, name)
-            if values is not None and any(not (math.isfinite(v) and v > 0) for v in values):
-                raise InvalidParameter(f"{name} values must be finite and > 0")
+            for value in getattr(self, name) or ():
+                _check_positive(value, f"{name} values must be finite and > 0")
 
     @staticmethod
     def _log_axis(lo: float, hi: float, num: int) -> Tuple[float, ...]:
@@ -222,23 +221,35 @@ class SearchConfig:
         if extra:
             raise InvalidParameter(f"unknown search config keys: {sorted(extra)}")
 
+        def number(cast, value, what):
+            try:
+                return cast(value)
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidParameter(f"{what} is not a valid {cast.__name__}: {value!r}") from None
+
         def axis(key):
             spec = d.get(key)
             if spec is None:
                 return None
             if not isinstance(spec, dict) or not {"min", "max", "num"} <= set(spec):
                 raise InvalidParameter(f"axis {key!r} needs min, max and num")
-            return cls._log_axis(float(spec["min"]), float(spec["max"]), int(spec["num"]))
+            lo = number(float, spec["min"], f"axis {key!r} min")
+            hi = number(float, spec["max"], f"axis {key!r} max")
+            return cls._log_axis(lo, hi, number(int, spec["num"], f"axis {key!r} num"))
 
         if "c" not in d:
             raise InvalidParameter("search config is missing the 'c' axis")
+        c_grid, beta_grid, sigma2_grid = axis("c"), axis("beta"), axis("sigma2")
+        refine = d.get("refine", True)
+        if not isinstance(refine, bool):
+            raise InvalidParameter(f"refine must be true or false, got {refine!r}")
         return cls(
             family=family,
-            c_grid=axis("c"),
-            beta_grid=axis("beta"),
-            sigma2_grid=axis("sigma2"),
-            refine=bool(d.get("refine", True)),
-            refine_maxiter=int(d.get("refine_maxiter", 200)),
+            c_grid=c_grid,
+            beta_grid=beta_grid,
+            sigma2_grid=sigma2_grid,
+            refine=refine,
+            refine_maxiter=number(int, d.get("refine_maxiter", 200), "refine_maxiter"),
         )
 
 

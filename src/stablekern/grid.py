@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,13 +85,21 @@ def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
     return make_grid(times)
 
 
+def _data_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line of an input file that holds data.
+
+    '#' starts a comment; lines left blank once it is cut are skipped.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
 def parse_grid_lines(lines: Iterable[str]) -> SamplingGrid:
     """Parse a grid from text: one decimal time per line, '#' starts a comment."""
     times = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in _data_lines(lines):
         try:
             times.append(float(text))
         except ValueError:

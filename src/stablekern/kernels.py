@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidParameter, SingularGram
+from .errors import InvalidParameter, SingularGram, _check_positive
 from .grid import SamplingGrid
 
 __all__ = [
@@ -56,11 +56,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise InvalidParameter(f"unknown kernel family {self.family!r}")
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-            raise InvalidParameter(f"kernel scale c must be finite and > 0, got {self.c!r}")
+        _check_positive(self.c, "kernel scale c must be finite and > 0, got {!r}")
         if self.family == SS1:
-            if self.beta is None or not (math.isfinite(self.beta) and self.beta > 0):
-                raise InvalidParameter(f"SS-1 kernel needs finite beta > 0, got {self.beta!r}")
+            _check_positive(self.beta, "SS-1 kernel needs finite beta > 0, got {!r}")
         elif self.beta is not None:
             raise InvalidParameter("Wiener kernel takes no beta")
 
@@ -201,8 +199,7 @@ def stable_increments(grid: SamplingGrid, beta: float) -> np.ndarray:
     t_{n+1} = +infinity: the SS-1 chain's steps, computed as
     exp(-beta*t_i) * (-expm1(-beta*(t_{i+1} - t_i))) without cancellation.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise InvalidParameter(f"stable increments need finite beta > 0, got {beta!r}")
+    _check_positive(beta, "stable increments need finite beta > 0, got {!r}")
     return _Chain(KernelSpec(family=SS1, c=1.0, beta=beta), grid.times).steps()
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, TooFewPaths
+from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_positive
 from .grid import SamplingGrid, make_grid
 from .kernels import SS1, WIENER, KernelSpec, _Chain
 
@@ -67,8 +67,7 @@ class WhiteNoiseSource:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.variance, (int, float)) and math.isfinite(self.variance) and self.variance > 0):
-            raise InvalidParameter(f"noise variance must be finite and > 0, got {self.variance!r}")
+        _check_positive(self.variance, "noise variance must be finite and > 0, got {!r}")
         _check_seed(self.seed)
         self._rng = np.random.default_rng(self.seed)
 
@@ -144,8 +143,7 @@ class TimeTransform:
 
 def stable_time_transform(grid: SamplingGrid, beta: float) -> TimeTransform:
     """Transformed grid tau_j = exp(-beta * t_{n+1-j}) with its reversal map."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
-        raise InvalidParameter(f"time transform needs finite beta > 0, got {beta!r}")
+    _check_positive(beta, "time transform needs finite beta > 0, got {!r}")
     tau = np.exp(-beta * grid.times[::-1])
     if tau[0] <= 0.0:
         raise InvalidParameter("beta * t_n is too large: the transformed grid underflows to 0")

@@ -32,7 +32,6 @@ __all__ = [
     "precision_factor",
     "sqrt_factor",
     "apply_precision",
-    "solve_gram",
 ]
 
 
@@ -180,13 +179,3 @@ def apply_precision(factor: UpperBidiagonal, v: np.ndarray) -> np.ndarray:
     out = factor.diag * u
     out[1:] += factor.super * u[:-1]
     return out
-
-
-def solve_gram(factor: UpperBidiagonal, b: np.ndarray) -> np.ndarray:
-    """Solve P x = b given the precision factor of P.
-
-    Because P^{-1} = F.T @ F exactly, the solve is the same two
-    bidiagonal sweeps as :func:`apply_precision`; no elimination and no
-    fill-in occur.
-    """
-    return apply_precision(factor, b)

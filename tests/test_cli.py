@@ -134,14 +134,11 @@ class TestStructureCommands:
         np.testing.assert_array_equal(rows[0], f.diag)
         np.testing.assert_array_equal(rows[1], f.super)
 
-    def test_factor_sqrt_and_alias(self, ss1_kernel, capsys):
+    def test_factor_sqrt(self, ss1_kernel, capsys):
         assert run(["factor", "--kernel", ss1_kernel, "--uniform", "4,1,1", "--which", "sqrt"]) == 0
         via_factor = parse_csv(capsys.readouterr().out)
-        assert run(["sqrt", "--kernel", ss1_kernel, "--uniform", "4,1,1"]) == 0
-        via_sqrt = parse_csv(capsys.readouterr().out)
-        np.testing.assert_array_equal(via_factor, via_sqrt)
         u = sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=LN2), uniform_grid(4, 1.0, 1.0))
-        np.testing.assert_array_equal(via_sqrt, u.to_dense())
+        np.testing.assert_array_equal(via_factor, u.to_dense())
 
 
 class TestSample:
@@ -325,6 +322,19 @@ class TestFit:
                     "--kernel-family", WIENER, "--search", str(search_file)]) == 1
         assert capsys.readouterr().err.startswith("ERROR InvalidParameter:")
 
+    @pytest.mark.parametrize("bad", [{"c": {"min": "x", "max": 1, "num": 3}},
+                                     {"refine_maxiter": "many"},
+                                     {"refine": "no"}], ids=["axis_bound", "refine_maxiter", "refine"])
+    def test_malformed_search_config(self, tmp_path, bad, capsys):
+        data, search_file, search, *_ , order = self.write_problem(tmp_path)
+        search_file.write_text(json.dumps(dict(search, **bad)))
+        assert run(["fit", "--data", str(data), "--order", str(order),
+                    "--kernel-family", SS1, "--search", str(search_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR InvalidParameter:")
+        assert captured.err.count("\n") == 1
+
     def test_bad_search_json(self, tmp_path, capsys):
         data, *_ = self.write_problem(tmp_path)
         broken = tmp_path / "broken.json"
@@ -367,6 +377,19 @@ class TestErrorsAndUsage:
         code = run(["gram", "--kernel", str(bad), "--uniform", "3,1,1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR InvalidParameter:")
+
+    @pytest.mark.parametrize("payload", [{"family": SS1, "c": 1.0, "beta": "0.5"},
+                                         {"family": WIENER, "c": True},
+                                         {"family": SS1, "c": 1.0, "beta": True}],
+                             ids=["string_beta", "bool_c", "bool_beta"])
+    def test_non_numeric_hyperparameter(self, tmp_path, payload, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["logdet", "--kernel", str(bad), "--uniform", "3,1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR InvalidParameter:")
+        assert captured.err.count("\n") == 1
 
     def test_usage_errors_exit_two(self, ss1_kernel, tmp_path, capsys):
         grid_file = tmp_path / "g.txt"
@@ -518,7 +541,7 @@ class TestScipyImportedOnUse:
             ["inverse", *common, "--out", str(tmp_path / "inverse.csv")],
             ["logdet", *common, "--out", str(tmp_path / "logdet.csv")],
             ["factor", *common, "--out", str(tmp_path / "factor.csv")],
-            ["sqrt", *common, "--out", str(tmp_path / "sqrt.csv")],
+            ["factor", *common, "--which", "sqrt", "--out", str(tmp_path / "sqrt.csv")],
             ["extend", "--band", str(band), "--out", str(tmp_path / "extend.csv")],
             ["audit", "--paths", str(paths_file), *common, "--out", str(tmp_path / "audit.json")],
             ["check", *common, "--out", str(tmp_path / "check.json")],
@@ -569,8 +592,12 @@ class TestGoldenBytes:
     Markov-chain core, so they lock the outputs that rewrite keeps
     bit-identical: seed-reproducible samples, Gram matrices, inverses,
     audits, the band completion, the Wiener log-determinant and the SS-1
-    precision factor.  Commands run from the working directory with
-    relative file names, so the meta lines are fixed too.
+    precision factor.  The square roots, the SS-1 log-determinant, the
+    Wiener precision factor, the entropy audits, the oracle check and
+    three full error lines were pinned later, before the CLI was rebuilt
+    around one command table.
+    Commands run from the working directory with relative file names, so
+    the meta lines are fixed too.
     """
 
     GRID = "0.3\n0.75\n1.2\n2.05\n2.5\n3.9\n4.0\n5.25\n"
@@ -582,6 +609,10 @@ class TestGoldenBytes:
             "sample": "12b0ae9913f263bd978200eed2e77b9119a5b1c9e94e76dd09f28bb68bca603d",
             "audit": "43804aa9b2deef7c27eb696e4d645f84ca867500c553b9875ef7d333275af7b6",
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
+            "factor": "79296d7fcb57b2f80fe3d020ff5c3d276d16a29e3dd055821bb3e0d36d926837",
+            "sqrt": "feb0d5f56d691c17ff44539a0a39e63112e883cab4a00ac07a8e6097574e76f8",
+            "maxent-audit": "0b6456e9baf56a98483104e19a21c5ee7f2287d23cbf6a8493cd7a27c3637539",
+            "check": "04cd1fae5d0bab3e5c9fed78220183f059445aecf141241348eae36591cd6e61",
         },
         "ss1": {
             "gram": "78d6f5a0dd24e59fa7c8368314a9d8eaee6b945a031e3528dc600f37aff57183",
@@ -589,6 +620,10 @@ class TestGoldenBytes:
             "sample": "e1648f15fa2fe6886fc369eec6295a5ba02ea50d05b367218c9ff38658148733",
             "audit": "0016ea06d55f5ab9cd65e8519cbe22813d33626e3c72beea107ba20ec770c7a7",
             "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
+            "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
+            "sqrt": "ca713e43346febe458f032c2d3c8736117d65744fa0a18744fb707269ed697c7",
+            "maxent-audit": "93dca35638b2db36d4956f0fbe770717bb5a3b52516e828a4a726bcb2fa4a8e5",
+            "check": "b66dad8dd56378b17565018e775854b5f92035b01999871311c81ed089ca466e",
         },
         "extend": "83f023398a05eb49fb08206858cf10a24dd9ac3e7a22165e510dab994bb00cc5",
     }
@@ -616,10 +651,35 @@ class TestGoldenBytes:
             out, got[name] = self.stdout_digest(argv + base, capsys)
         (workdir / "paths.csv").write_text(out)
         _, got["audit"] = self.stdout_digest(["audit", "--paths", "paths.csv"] + base, capsys)
-        extra = {"wiener": ("logdet", ["logdet"]), "ss1": ("factor", ["factor", "--which", "precision"])}[family]
-        _, got[extra[0]] = self.stdout_digest(extra[1] + base, capsys)
+        for name, argv in (("logdet", ["logdet"]), ("factor", ["factor", "--which", "precision"]),
+                           ("sqrt", ["factor", "--which", "sqrt"]),
+                           ("maxent-audit", ["maxent-audit", "--trials", "7", "--seed", "2"]),
+                           ("check", ["check"])):
+            _, got[name] = self.stdout_digest(argv + base, capsys)
         assert got == self.DIGESTS[family]
 
     def test_extend(self, workdir, capsys):
         _, digest = self.stdout_digest(["extend", "--band", "band.csv"], capsys)
         assert digest == self.DIGESTS["extend"]
+
+    ERROR_LINES = {
+        "malformed band": (["extend", "--band", "bad_band.csv"],
+                           "ERROR InvalidParameter: bad_band.csv: band CSV needs two lines (diag, offdiag)\n"),
+        "bad u,y header": (["fit", "--data", "bad_uy.csv", "--order", "1", "--kernel-family", WIENER,
+                            "--search", "search.json"],
+                           "ERROR InvalidParameter: bad_uy.csv: expected header 'u,y', got 'a,b'\n"),
+        "invalid kernel JSON": (["gram", "--kernel", "bad.json", "--grid", "g.txt"],
+                                "ERROR InvalidParameter: kernel spec file is not valid JSON: "
+                                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ERROR_LINES))
+    def test_error_lines(self, workdir, case, capsys):
+        (workdir / "bad_band.csv").write_text("1,1,1\n0.1,0.1\n0.0\n")
+        (workdir / "bad_uy.csv").write_text("a,b\n1,2\n")
+        (workdir / "bad.json").write_text("{oops")
+        (workdir / "search.json").write_text(json.dumps({"c": {"min": 1, "max": 1, "num": 1}}))
+        argv, line = self.ERROR_LINES[case]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line)

@@ -97,10 +97,9 @@ class TestEstimationProblem:
             EstimationProblem(u=[1.0], y=[1.0], order=2)
 
     def test_sigma2_validation(self):
-        with pytest.raises(errors.InvalidParameter):
-            EstimationProblem(u=[1.0], y=[1.0], order=1, sigma2=0.0)
-        with pytest.raises(errors.InvalidParameter):
-            EstimationProblem(u=[1.0], y=[1.0], order=1, sigma2=float("nan"))
+        for sigma2 in (0.0, float("nan"), True, "0.1"):
+            with pytest.raises(errors.InvalidParameter):
+                EstimationProblem(u=[1.0], y=[1.0], order=1, sigma2=sigma2)
 
 
 class TestPosteriorMean:
@@ -131,8 +130,9 @@ class TestPosteriorMean:
             posterior_mean(np.ones((5, 3)), np.ones(5), 0.1, spec, grid)
         with pytest.raises(errors.DimensionMismatch):
             posterior_mean(np.ones((5, 4)), np.ones(6), 0.1, spec, grid)
-        with pytest.raises(errors.InvalidParameter):
-            posterior_mean(np.ones((5, 4)), np.ones(5), 0.0, spec, grid)
+        for sigma2 in (0.0, "0.1"):
+            with pytest.raises(errors.InvalidParameter):
+                posterior_mean(np.ones((5, 4)), np.ones(5), sigma2, spec, grid)
 
 
 class TestLogMarginalLikelihood:
@@ -264,6 +264,14 @@ class TestSearchConfig:
             SearchConfig.from_dict({"c": {"min": 2, "max": 1, "num": 2}}, family=WIENER)
         with pytest.raises(errors.InvalidParameter):
             SearchConfig.from_dict([1, 2], family=WIENER)
+        for search in ({"c": {"min": "x", "max": 1, "num": 3}},
+                       {"c": {"min": 1, "max": 2, "num": None}},
+                       {"c": {"min": 1, "max": 2, "num": float("inf")}},
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine_maxiter": "many"},
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine": "no"},
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine": 1}):
+            with pytest.raises(errors.InvalidParameter):
+                SearchConfig.from_dict(search, family=WIENER)
 
 
 class TestTune:

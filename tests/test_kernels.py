@@ -34,7 +34,7 @@ class TestKernelSpec:
         with pytest.raises(errors.InvalidParameter):
             KernelSpec(family=WIENER, c=0.0)
 
-    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf"), True, "1.0"])
     def test_bad_scale_rejected(self, c):
         with pytest.raises(errors.InvalidParameter):
             KernelSpec(family=SS1, c=c, beta=1.0)
@@ -46,8 +46,9 @@ class TestKernelSpec:
     def test_ss1_requires_beta(self):
         with pytest.raises(errors.InvalidParameter):
             KernelSpec(family=SS1, c=1.0)
-        with pytest.raises(errors.InvalidParameter):
-            KernelSpec(family=SS1, c=1.0, beta=0.0)
+        for beta in (0.0, True, "0.5"):
+            with pytest.raises(errors.InvalidParameter):
+                KernelSpec(family=SS1, c=1.0, beta=beta)
 
     def test_wiener_rejects_beta(self):
         with pytest.raises(errors.InvalidParameter):
@@ -177,7 +178,7 @@ class TestStableIncrements:
 
     def test_bad_beta(self):
         g = make_grid([1.0, 2.0])
-        for beta in (0.0, -1.0, float("nan")):
+        for beta in (0.0, -1.0, float("nan"), True, "0.5"):
             with pytest.raises(errors.InvalidParameter):
                 stable_increments(g, beta)
 

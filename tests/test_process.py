@@ -54,7 +54,7 @@ class TestWhiteNoiseSource:
         assert abs(x.var() - 2.5) < 5 * 2.5 * math.sqrt(2.0 / x.size)
 
     def test_bad_variance(self):
-        for v in (0.0, -1.0, float("nan"), float("inf")):
+        for v in (0.0, -1.0, float("nan"), float("inf"), True, "1.0"):
             with pytest.raises(errors.InvalidParameter):
                 WhiteNoiseSource(seed=0, variance=v)
 
@@ -169,10 +169,9 @@ class TestTimeTransform:
             tf.reverse_paths(direct)
 
     def test_bad_beta(self):
-        with pytest.raises(errors.InvalidParameter):
-            stable_time_transform(GRID, beta=0.0)
-        with pytest.raises(errors.InvalidParameter):
-            stable_time_transform(GRID, beta=-1.0)
+        for beta in (0.0, -1.0, True, "0.7"):
+            with pytest.raises(errors.InvalidParameter):
+                stable_time_transform(GRID, beta=beta)
 
     def test_underflowing_transform(self):
         with pytest.raises(errors.InvalidParameter):
