@@ -74,12 +74,10 @@ from .estimator import (
     EstimationProblem,
     ImpulseResponseEstimate,
     SearchConfig,
-    TuneResult,
     fit,
     log_marginal_likelihood,
     posterior_mean,
     toeplitz_regressor,
-    tune_hyperparameters,
 )
 
 __version__ = "0.1.0"
@@ -148,11 +146,9 @@ __all__ = [
     # estimator
     "EstimationProblem",
     "SearchConfig",
-    "TuneResult",
     "ImpulseResponseEstimate",
     "toeplitz_regressor",
     "posterior_mean",
     "log_marginal_likelihood",
-    "tune_hyperparameters",
     "fit",
 ]

@@ -5,8 +5,8 @@ The error code reported on the command line is the class name, so renaming
 a class here is a breaking interface change.
 """
 
-import math
 import numbers
+import sys
 
 __all__ = [
     "StableKernError",
@@ -96,6 +96,17 @@ def _check_positive(value, message: str) -> None:
     """Raise InvalidParameter(message.format(value)) unless value is a finite real > 0.
 
     A bool is a flag, not a number: JSON ``true`` is not a scale of 1.
+    "Finite" means within the float range, so an integer too large to
+    convert to a float is rejected here rather than overflowing later.
     """
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
+        raise InvalidParameter(message.format(value))
+
+
+def _check_count(value, message: str) -> None:
+    """Raise InvalidParameter(message.format(value)) unless value is an integer >= 1.
+
+    numpy integers count; a bool, a float (even 2.0) or a string does not.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
         raise InvalidParameter(message.format(value))

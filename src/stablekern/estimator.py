@@ -22,6 +22,7 @@ can never fall below a grid point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -36,6 +37,7 @@ from .errors import (
     OrderTooLarge,
     SingularGram,
     StableKernError,
+    _check_count,
     _check_positive,
 )
 from .grid import SamplingGrid
@@ -45,16 +47,20 @@ from .structure import closed_form_inverse, log_det
 __all__ = [
     "EstimationProblem",
     "SearchConfig",
-    "TuneResult",
     "ImpulseResponseEstimate",
     "toeplitz_regressor",
     "posterior_mean",
     "log_marginal_likelihood",
-    "tune_hyperparameters",
     "fit",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _check_order(order, n_samples: int) -> None:
+    _check_count(order, "FIR order must be an integer >= 1, got {!r}")
+    if order > n_samples:
+        raise OrderTooLarge(f"FIR order {order} exceeds the {n_samples} data samples")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +79,7 @@ class EstimationProblem:
         object.__setattr__(self, "y", y)
         if u.shape != y.shape:
             raise DimensionMismatch(f"u and y must have the same length, got {u.shape[0]} and {y.shape[0]}")
-        if self.order < 1:
-            raise InvalidParameter(f"FIR order must be >= 1, got {self.order}")
-        if self.order > u.shape[0]:
-            raise OrderTooLarge(f"FIR order {self.order} exceeds the {u.shape[0]} data samples")
+        _check_order(self.order, u.shape[0])
         if self.sigma2 is not None:
             _check_positive(self.sigma2, "sigma2 must be finite and > 0 when fixed, got {!r}")
 
@@ -88,10 +91,7 @@ class EstimationProblem:
 def toeplitz_regressor(u: np.ndarray, order: int) -> np.ndarray:
     """N x n Toeplitz matrix with Phi[k, j] = u[k - j], zero above the diagonal."""
     uu = np.asarray(u, dtype=float).reshape(-1)
-    if order < 1:
-        raise InvalidParameter(f"FIR order must be >= 1, got {order}")
-    if order > uu.shape[0]:
-        raise OrderTooLarge(f"FIR order {order} exceeds the {uu.shape[0]} data samples")
+    _check_order(order, uu.shape[0])
     import scipy.linalg
 
     return scipy.linalg.toeplitz(uu, np.zeros(order))
@@ -170,10 +170,6 @@ def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec:
     return _log_ml(_fold(phi, y, grid), sigma2, spec, grid)
 
 
-def _as_axis(values) -> Tuple[float, ...]:
-    return tuple(float(v) for v in np.asarray(values, dtype=float).reshape(-1))
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Candidate grids for hyperparameter tuning, plus refinement policy.
@@ -181,7 +177,8 @@ class SearchConfig:
     ``beta_grid`` is required for the SS-1 family and ignored for
     Wiener; ``sigma2_grid`` is used only when the problem leaves the
     noise variance free.  Refinement runs a Nelder-Mead simplex in
-    log-parameter space from the best grid point.
+    log-parameter space from the best grid point.  Every field is checked
+    here, so :meth:`from_dict` obeys the same rules.
     """
 
     family: str
@@ -194,38 +191,32 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.family not in (WIENER, SS1):
             raise InvalidParameter(f"unknown kernel family {self.family!r}")
-        object.__setattr__(self, "c_grid", _as_axis(self.c_grid))
-        if self.beta_grid is not None:
-            object.__setattr__(self, "beta_grid", _as_axis(self.beta_grid))
-        if self.sigma2_grid is not None:
-            object.__setattr__(self, "sigma2_grid", _as_axis(self.sigma2_grid))
         for name in ("c_grid", "beta_grid", "sigma2_grid"):
-            for value in getattr(self, name) or ():
-                _check_positive(value, f"{name} values must be finite and > 0")
-
-    @staticmethod
-    def _log_axis(lo: float, hi: float, num: int) -> Tuple[float, ...]:
-        if num < 1 or not (0 < lo <= hi):
-            raise InvalidParameter(f"bad axis: min={lo!r}, max={hi!r}, num={num!r}")
-        if num == 1:
-            return (float(lo),)
-        return tuple(np.exp(np.linspace(math.log(lo), math.log(hi), num)))
+            values = getattr(self, name)
+            if values is not None:
+                # dtype=object keeps each value's own type for the check: True is not 1.0.
+                values = np.asarray(values, dtype=object).reshape(-1)
+                for value in values:
+                    _check_positive(value, f"{name} values must be finite and > 0")
+                object.__setattr__(self, name, tuple(float(v) for v in values))
+        if not isinstance(self.refine, bool):
+            raise InvalidParameter(f"refine must be true or false, got {self.refine!r}")
+        _check_count(self.refine_maxiter, "refine_maxiter must be an integer >= 1, got {!r}")
 
     @classmethod
     def from_dict(cls, d: dict, family: str) -> "SearchConfig":
-        """Build from JSON-style axes {"c": {"min": .., "max": .., "num": ..}, ...}."""
+        """Build from JSON-style axes {"c": {"min": .., "max": .., "num": ..}, ...}.
+
+        Each axis is ``num`` log-spaced values from ``min`` to ``max``;
+        ``refine`` and ``refine_maxiter`` are passed on as they are.
+        """
         if not isinstance(d, dict):
             raise InvalidParameter("search config must be a JSON object")
-        known = {"c", "beta", "sigma2", "refine", "refine_maxiter"}
-        extra = set(d) - known
+        extra = set(d) - {"c", "beta", "sigma2", "refine", "refine_maxiter"}
         if extra:
             raise InvalidParameter(f"unknown search config keys: {sorted(extra)}")
-
-        def number(cast, value, what):
-            try:
-                return cast(value)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidParameter(f"{what} is not a valid {cast.__name__}: {value!r}") from None
+        if "c" not in d:
+            raise InvalidParameter("search config is missing the 'c' axis")
 
         def axis(key):
             spec = d.get(key)
@@ -233,33 +224,18 @@ class SearchConfig:
                 return None
             if not isinstance(spec, dict) or not {"min", "max", "num"} <= set(spec):
                 raise InvalidParameter(f"axis {key!r} needs min, max and num")
-            lo = number(float, spec["min"], f"axis {key!r} min")
-            hi = number(float, spec["max"], f"axis {key!r} max")
-            return cls._log_axis(lo, hi, number(int, spec["num"], f"axis {key!r} num"))
+            lo, hi, num = spec["min"], spec["max"], spec["num"]
+            _check_positive(lo, f"axis {key!r} min must be a number > 0, got {{!r}}")
+            _check_positive(hi, f"axis {key!r} max must be a number > 0, got {{!r}}")
+            _check_count(num, f"axis {key!r} num must be an integer >= 1, got {{!r}}")
+            if lo > hi:
+                raise InvalidParameter(f"axis {key!r} needs min <= max, got min={lo!r}, max={hi!r}")
+            if num == 1:
+                return (lo,)
+            return tuple(np.exp(np.linspace(math.log(lo), math.log(hi), num)))
 
-        if "c" not in d:
-            raise InvalidParameter("search config is missing the 'c' axis")
-        c_grid, beta_grid, sigma2_grid = axis("c"), axis("beta"), axis("sigma2")
-        refine = d.get("refine", True)
-        if not isinstance(refine, bool):
-            raise InvalidParameter(f"refine must be true or false, got {refine!r}")
-        return cls(
-            family=family,
-            c_grid=c_grid,
-            beta_grid=beta_grid,
-            sigma2_grid=sigma2_grid,
-            refine=refine,
-            refine_maxiter=number(int, d.get("refine_maxiter", 200), "refine_maxiter"),
-        )
-
-
-@dataclass(frozen=True)
-class TuneResult:
-    spec: KernelSpec
-    sigma2: float
-    log_ml: float
-    trace: Tuple[dict, ...]
-    n_failed: int
+        return cls(family=family, c_grid=axis("c"), beta_grid=axis("beta"), sigma2_grid=axis("sigma2"),
+                   refine=d.get("refine", True), refine_maxiter=d.get("refine_maxiter", 200))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,123 +258,99 @@ class ImpulseResponseEstimate:
         }
 
 
-def tune_hyperparameters(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> TuneResult:
-    """Maximize the log marginal likelihood over the search space.
+def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
+    """Best trace entry, the trace of every candidate evaluated, and the failure count.
 
-    Every candidate evaluated (grid points and simplex iterates) is
-    recorded in the trace, and the returned optimum is the argmax over
-    the whole trace.  A candidate whose prior or posterior system is
-    numerically singular counts in ``n_failed``.  When every grid
+    Scans (c, beta, sigma2), c slowest; a fixed ``sigma2`` is a one-value
+    axis and Wiener's beta axis is ``(None,)``.  The simplex then moves
+    only the free parameters, from the best grid entry.  When every grid
     candidate fails, the error raised has the type of the last candidate
-    error (``NotPositiveDefinite`` if none raised).  Deterministic given
-    the inputs.
+    error (``NotPositiveDefinite`` if none raised).
     """
-    return _tune(problem, grid, search)[0]
-
-
-def _tune(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> Tuple[TuneResult, _DataStats]:
-    """Tune from the data folded once; also return the folded data."""
-    if grid.n != problem.order:
-        raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
-    if len(search.c_grid) == 0:
-        raise EmptySearchSpace("c grid is empty")
-    tune_beta = search.family == SS1
-    if tune_beta and not search.beta_grid:
-        raise EmptySearchSpace("SS-1 tuning needs a nonempty beta grid")
-    tune_sigma2 = problem.sigma2 is None
-    if tune_sigma2 and not search.sigma2_grid:
-        raise EmptySearchSpace("sigma2 is free but the sigma2 grid is empty")
-
-    stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid)
+    tune_beta, tune_sigma2 = search.family == SS1, sigma2 is None
+    axes = (search.c_grid, search.beta_grid if tune_beta else (None,),
+            search.sigma2_grid if tune_sigma2 else (sigma2,))
+    for axis, message in zip(axes, ("c grid is empty", "SS-1 tuning needs a nonempty beta grid",
+                                    "sigma2 is free but the sigma2 grid is empty")):
+        if not axis:
+            raise EmptySearchSpace(message)
     trace: list = []
-    failures = [0]
-    last_error: list = [None]
+    n_failed = 0
+    last_error = None
 
-    def evaluate(c: float, beta: Optional[float], sigma2: float) -> float:
+    def evaluate(c: float, beta: Optional[float], s2: float) -> float:
+        nonlocal n_failed, last_error
         try:
-            spec = KernelSpec(family=search.family, c=c, beta=beta)
-            value = _log_ml(stats, sigma2, spec, grid)
+            value = _log_ml(stats, s2, KernelSpec(family=search.family, c=c, beta=beta), grid)
         except (InvalidParameter, NotPositiveDefinite, SingularGram, OverflowError) as exc:
-            failures[0] += 1
-            last_error[0] = exc
+            n_failed += 1
+            last_error = exc
             return -math.inf
         if not math.isfinite(value):
-            failures[0] += 1
+            n_failed += 1
             return -math.inf
-        entry = {"c": float(c), "sigma2": float(sigma2), "log_ml": float(value)}
-        if tune_beta:
+        entry = {"c": float(c), "sigma2": float(s2), "log_ml": float(value)}
+        if beta is not None:
             entry["beta"] = float(beta)
         trace.append(entry)
         return value
 
-    beta_axis = search.beta_grid if tune_beta else (None,)
-    sigma2_axis = search.sigma2_grid if tune_sigma2 else (problem.sigma2,)
-    for c in search.c_grid:
-        for beta in beta_axis:
-            for sigma2 in sigma2_axis:
-                evaluate(c, beta, sigma2)
+    for params in itertools.product(*axes):
+        evaluate(*params)
     if not trace:
         message = "no search candidate produced a finite log marginal likelihood"
-        if isinstance(last_error[0], StableKernError):
-            raise type(last_error[0])(f"{message}; last failure: {last_error[0]}")
+        if isinstance(last_error, StableKernError):
+            raise type(last_error)(f"{message}; last failure: {last_error}")
         raise NotPositiveDefinite(message)
 
     if search.refine:
         import scipy.optimize
 
         best = max(trace, key=lambda e: e["log_ml"])
-        x0 = [math.log(best["c"])]
-        if tune_beta:
-            x0.append(math.log(best["beta"]))
-        if tune_sigma2:
-            x0.append(math.log(best["sigma2"]))
+        start = [best["c"], best.get("beta"), best["sigma2"]]
+        free = [i for i, tuned in enumerate((True, tune_beta, tune_sigma2)) if tuned]
 
         def objective(theta: np.ndarray) -> float:
+            nonlocal n_failed
             if np.any(theta > 700.0):
-                failures[0] += 1
+                n_failed += 1
                 return math.inf
-            params = list(np.exp(theta))
-            c = params.pop(0)
-            beta = params.pop(0) if tune_beta else None
-            sigma2 = params.pop(0) if tune_sigma2 else problem.sigma2
-            return -evaluate(c, beta, sigma2)
+            params = list(start)
+            for i, value in zip(free, np.exp(theta)):
+                params[i] = value
+            return -evaluate(*params)
 
         scipy.optimize.minimize(
             objective,
-            np.asarray(x0),
+            np.array([math.log(start[i]) for i in free]),
             method="Nelder-Mead",
             options={"maxiter": search.refine_maxiter, "xatol": 1e-6, "fatol": 1e-9},
         )
-
-    best = max(trace, key=lambda e: e["log_ml"])
-    tuned = TuneResult(
-        spec=KernelSpec(family=search.family, c=best["c"], beta=best.get("beta")),
-        sigma2=best["sigma2"],
-        log_ml=best["log_ml"],
-        trace=tuple(trace),
-        n_failed=failures[0],
-    )
-    return tuned, stats
+    return max(trace, key=lambda e: e["log_ml"]), trace, n_failed
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
     """Tune hyperparameters, then compute the posterior-mean coefficients.
 
     The data are folded once; the tuner and the final posterior mean both
-    read the same Phi'Phi, Phi'y and y'y.
+    read the same Phi'Phi, Phi'y and y'y.  ``diagnostics["trace"]`` lists
+    every candidate the tuner evaluated; ``n_failed`` counts those whose
+    prior or posterior system was numerically singular.
     """
-    tuned, stats = _tune(problem, grid, search)
-    coefficients = _posterior_mean(stats, tuned.sigma2, tuned.spec, grid)
-    diagnostics = {
-        "sigma2_tuned": problem.sigma2 is None,
-        "n_evaluations": len(tuned.trace),
-        "n_failed": tuned.n_failed,
-        "trace": list(tuned.trace),
-    }
+    if grid.n != problem.order:
+        raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
+    stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid)
+    best, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
+    spec = KernelSpec(family=search.family, c=best["c"], beta=best.get("beta"))
     return ImpulseResponseEstimate(
-        coefficients=coefficients,
-        spec=tuned.spec,
-        sigma2=tuned.sigma2,
-        log_ml=tuned.log_ml,
-        diagnostics=diagnostics,
+        coefficients=_posterior_mean(stats, best["sigma2"], spec, grid),
+        spec=spec,
+        sigma2=best["sigma2"],
+        log_ml=best["log_ml"],
+        diagnostics={
+            "sigma2_tuned": problem.sigma2 is None,
+            "n_evaluations": len(trace),
+            "n_failed": n_failed,
+            "trace": trace,
+        },
     )

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing
+from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing, _check_count
 
 __all__ = ["SamplingGrid", "make_grid", "uniform_grid", "read_grid_file", "parse_grid_lines"]
 
@@ -73,8 +73,7 @@ def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
 
 def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
     """Grid with t_i = t_start + (i - 1) * delta for i = 1..n."""
-    if n < 1:
-        raise InvalidParameter(f"uniform grid needs n >= 1, got {n}")
+    _check_count(n, "uniform grid needs an integer n >= 1, got {!r}")
     if not (delta > 0.0):
         raise InvalidParameter(f"uniform grid needs delta > 0, got {delta!r}")
     if not (t_start > 0.0):

@@ -30,6 +30,7 @@ from .errors import (
     NotCompletable,
     NotPositiveDefinite,
     NotSymmetric,
+    _check_count,
 )
 from .grid import SamplingGrid
 from .kernels import KernelSpec, gram
@@ -55,6 +56,11 @@ _log = logging.getLogger(__name__)
 ENTROPY_TOLERANCE = 1e-9
 
 _LOG_2PIE = math.log(2.0 * math.pi) + 1.0
+
+_EXTENSION_SCALE = 0.05
+# By the last try the halving schedule has shrunk the scale to about 1e-7,
+# so only a numerically singular completion reaches this bound.
+_EXTENSION_TRIES = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +173,11 @@ def gaussian_entropy(cov: np.ndarray) -> float:
     return 0.5 * n * _LOG_2PIE + float(np.sum(np.log(np.diag(low))))
 
 
-def random_positive_extension(a: BandSkeleton, seed, scale: float = 0.05, max_tries: int = 1000) -> np.ndarray:
+def random_positive_extension(a: BandSkeleton, seed) -> np.ndarray:
     """A random positive-definite matrix agreeing with the skeleton on its band.
 
     Starts from the maximum-entropy completion, perturbs every entry
-    beyond the band by a uniform relative amount of size ``scale``
+    beyond the band by a uniform relative amount of size 0.05
     (relative to sqrt(M[i,i] * M[j,j])), and rejects until the result is
     positive definite.  The perturbation scale is halved after every 50
     rejections, so termination is certain: the completion lies strictly
@@ -185,8 +191,8 @@ def random_positive_extension(a: BandSkeleton, seed, scale: float = 0.05, max_tr
     rows, cols = np.triu_indices(n, k=2)
     mag = np.sqrt(base[rows, rows] * base[cols, cols])
     rng = np.random.default_rng(seed)
-    s = float(scale)
-    for attempt in range(1, max_tries + 1):
+    s = _EXTENSION_SCALE
+    for attempt in range(1, _EXTENSION_TRIES + 1):
         bump = rng.uniform(-s, s, size=rows.shape[0]) * mag
         cand = base.copy()
         cand[rows, cols] += bump
@@ -199,7 +205,7 @@ def random_positive_extension(a: BandSkeleton, seed, scale: float = 0.05, max_tr
             continue
         _log.debug("random positive extension accepted after %d attempt(s), seed=%r", attempt, seed)
         return cand
-    raise NotPositiveDefinite(f"no positive-definite extension found in {max_tries} attempts")
+    raise NotPositiveDefinite(f"no positive-definite extension found in {_EXTENSION_TRIES} attempts")
 
 
 def _random_correlation_chol(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -230,8 +236,7 @@ def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, see
     ``seed``.
     """
     _check_seed(seed)
-    if trials < 1:
-        raise InvalidParameter(f"need at least one trial, got {trials}")
+    _check_count(trials, "need at least one trial, got {!r}")
     root = sqrt_factor(spec, grid).to_dense()
     reference = 0.5 * grid.n * _LOG_2PIE + 0.5 * log_det(spec, grid)
     entropies = []
@@ -254,8 +259,7 @@ def completion_entropy_audit(spec: KernelSpec, grid: SamplingGrid, seed, trials:
     band.  Candidate k is generated with seed (seed, k).
     """
     _check_seed(seed)
-    if trials < 1:
-        raise InvalidParameter(f"need at least one trial, got {trials}")
+    _check_count(trials, "need at least one trial, got {!r}")
     skeleton = band_project(gram(spec, grid).values)
     reference = gaussian_entropy(band_extend(skeleton))
     entropies = [

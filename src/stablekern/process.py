@@ -28,7 +28,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_positive
+from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive
 from .grid import SamplingGrid, make_grid
 from .kernels import SS1, WIENER, KernelSpec, _Chain
 
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 NOISE_ALGORITHM = "pcg64-inverse-cdf"
+
+_Z_LIMIT = 5.0
 
 
 def _check_seed(seed) -> None:
@@ -103,8 +105,7 @@ class PathSet:
 
 def sample(spec: KernelSpec, grid: SamplingGrid, seed, p: int) -> PathSet:
     """Sample p paths, one per row: sums of the chain's N(0, c*delta_i) increments."""
-    if p < 1:
-        raise InvalidParameter(f"need at least one path, got p={p}")
+    _check_count(p, "need at least one path, got p={!r}")
     chain = _Chain(spec, grid.times)
     w = WhiteNoiseSource(seed=seed, variance=spec.c).draw((p, grid.n))
     w *= np.sqrt(chain.steps())
@@ -204,7 +205,7 @@ def _z_score(deviation: float, se: float) -> float:
     return deviation / se
 
 
-def audit_constraints(ps: PathSet, spec: KernelSpec, z_limit: float = 5.0) -> ConstraintAuditReport:
+def audit_constraints(ps: PathSet, spec: KernelSpec) -> ConstraintAuditReport:
     """Check sampled increments against the kernel's mean and variance targets.
 
     The increments audited are the defining ones of the chain:
@@ -212,7 +213,7 @@ def audit_constraints(ps: PathSet, spec: KernelSpec, z_limit: float = 5.0) -> Co
     where the clock vanishes (the origin for Wiener, the virtual instant
     at +infinity for SS-1), each with model mean 0 and model variance
     c*delta_i.  A check is flagged when the sample mean or sample
-    variance sits more than ``z_limit`` standard errors from its target.
+    variance sits more than 5 standard errors from its target.
     """
     p = ps.p
     if p < 100:
@@ -238,7 +239,7 @@ def audit_constraints(ps: PathSet, spec: KernelSpec, z_limit: float = 5.0) -> Co
                 variance_target=float(targets[k]),
                 variance_se=float(var_se[k]),
                 variance_z=vz,
-                flagged=bool(abs(mz) > z_limit or abs(vz) > z_limit),
+                flagged=bool(abs(mz) > _Z_LIMIT or abs(vz) > _Z_LIMIT),
             )
         )
     max_abs_z = max(max(abs(c.mean_z), abs(c.variance_z)) for c in checks)

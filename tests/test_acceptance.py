@@ -24,6 +24,7 @@ from stablekern import (
     band_project,
     closed_form_inverse,
     completion_entropy_audit,
+    fit,
     gaussian_entropy,
     gram,
     increment_constrained_entropy_test,
@@ -38,7 +39,6 @@ from stablekern import (
     sqrt_factor,
     stable_time_transform,
     toeplitz_regressor,
-    tune_hyperparameters,
     uniform_grid,
 )
 
@@ -259,7 +259,7 @@ def test_criterion_09_estimator_coherence():
                 beta_grid=None if beta is None else (0.5 * beta, beta, 2.0 * beta),
                 sigma2_grid=(0.25 * sigma2, sigma2, 4.0 * sigma2),
             )
-            result = tune_hyperparameters(problem, grid, search)
+            result = fit(problem, grid, search)
             truth_spec = KernelSpec(family=family, c=c, beta=beta)
             truth = log_marginal_likelihood(phi, y, sigma2, truth_spec, grid)
             assert result.log_ml >= truth - 1e-6

@@ -324,7 +324,14 @@ class TestFit:
 
     @pytest.mark.parametrize("bad", [{"c": {"min": "x", "max": 1, "num": 3}},
                                      {"refine_maxiter": "many"},
-                                     {"refine": "no"}], ids=["axis_bound", "refine_maxiter", "refine"])
+                                     {"refine": "no"},
+                                     {"c": {"min": "0.1", "max": 1, "num": 3}},
+                                     {"c": {"min": 0.1, "max": 1, "num": 2.7}},
+                                     {"c": {"min": 0.1, "max": 1, "num": True}},
+                                     {"refine_maxiter": -5},
+                                     {"refine_maxiter": 0}],
+                             ids=["axis_bound", "refine_maxiter", "refine", "string_bound", "fractional_num",
+                                  "boolean_num", "negative_refine_maxiter", "zero_refine_maxiter"])
     def test_malformed_search_config(self, tmp_path, bad, capsys):
         data, search_file, search, *_ , order = self.write_problem(tmp_path)
         search_file.write_text(json.dumps(dict(search, **bad)))
@@ -596,6 +603,9 @@ class TestGoldenBytes:
     Wiener precision factor, the entropy audits, the oracle check and
     three full error lines were pinned later, before the CLI was rebuilt
     around one command table.
+    The ``fit`` outputs (grid scan plus simplex, both families, free and
+    fixed noise variance) were pinned before the tuner became one code
+    path.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -626,7 +636,26 @@ class TestGoldenBytes:
             "check": "b66dad8dd56378b17565018e775854b5f92035b01999871311c81ed089ca466e",
         },
         "extend": "83f023398a05eb49fb08206858cf10a24dd9ac3e7a22165e510dab994bb00cc5",
+        "fit": {
+            "wiener": {"free": "592508b455523f7bbb48fcb1a847e821b127b7040ce44db33d3cdc7358da550e",
+                       "fixed": "86835cd6713fa50ae13a6658b2e3919a9807e7ddca6f308f2c6edf4b930e2c90"},
+            "ss1": {"free": "0f56d86b8d09ac98ecbc83d8ec297366672587008047bbf659e7061979da4f2c",
+                    "fixed": "3d8ff9d1ec023e6408d13904cc3535f10bd41ae7b73630db5823fb1c020daebf"},
+        },
     }
+    # u in {-5/4, ..., 5/4}, y = sum_j 2^-j u[k-j] plus a dyadic disturbance:
+    # every value is exact in binary, so the file is the same on every platform.
+    UY = "u,y\n" + "".join(
+        f"{u!r},{y!r}\n"
+        for u, y in (
+            (((7 * k) % 11 - 5) / 4,
+             sum((((7 * (k - j)) % 11 - 5) / 4) / 2 ** j for j in range(min(k, 7) + 1))
+             + ((5 * k) % 7 - 3) / 64)
+            for k in range(60)
+        )
+    )
+    SEARCH = {"c": {"min": 0.5, "max": 4.0, "num": 3}, "beta": {"min": 0.2, "max": 0.8, "num": 3},
+              "sigma2": {"min": 0.01, "max": 0.1, "num": 2}, "refine": True, "refine_maxiter": 30}
 
     @pytest.fixture
     def workdir(self, tmp_path, monkeypatch):
@@ -661,6 +690,16 @@ class TestGoldenBytes:
     def test_extend(self, workdir, capsys):
         _, digest = self.stdout_digest(["extend", "--band", "band.csv"], capsys)
         assert digest == self.DIGESTS["extend"]
+
+    @pytest.mark.parametrize("family", ["wiener", "ss1"])
+    def test_fit(self, workdir, family, capsys):
+        (workdir / "uy.csv").write_text(self.UY)
+        (workdir / "search.json").write_text(json.dumps(self.SEARCH))
+        base = ["fit", "--data", "uy.csv", "--order", "8", "--kernel-family", family,
+                "--search", "search.json", "--grid", "g.txt"]
+        got = {name: self.stdout_digest(base + extra, capsys)[1]
+               for name, extra in (("free", []), ("fixed", ["--sigma2", "0.02"]))}
+        assert got == self.DIGESTS["fit"][family]
 
     ERROR_LINES = {
         "malformed band": (["extend", "--band", "bad_band.csv"],

@@ -19,7 +19,6 @@ from stablekern import (
     posterior_mean,
     sample_ss1,
     toeplitz_regressor,
-    tune_hyperparameters,
     uniform_grid,
 )
 
@@ -76,8 +75,9 @@ class TestToeplitzRegressor:
             toeplitz_regressor([1.0, 2.0], 3)
 
     def test_order_too_small(self):
-        with pytest.raises(errors.InvalidParameter):
-            toeplitz_regressor([1.0, 2.0], 0)
+        for order in (0, 1.5, True):
+            with pytest.raises(errors.InvalidParameter):
+                toeplitz_regressor([1.0, 2.0], order)
 
 
 class TestEstimationProblem:
@@ -91,8 +91,10 @@ class TestEstimationProblem:
             EstimationProblem(u=[1.0, 2.0], y=[1.0], order=1)
 
     def test_order_bounds(self):
-        with pytest.raises(errors.InvalidParameter):
-            EstimationProblem(u=[1.0], y=[1.0], order=0)
+        for order in (0, 2.5, True, "1"):
+            with pytest.raises(errors.InvalidParameter):
+                EstimationProblem(u=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], order=order)
+        assert EstimationProblem(u=[1.0, 2.0], y=[1.0, 2.0], order=np.int64(2)).order == 2
         with pytest.raises(errors.OrderTooLarge):
             EstimationProblem(u=[1.0], y=[1.0], order=2)
 
@@ -232,8 +234,9 @@ class TestLogMarginalLikelihood:
 
 class TestSearchConfig:
     def test_axes_become_tuples(self):
-        cfg = SearchConfig(family=WIENER, c_grid=np.array([1.0, 2.0]))
+        cfg = SearchConfig(family=WIENER, c_grid=np.array([1.0, 2.0]), refine_maxiter=np.int64(5))
         assert cfg.c_grid == (1.0, 2.0)
+        assert all(type(v) is float for v in cfg.c_grid)
         assert cfg.beta_grid is None
 
     def test_rejects_bad_values(self):
@@ -243,6 +246,13 @@ class TestSearchConfig:
             SearchConfig(family="brownian", c_grid=(1.0,))
         with pytest.raises(errors.InvalidParameter):
             SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(0.0,))
+        # Each value is checked before it is converted: no numpy error, and True is not 1.0.
+        for kwargs in ({"c_grid": ["x"]}, {"c_grid": [True, 2.0]}, {"c_grid": (1.0,), "sigma2_grid": [10**400]},
+                       {"c_grid": (1.0,), "refine": "yes"}, {"c_grid": (1.0,), "refine": 1},
+                       {"c_grid": (1.0,), "refine_maxiter": 2.5}, {"c_grid": (1.0,), "refine_maxiter": 0},
+                       {"c_grid": (1.0,), "refine_maxiter": True}):
+            with pytest.raises(errors.InvalidParameter):
+                SearchConfig(family=WIENER, **kwargs)
 
     def test_from_dict(self):
         cfg = SearchConfig.from_dict(
@@ -269,7 +279,14 @@ class TestSearchConfig:
                        {"c": {"min": 1, "max": 2, "num": float("inf")}},
                        {"c": {"min": 1, "max": 1, "num": 1}, "refine_maxiter": "many"},
                        {"c": {"min": 1, "max": 1, "num": 1}, "refine": "no"},
-                       {"c": {"min": 1, "max": 1, "num": 1}, "refine": 1}):
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine": 1},
+                       {"c": {"min": 1, "max": 2, "num": 2.7}},
+                       {"c": {"min": 1, "max": 2, "num": True}},
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine_maxiter": -5},
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine_maxiter": 0},
+                       {"c": {"min": 1, "max": 1, "num": 1}, "refine_maxiter": 2.5},
+                       {"c": {"min": "0.1", "max": 1, "num": 2}},
+                       {"c": {"min": 1, "max": 10**400, "num": 2}}):
             with pytest.raises(errors.InvalidParameter):
                 SearchConfig.from_dict(search, family=WIENER)
 
@@ -290,13 +307,13 @@ class TestTune:
         problem, grid, c, beta, sigma2 = self.make_ss1_problem(order=10, n_data=80)
         problem = EstimationProblem(u=problem.u, y=problem.y, order=10, sigma2=sigma2)
         search = SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta,), refine=False)
-        result = tune_hyperparameters(problem, grid, search)
+        result = fit(problem, grid, search)
         assert result.spec == KernelSpec(family=SS1, c=c, beta=beta)
         assert result.sigma2 == sigma2
         phi = toeplitz_regressor(problem.u, 10)
         direct = log_marginal_likelihood(phi, problem.y, sigma2, result.spec, grid)
         assert result.log_ml == pytest.approx(direct, abs=1e-12)
-        assert len(result.trace) == 1
+        assert len(result.diagnostics["trace"]) == 1
 
     def test_never_below_truth_on_grid(self):
         problem, grid, c, beta, sigma2 = self.make_ss1_problem()
@@ -306,7 +323,7 @@ class TestTune:
             beta_grid=(0.5 * beta, beta, 2.0 * beta),
             sigma2_grid=(0.25 * sigma2, sigma2, 4.0 * sigma2),
         )
-        result = tune_hyperparameters(problem, grid, search)
+        result = fit(problem, grid, search)
         phi = toeplitz_regressor(problem.u, problem.order)
         truth = log_marginal_likelihood(
             phi, problem.y, sigma2, KernelSpec(family=SS1, c=c, beta=beta), grid
@@ -317,7 +334,7 @@ class TestTune:
         problem, grid, c, beta, sigma2 = self.make_ss1_problem(order=12, n_data=150)
         problem = EstimationProblem(u=problem.u, y=problem.y, order=12, sigma2=sigma2)
         search = SearchConfig(family=SS1, c_grid=(c, 100.0 * c), beta_grid=(beta,), refine=False)
-        result = tune_hyperparameters(problem, grid, search)
+        result = fit(problem, grid, search)
         phi = toeplitz_regressor(problem.u, 12)
         matched = log_marginal_likelihood(phi, problem.y, sigma2, KernelSpec(family=SS1, c=c, beta=beta), grid)
         mismatched = log_marginal_likelihood(
@@ -331,12 +348,12 @@ class TestTune:
         search = SearchConfig(
             family=SS1, c_grid=(c,), beta_grid=(beta,), sigma2_grid=(sigma2, 4 * sigma2)
         )
-        a = tune_hyperparameters(problem, grid, search)
-        b = tune_hyperparameters(problem, grid, search)
+        a = fit(problem, grid, search)
+        b = fit(problem, grid, search)
         assert a.spec == b.spec
         assert a.sigma2 == b.sigma2
         assert a.log_ml == b.log_ml
-        assert a.trace == b.trace
+        assert a.diagnostics["trace"] == b.diagnostics["trace"]
 
     def test_refinement_improves_or_matches_grid(self):
         problem, grid, c, beta, sigma2 = self.make_ss1_problem(order=8, n_data=100)
@@ -346,20 +363,20 @@ class TestTune:
         refined = SearchConfig(
             family=SS1, c_grid=(0.3 * c,), beta_grid=(beta,), sigma2_grid=(sigma2,), refine=True
         )
-        coarse = tune_hyperparameters(problem, grid, base)
-        fine = tune_hyperparameters(problem, grid, refined)
+        coarse = fit(problem, grid, base)
+        fine = fit(problem, grid, refined)
         assert fine.log_ml >= coarse.log_ml
-        assert len(fine.trace) > len(coarse.trace)
+        assert len(fine.diagnostics["trace"]) > len(coarse.diagnostics["trace"])
 
     def test_empty_search_space(self):
         problem, grid, c, beta, sigma2 = self.make_ss1_problem(order=5, n_data=40)
         with pytest.raises(errors.EmptySearchSpace):
-            tune_hyperparameters(problem, grid, SearchConfig(family=SS1, c_grid=()))
+            fit(problem, grid, SearchConfig(family=SS1, c_grid=()))
         with pytest.raises(errors.EmptySearchSpace):
-            tune_hyperparameters(problem, grid, SearchConfig(family=SS1, c_grid=(1.0,)))
+            fit(problem, grid, SearchConfig(family=SS1, c_grid=(1.0,)))
         fixed = EstimationProblem(u=problem.u, y=problem.y, order=5, sigma2=sigma2)
         with pytest.raises(errors.EmptySearchSpace):
-            tune_hyperparameters(
+            fit(
                 fixed, grid, SearchConfig(family=WIENER, c_grid=(), sigma2_grid=(1.0,))
             )
 
@@ -368,7 +385,7 @@ class TestTune:
         wrong = uniform_grid(6, 1.0, 1.0)
         search = SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta,), sigma2_grid=(sigma2,))
         with pytest.raises(errors.DimensionMismatch):
-            tune_hyperparameters(problem, wrong, search)
+            fit(problem, wrong, search)
 
 
 class TestFit:

@@ -61,7 +61,8 @@ class TestUniformGrid:
     def test_single_point(self):
         np.testing.assert_array_equal(uniform_grid(1, 1.0, 3.0).times, [3.0])
 
-    @pytest.mark.parametrize("n,delta,t_start", [(0, 1.0, 1.0), (3, 0.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3, 1.0, -2.0)])
+    @pytest.mark.parametrize("n,delta,t_start", [(0, 1.0, 1.0), (2.5, 1.0, 1.0), (True, 1.0, 1.0), ("3", 1.0, 1.0),
+                                                (3, 0.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3, 1.0, -2.0)])
     def test_invalid_parameters(self, n, delta, t_start):
         with pytest.raises(errors.InvalidParameter):
             uniform_grid(n, delta, t_start)

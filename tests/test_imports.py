@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+name the package exports exists.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
-standard library's ``ast``.  ``__init__.py`` is skipped: its imports are
-the package's re-exports.
+standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
+scan: its imports are the package's re-exports.
 """
 
 import ast
@@ -41,3 +42,10 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_export_resolves():
+    # A public name removed from a module but left in __all__ fails here,
+    # not at a caller's `from stablekern import *`.
+    assert [name for name in stablekern.__all__ if not hasattr(stablekern, name)] == []
+    assert len(set(stablekern.__all__)) == len(stablekern.__all__)

@@ -34,7 +34,8 @@ class TestKernelSpec:
         with pytest.raises(errors.InvalidParameter):
             KernelSpec(family=WIENER, c=0.0)
 
-    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf"), True, "1.0"])
+    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf"), True, "1.0",
+                                   pytest.param(10**400, id="int-beyond-float-range")])
     def test_bad_scale_rejected(self, c):
         with pytest.raises(errors.InvalidParameter):
             KernelSpec(family=SS1, c=c, beta=1.0)

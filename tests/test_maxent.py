@@ -209,10 +209,11 @@ class TestEntropyDominance:
             increment_constrained_entropy_test(SS1_SPEC, SS1_GRID, seed=1.5, trials=3)
 
     def test_trials_must_be_positive(self):
-        with pytest.raises(errors.InvalidParameter):
-            increment_constrained_entropy_test(SS1_SPEC, SS1_GRID, seed=0, trials=0)
-        with pytest.raises(errors.InvalidParameter):
-            completion_entropy_audit(SS1_SPEC, SS1_GRID, seed=0, trials=0)
+        for trials in (0, 2.5, True, "2"):
+            with pytest.raises(errors.InvalidParameter):
+                increment_constrained_entropy_test(SS1_SPEC, SS1_GRID, seed=0, trials=trials)
+            with pytest.raises(errors.InvalidParameter):
+                completion_entropy_audit(SS1_SPEC, SS1_GRID, seed=0, trials=trials)
 
     def test_negative_seed(self):
         for seed in (-1, np.int64(-5)):

@@ -112,8 +112,9 @@ class TestSamplers:
     def test_argument_validation(self):
         with pytest.raises(errors.InvalidParameter):
             sample_wiener(GRID, c=0.0, seed=0, p=10)
-        with pytest.raises(errors.InvalidParameter):
-            sample_wiener(GRID, c=1.0, seed=0, p=0)
+        for p in (0, 2.5, True, "2"):
+            with pytest.raises(errors.InvalidParameter):
+                sample_wiener(GRID, c=1.0, seed=0, p=p)
         with pytest.raises(errors.InvalidParameter):
             sample_ss1(GRID, c=1.0, beta=float("nan"), seed=0, p=10)
 
