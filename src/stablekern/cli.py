@@ -21,15 +21,9 @@ from . import __version__
 from .errors import CheckFailed, InvalidParameter, StableKernError
 from .grid import SamplingGrid, _data_lines, read_grid_file, uniform_grid
 from .kernels import SS1, WIENER, KernelSpec, gram, read_kernel_file
-from .maxent import (
-    BandSkeleton,
-    band_extend,
-    band_project,
-    completion_entropy_audit,
-    increment_constrained_entropy_test,
-)
+from .maxent import band_extend, band_project, completion_entropy_audit, increment_constrained_entropy_test
 from .process import NOISE_ALGORITHM, PathSet, audit_constraints, sample
-from .structure import closed_form_inverse, log_det, precision_factor, sqrt_factor
+from .structure import TridiagonalMatrix, closed_form_inverse, log_det, precision_factor, sqrt_factor
 from .estimator import EstimationProblem, SearchConfig, fit
 from . import oracle
 
@@ -190,8 +184,7 @@ def _cmd_extend(args: argparse.Namespace, spec: None, g: None) -> None:
     if len(rows) not in (1, 2):
         raise InvalidParameter(f"{args.band}: band CSV needs two lines (diag, offdiag)")
     offdiag = rows[1] if len(rows) == 2 else []
-    skeleton = BandSkeleton(diag=np.asarray(rows[0]), offdiag=np.asarray(offdiag))
-    extension = band_extend(skeleton)
+    extension = band_extend(TridiagonalMatrix(diag=np.asarray(rows[0]), offdiag=np.asarray(offdiag)))
     meta = _meta_lines("extend", extra={"band_file": args.band,
                                         "format": "dense maximum-entropy completion"})
     _emit(_rows_csv(extension, meta), args.out)

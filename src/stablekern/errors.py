@@ -65,7 +65,7 @@ class NotSymmetric(StableKernError):
 
 
 class NotCompletable(StableKernError):
-    """A band skeleton admits no positive-definite completion."""
+    """A band (diagonal and first off-diagonal) admits no positive-definite completion."""
 
 
 class NotPositiveDefinite(StableKernError):
@@ -110,3 +110,15 @@ def _check_count(value, message: str) -> None:
     """
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
         raise InvalidParameter(message.format(value))
+
+
+def _check_seed(seed) -> None:
+    """Raise InvalidParameter unless seed is a nonnegative integer or a tuple of seeds.
+
+    As for counts, numpy integers pass and a bool does not: True is not seed 1.
+    """
+    if isinstance(seed, tuple):
+        for part in seed:
+            _check_seed(part)
+    elif isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParameter(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")

@@ -79,6 +79,8 @@ class EstimationProblem:
         object.__setattr__(self, "y", y)
         if u.shape != y.shape:
             raise DimensionMismatch(f"u and y must have the same length, got {u.shape[0]} and {y.shape[0]}")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+            raise InvalidParameter("u and y must be finite")
         _check_order(self.order, u.shape[0])
         if self.sigma2 is not None:
             _check_positive(self.sigma2, "sigma2 must be finite and > 0 when fixed, got {!r}")
@@ -117,7 +119,14 @@ def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
         raise DimensionMismatch(f"y must have length {phi.shape[0]}, got shape {y.shape}")
     if grid.n != phi.shape[1]:
         raise DimensionMismatch(f"grid has {grid.n} points but regressor has {phi.shape[1]} columns")
-    return _DataStats(gram=phi.T @ phi, cross=phi.T @ y, yy=y @ y, n_data=y.shape[0])
+    # A NaN or infinite entry, or an overflow, leaves a non-finite product:
+    # one check after folding catches all three, with no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _DataStats(gram=phi.T @ phi, cross=phi.T @ y, yy=float(y @ y), n_data=y.shape[0])
+    if not (np.all(np.isfinite(stats.gram)) and np.all(np.isfinite(stats.cross)) and math.isfinite(stats.yy)):
+        raise InvalidParameter("Phi'Phi, Phi'y or y'y is not finite: the regressor and y must be finite "
+                               "and small enough for their products to stay in the float range")
+    return stats
 
 
 def _posterior_factor(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid):
@@ -141,7 +150,11 @@ def _posterior_mean(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: Sa
     import scipy.linalg
 
     cho = _posterior_factor(stats, sigma2, spec, grid)
-    return scipy.linalg.cho_solve(cho, stats.cross / sigma2)
+    with np.errstate(over="ignore"):
+        rhs = stats.cross / sigma2
+    if not np.all(np.isfinite(rhs)):
+        raise InvalidParameter(f"the data are too large for sigma2={sigma2!r}: Phi'y / sigma2 overflows the float range")
+    return scipy.linalg.cho_solve(cho, rhs)
 
 
 def _log_ml(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
@@ -151,7 +164,10 @@ def _log_ml(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGr
     b = stats.cross
     ldet_a = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
     ldet_cov = log_det(spec, grid) + ldet_a + stats.n_data * math.log(sigma2)
-    quad = (stats.yy - b @ scipy.linalg.cho_solve(cho, b) / sigma2) / sigma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (stats.yy - b @ scipy.linalg.cho_solve(cho, b) / sigma2) / sigma2
+    if not math.isfinite(quad):
+        raise InvalidParameter(f"the data are too large for sigma2={sigma2!r}: y'y / sigma2 overflows the float range")
     return -0.5 * (stats.n_data * _LOG_2PI + ldet_cov + quad)
 
 
@@ -285,9 +301,6 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
         except (InvalidParameter, NotPositiveDefinite, SingularGram, OverflowError) as exc:
             n_failed += 1
             last_error = exc
-            return -math.inf
-        if not math.isfinite(value):
-            n_failed += 1
             return -math.inf
         entry = {"c": float(c), "sigma2": float(s2), "log_ml": float(value)}
         if beta is not None:

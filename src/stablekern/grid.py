@@ -6,6 +6,7 @@ package.  Grids are immutable; the stored time array is read-only.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Tuple, Union
@@ -74,10 +75,10 @@ def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
 def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
     """Grid with t_i = t_start + (i - 1) * delta for i = 1..n."""
     _check_count(n, "uniform grid needs an integer n >= 1, got {!r}")
-    if not (delta > 0.0):
-        raise InvalidParameter(f"uniform grid needs delta > 0, got {delta!r}")
-    if not (t_start > 0.0):
-        raise InvalidParameter(f"uniform grid needs t_start > 0, got {t_start!r}")
+    for name, value in (("delta", delta), ("t_start", t_start)):
+        # A bool or a string is not a number; inf is left to make_grid's finiteness check.
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0.0):
+            raise InvalidParameter(f"uniform grid needs {name} > 0, got {value!r}")
     # make_grid rejects the non-finite times an overflow leaves behind.
     with np.errstate(over="ignore", invalid="ignore"):
         times = t_start + delta * np.arange(n, dtype=float)

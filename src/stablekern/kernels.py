@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidParameter, SingularGram, _check_positive
-from .grid import SamplingGrid
+from .grid import SamplingGrid, make_grid
 
 __all__ = [
     "WIENER",
@@ -96,6 +96,11 @@ class KernelMatrix:
         return f"KernelMatrix(n={self.n})"
 
 
+def _json_fields(items) -> dict:
+    """``dataclasses.asdict`` dict_factory: tuples become lists, as JSON reads them back."""
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
+
+
 # Bound on c*delta below which its reciprocal, or the sum of two reciprocals
 # on the inverse's diagonal, would leave the float range.
 _MIN_STEP = 2.0 / np.finfo(float).max
@@ -162,8 +167,13 @@ class _Chain:
 
 
 def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
-    """Evaluate K(t, s) = c * min(phi(t), phi(s)) at a single pair of times."""
-    return spec.c * float(_Chain(spec, np.sort([float(t), float(s)])).clock.min())
+    """Evaluate K(t, s) = c * min(phi(t), phi(s)) at a single pair of times.
+
+    The times obey the grid rules (:func:`~stablekern.grid.make_grid`):
+    a negative time raises NegativeTime, a NaN or infinite one
+    InvalidParameter.  t == s is allowed.
+    """
+    return spec.c * float(_Chain(spec, make_grid(np.unique([float(t), float(s)])).times).clock.min())
 
 
 def gram(spec: KernelSpec, grid: SamplingGrid) -> KernelMatrix:

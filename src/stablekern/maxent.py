@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Tuple
 
 import numpy as np
@@ -31,15 +31,14 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     _check_count,
+    _check_seed,
 )
 from .grid import SamplingGrid
-from .kernels import KernelSpec, gram
-from .process import _check_seed
-from .structure import log_det, sqrt_factor
+from .kernels import KernelSpec, _json_fields, gram
+from .structure import TridiagonalMatrix, log_det, sqrt_factor
 
 __all__ = [
     "ENTROPY_TOLERANCE",
-    "BandSkeleton",
     "GaussianEntropyReport",
     "band_project",
     "band_extend",
@@ -61,24 +60,6 @@ _EXTENSION_SCALE = 0.05
 # By the last try the halving schedule has shrunk the scale to about 1e-7,
 # so only a numerically singular completion reaches this bound.
 _EXTENSION_TRIES = 1000
-
-
-@dataclass(frozen=True, eq=False)
-class BandSkeleton:
-    """Diagonal and first off-diagonal of a symmetric matrix (bandwidth 1)."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.offdiag.shape != (self.diag.shape[0] - 1,):
-            raise DimensionMismatch(
-                f"offdiag must have length n-1, got {self.offdiag.shape[0]} for n={self.diag.shape[0]}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
 
 
 @dataclass(frozen=True)
@@ -106,16 +87,10 @@ class GaussianEntropyReport:
         return max(self.candidate_entropies) - self.reference_entropy
 
     def to_dict(self) -> dict:
-        return {
-            "reference_entropy": self.reference_entropy,
-            "candidate_entropies": list(self.candidate_entropies),
-            "dominance": self.dominance,
-            "tolerance": self.tolerance,
-            "max_excess": self.max_excess,
-        }
+        return {**asdict(self, dict_factory=_json_fields), "max_excess": self.max_excess}
 
 
-def band_project(m: np.ndarray) -> BandSkeleton:
+def band_project(m: np.ndarray) -> TridiagonalMatrix:
     """Keep the diagonal and first off-diagonal of a symmetric matrix.
 
     Symmetry is checked by exact comparison: the intended inputs are
@@ -128,24 +103,26 @@ def band_project(m: np.ndarray) -> BandSkeleton:
         raise InvalidParameter("band projection needs n >= 3; below that the band is the matrix")
     if not np.array_equal(a, a.T):
         raise NotSymmetric("matrix is not exactly symmetric")
-    return BandSkeleton(diag=np.diag(a).copy(), offdiag=np.diag(a, 1).copy())
+    return TridiagonalMatrix(diag=np.diag(a).copy(), offdiag=np.diag(a, 1).copy())
 
 
-def band_extend(a: BandSkeleton) -> np.ndarray:
-    """Unique maximum-entropy completion of a 1-band skeleton.
+def band_extend(a: TridiagonalMatrix) -> np.ndarray:
+    """Unique maximum-entropy completion of a band: the diagonal and first off-diagonal.
 
     Entries beyond the band are filled in order of increasing distance
     from the diagonal by the chain rule
 
         M[i, j] = M[i, j-1] * M[j-1, j] / M[j-1, j-1],   j > i + 1,
 
-    which makes the completion's inverse tridiagonal.  The skeleton is
-    completable exactly when every contiguous 2x2 principal minor is
-    positive definite.
+    which makes the completion's inverse tridiagonal.  A band of finite
+    entries is completable exactly when every contiguous 2x2 principal
+    minor is positive definite.
     """
     d = a.diag
     o = a.offdiag
     n = a.n
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(o))):
+        raise InvalidParameter("band entries must be finite")
     if np.any(d <= 0.0) or np.any(d[:-1] * d[1:] - o * o <= 0.0):
         raise NotCompletable("a contiguous 2x2 principal minor is not positive definite")
     m = np.diag(d.astype(float))
@@ -173,8 +150,8 @@ def gaussian_entropy(cov: np.ndarray) -> float:
     return 0.5 * n * _LOG_2PIE + float(np.sum(np.log(np.diag(low))))
 
 
-def random_positive_extension(a: BandSkeleton, seed) -> np.ndarray:
-    """A random positive-definite matrix agreeing with the skeleton on its band.
+def random_positive_extension(a: TridiagonalMatrix, seed) -> np.ndarray:
+    """A random positive-definite matrix agreeing with ``a`` on its band.
 
     Starts from the maximum-entropy completion, perturbs every entry
     beyond the band by a uniform relative amount of size 0.05
@@ -260,10 +237,10 @@ def completion_entropy_audit(spec: KernelSpec, grid: SamplingGrid, seed, trials:
     """
     _check_seed(seed)
     _check_count(trials, "need at least one trial, got {!r}")
-    skeleton = band_project(gram(spec, grid).values)
-    reference = gaussian_entropy(band_extend(skeleton))
+    band = band_project(gram(spec, grid).values)
+    reference = gaussian_entropy(band_extend(band))
     entropies = [
-        gaussian_entropy(random_positive_extension(skeleton, seed=(seed, k))) for k in range(trials)
+        gaussian_entropy(random_positive_extension(band, seed=(seed, k))) for k in range(trials)
     ]
     report = GaussianEntropyReport.from_entropies(reference, entropies)
     _log.info(

@@ -23,14 +23,14 @@ implementation must instead derive the generator for path k from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive
+from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive, _check_seed
 from .grid import SamplingGrid, make_grid
-from .kernels import SS1, WIENER, KernelSpec, _Chain
+from .kernels import SS1, WIENER, KernelSpec, _Chain, _json_fields
 
 __all__ = [
     "NOISE_ALGORITHM",
@@ -49,15 +49,6 @@ __all__ = [
 NOISE_ALGORITHM = "pcg64-inverse-cdf"
 
 _Z_LIMIT = 5.0
-
-
-def _check_seed(seed) -> None:
-    """Raise InvalidParameter unless seed is a nonnegative integer or a tuple of seeds."""
-    if isinstance(seed, tuple):
-        for part in seed:
-            _check_seed(part)
-    elif not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidParameter(f"seed must be a nonnegative integer or a tuple of them, got {seed!r}")
 
 
 @dataclass(eq=False)
@@ -165,19 +156,6 @@ class IncrementCheck:
     variance_z: float
     flagged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "mean": self.mean,
-            "mean_se": self.mean_se,
-            "mean_z": self.mean_z,
-            "variance": self.variance,
-            "variance_target": self.variance_target,
-            "variance_se": self.variance_se,
-            "variance_z": self.variance_z,
-            "flagged": self.flagged,
-        }
-
 
 @dataclass(frozen=True)
 class ConstraintAuditReport:
@@ -190,13 +168,7 @@ class ConstraintAuditReport:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_paths": self.n_paths,
-            "checks": [c.to_dict() for c in self.checks],
-            "max_abs_z": self.max_abs_z,
-            "ok": self.ok,
-        }
+        return asdict(self, dict_factory=_json_fields)
 
 
 def _z_score(deviation: float, se: float) -> float:

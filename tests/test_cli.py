@@ -15,10 +15,10 @@ from stablekern import (
     NOISE_ALGORITHM,
     SS1,
     WIENER,
-    BandSkeleton,
     EstimationProblem,
     KernelSpec,
     SearchConfig,
+    TridiagonalMatrix,
     band_extend,
     closed_form_inverse,
     fit,
@@ -212,7 +212,7 @@ class TestExtend:
         assert run(["extend", "--band", str(band)]) == 0
         rows = np.asarray(parse_csv(capsys.readouterr().out))
         assert rows[0, 2] == pytest.approx(0.125, rel=1e-12)
-        skel = BandSkeleton(diag=np.array([0.5, 0.25, 0.125]), offdiag=np.array([0.25, 0.125]))
+        skel = TridiagonalMatrix(diag=np.array([0.5, 0.25, 0.125]), offdiag=np.array([0.25, 0.125]))
         np.testing.assert_array_equal(rows, band_extend(skel))
 
     def test_not_completable(self, tmp_path, capsys):
@@ -220,6 +220,15 @@ class TestExtend:
         band.write_text("1,1,1\n1.5,0.5\n")
         assert run(["extend", "--band", str(band)]) == 1
         assert capsys.readouterr().err.startswith("ERROR NotCompletable:")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_band_entry(self, tmp_path, capsys, bad):
+        band = tmp_path / "band.csv"
+        band.write_text(f"1,{bad},1\n0.1,0.1\n")
+        assert run(["extend", "--band", str(band)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR InvalidParameter: band entries must be finite\n"
 
     def test_malformed_band_file(self, tmp_path, capsys):
         band = tmp_path / "band.csv"
@@ -313,6 +322,19 @@ class TestFit:
         assert captured.out == ""
         assert captured.err.startswith("ERROR SingularGram:")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample(self, tmp_path, capsys, bad):
+        data, search_file, *_ , order = self.write_problem(tmp_path)
+        lines = data.read_text().splitlines()
+        lines[4] = f"{lines[4].split(',')[0]},{bad}"
+        data.write_text("\n".join(lines) + "\n")
+        code = run(["fit", "--data", str(data), "--order", str(order),
+                    "--kernel-family", SS1, "--search", str(search_file)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR InvalidParameter: u and y must be finite\n"
 
     def test_bad_header(self, tmp_path, capsys):
         data, search_file, *_ , order = self.write_problem(tmp_path)

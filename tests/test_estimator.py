@@ -103,6 +103,15 @@ class TestEstimationProblem:
             with pytest.raises(errors.InvalidParameter):
                 EstimationProblem(u=[1.0], y=[1.0], order=1, sigma2=sigma2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_data(self, bad):
+        u = np.linspace(0.1, 3.0, 30)
+        bad_u = u.copy()
+        bad_u[3] = bad
+        for uu, yy in ((bad_u, u), (u, bad_u)):
+            with pytest.raises(errors.InvalidParameter, match="must be finite"):
+                EstimationProblem(u=uu, y=yy, order=5)
+
 
 class TestPosteriorMean:
     def test_zero_data(self):
@@ -230,6 +239,40 @@ class TestLogMarginalLikelihood:
         # Phi'Phi / sigma2 overflows for a subnormal noise variance.
         with pytest.raises(errors.NotPositiveDefinite):
             posterior_mean(phi, y, 1e-310, KernelSpec(family=WIENER, c=1.0), grid)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_data_is_a_domain_error(self, bad):
+        grid = uniform_grid(5, 1.0, 1.0)
+        rng = np.random.default_rng(10)
+        phi = toeplitz_regressor(rng.standard_normal(30), 5)
+        y = rng.standard_normal(30)
+        y[3] = bad
+        spec = KernelSpec(family=SS1, c=1.0, beta=0.5)
+        with pytest.raises(errors.InvalidParameter, match="y must be finite"):
+            log_marginal_likelihood(phi, y, 0.1, spec, grid)
+        with pytest.raises(errors.InvalidParameter, match="y must be finite"):
+            posterior_mean(phi, y, 0.1, spec, grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_data_overflow_is_a_domain_error(self):
+        grid = uniform_grid(5, 1.0, 1.0)
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(30)
+        y = rng.standard_normal(30)
+        y[3] = 1e200
+        spec = KernelSpec(family=SS1, c=1.0, beta=0.5)
+        # y'y = 1e400 leaves the float range while the data are folded.
+        with pytest.raises(errors.InvalidParameter, match="y'y is not finite"):
+            log_marginal_likelihood(toeplitz_regressor(u, 5), y, 0.1, spec, grid)
+        search = SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(0.5,), sigma2_grid=(0.1,))
+        with pytest.raises(errors.InvalidParameter, match="y'y is not finite"):
+            fit(EstimationProblem(u=u, y=y, order=5), grid, search)
+        # Folding succeeds here; y'y / sigma2^2 and Phi'y / sigma2 do not.
+        y[3] = 1e150
+        with pytest.raises(errors.InvalidParameter, match="y'y / sigma2 overflows"):
+            log_marginal_likelihood(toeplitz_regressor(u, 5), y, 1e-10, spec, grid)
+        with pytest.raises(errors.InvalidParameter, match="Phi'y / sigma2 overflows"):
+            posterior_mean(toeplitz_regressor(u, 5), y, 1e-170, spec, grid)
 
 
 class TestSearchConfig:

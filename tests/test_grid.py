@@ -62,7 +62,9 @@ class TestUniformGrid:
         np.testing.assert_array_equal(uniform_grid(1, 1.0, 3.0).times, [3.0])
 
     @pytest.mark.parametrize("n,delta,t_start", [(0, 1.0, 1.0), (2.5, 1.0, 1.0), (True, 1.0, 1.0), ("3", 1.0, 1.0),
-                                                (3, 0.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3, 1.0, -2.0)])
+                                                (3, 0.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3, 1.0, -2.0),
+                                                (3, "0.5", 1.0), (3, True, 1.0), (3, 1.0, "1"), (3, 1.0, True),
+                                                (3, float("nan"), 1.0), (3, 1.0, float("inf"))])
     def test_invalid_parameters(self, n, delta, t_start):
         with pytest.raises(errors.InvalidParameter):
             uniform_grid(n, delta, t_start)

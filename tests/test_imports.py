@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and every
-name the package exports exists.
+"""Every name a library module imports is used in that module, every name
+a module exports exists, and the package exports exactly the modules' names.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -7,11 +7,13 @@ scan: its imports are the package's re-exports.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 import stablekern
+from stablekern import errors, estimator, grid, kernels, maxent, process, structure
 
 MODULES = sorted(p for p in pathlib.Path(stablekern.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -49,3 +51,15 @@ def test_every_export_resolves():
     # not at a caller's `from stablekern import *`.
     assert [name for name in stablekern.__all__ if not hasattr(stablekern, name)] == []
     assert len(set(stablekern.__all__)) == len(stablekern.__all__)
+
+
+def test_package_exports_are_the_module_exports():
+    # Each module's __all__ is the one declaration of its public names.
+    assert stablekern.__all__ == ["__version__", *errors.__all__, *grid.__all__, *kernels.__all__,
+                                  *structure.__all__, *maxent.__all__, *process.__all__, *estimator.__all__]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_exports_exist(path):
+    module = importlib.import_module(f"stablekern.{path.stem}")
+    assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []

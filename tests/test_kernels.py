@@ -92,6 +92,16 @@ class TestKernelEval:
         spec = KernelSpec(family=SS1, c=1.7, beta=0.3)
         assert kernel_eval(spec, 1.2, 5.9) == kernel_eval(spec, 5.9, 1.2)
 
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_bad_times(self, family):
+        spec = KernelSpec(family=family, c=1.0, beta=None if family == WIENER else LN2)
+        for t, s in ((-1.0, 2.0), (2.0, -0.5)):
+            with pytest.raises(errors.NegativeTime):
+                kernel_eval(spec, t, s)
+        for t, s in ((float("nan"), 1.0), (1.0, float("inf")), (float("nan"), float("nan"))):
+            with pytest.raises(errors.InvalidParameter):
+                kernel_eval(spec, t, s)
+
 
 class TestGram:
     def test_ss1_worked_example(self):

@@ -9,9 +9,9 @@ from stablekern import (
     ENTROPY_TOLERANCE,
     SS1,
     WIENER,
-    BandSkeleton,
     GaussianEntropyReport,
     KernelSpec,
+    TridiagonalMatrix,
     band_extend,
     band_project,
     completion_entropy_audit,
@@ -104,27 +104,34 @@ class TestBandExtend:
             if trial % 2:
                 spec = random_spec(rng, (WIENER, SS1)[trial % 4 // 2])
                 p = gram(spec, random_grid(rng, n)).values
-                skel = BandSkeleton(diag=np.diag(p).copy(), offdiag=np.diag(p, 1).copy())
+                skel = TridiagonalMatrix(diag=np.diag(p).copy(), offdiag=np.diag(p, 1).copy())
             else:
                 # Signed off-diagonals, each 2x2 minor positive definite.
                 diag = rng.uniform(0.1, 10.0, size=n)
                 rho = rng.uniform(-0.95, 0.95, size=n - 1)
-                skel = BandSkeleton(diag=diag, offdiag=rho * np.sqrt(diag[:-1] * diag[1:]))
+                skel = TridiagonalMatrix(diag=diag, offdiag=rho * np.sqrt(diag[:-1] * diag[1:]))
             assert np.array_equal(band_extend(skel), band_extend_by_loop(skel))
 
     def test_not_completable_minor(self):
-        skel = BandSkeleton(diag=np.array([1.0, 1.0, 1.0]), offdiag=np.array([1.1, 0.2]))
+        skel = TridiagonalMatrix(diag=np.array([1.0, 1.0, 1.0]), offdiag=np.array([1.1, 0.2]))
         with pytest.raises(errors.NotCompletable):
             band_extend(skel)
 
     def test_not_completable_diag(self):
-        skel = BandSkeleton(diag=np.array([1.0, -1.0, 1.0]), offdiag=np.array([0.1, 0.1]))
+        skel = TridiagonalMatrix(diag=np.array([1.0, -1.0, 1.0]), offdiag=np.array([0.1, 0.1]))
         with pytest.raises(errors.NotCompletable):
             band_extend(skel)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_band_entry(self, bad):
+        # NaN fails every comparison, so it would pass the 2x2 minor test.
+        for diag, offdiag in (([1.0, bad, 1.0], [0.1, 0.1]), ([1.0, 1.0, 1.0], [bad, 0.1])):
+            with pytest.raises(errors.InvalidParameter, match="band entries must be finite"):
+                band_extend(TridiagonalMatrix(diag=np.array(diag), offdiag=np.array(offdiag)))
+
     def test_skeleton_shape_check(self):
         with pytest.raises(errors.DimensionMismatch):
-            BandSkeleton(diag=np.ones(3), offdiag=np.ones(3))
+            TridiagonalMatrix(diag=np.ones(3), offdiag=np.ones(3))
 
 
 class TestGaussianEntropy:
@@ -170,8 +177,9 @@ class TestRandomPositiveExtension:
         oracle.dense_chol(ext)
 
     def test_negative_seed(self):
-        with pytest.raises(errors.InvalidParameter, match="seed"):
-            random_positive_extension(self.skel, seed=-3)
+        for seed in (-3, True):
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                random_positive_extension(self.skel, seed=seed)
 
     def test_changes_the_free_entry(self):
         base = band_extend(self.skel)
@@ -216,7 +224,7 @@ class TestEntropyDominance:
                 completion_entropy_audit(SS1_SPEC, SS1_GRID, seed=0, trials=trials)
 
     def test_negative_seed(self):
-        for seed in (-1, np.int64(-5)):
+        for seed in (-1, np.int64(-5), True):
             with pytest.raises(errors.InvalidParameter, match="seed"):
                 increment_constrained_entropy_test(SS1_SPEC, SS1_GRID, seed=seed, trials=3)
             with pytest.raises(errors.InvalidParameter, match="seed"):
@@ -247,7 +255,7 @@ def test_completable_skeletons_extend_to_spd_with_tridiagonal_inverse(n, rho, se
     rng = np.random.default_rng(seed)
     diag = rng.uniform(0.1, 10.0, size=n)
     off = rho * np.sqrt(diag[:-1] * diag[1:])
-    ext = band_extend(BandSkeleton(diag=diag, offdiag=off))
+    ext = band_extend(TridiagonalMatrix(diag=diag, offdiag=off))
     low = oracle.dense_chol(ext)
     assert np.all(np.diag(low) > 0)
     inv = oracle.dense_inverse(ext)

@@ -59,16 +59,17 @@ class TestWhiteNoiseSource:
                 WhiteNoiseSource(seed=0, variance=v)
 
     def test_negative_seed(self):
-        for seed in (-1, np.int64(-5)):
+        for seed in (-1, np.int64(-5), True):
             with pytest.raises(errors.InvalidParameter, match="seed"):
                 WhiteNoiseSource(seed=seed)
-        with pytest.raises(errors.InvalidParameter, match="seed"):
-            sample_wiener(GRID, c=1.0, seed=-1, p=2)
-        with pytest.raises(errors.InvalidParameter, match="seed"):
-            sample_ss1(GRID, c=1.0, beta=LN2, seed=-1, p=2)
+        for seed in (-1, True):
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                sample_wiener(GRID, c=1.0, seed=seed, p=2)
+            with pytest.raises(errors.InvalidParameter, match="seed"):
+                sample_ss1(GRID, c=1.0, beta=LN2, seed=seed, p=2)
 
     def test_non_integer_seed(self):
-        for seed in (1.5, "7", None, (3, -1), (2, 0.5)):
+        for seed in (1.5, "7", None, (3, -1), (2, 0.5), (1, False)):
             with pytest.raises(errors.InvalidParameter, match="seed"):
                 WhiteNoiseSource(seed=seed)
 
