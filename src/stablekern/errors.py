@@ -5,8 +5,8 @@ The error code reported on the command line is the class name, so renaming
 a class here is a breaking interface change.
 """
 
+import math
 import numbers
-import sys
 
 __all__ = [
     "StableKernError",
@@ -92,14 +92,31 @@ class CheckFailed(StableKernError):
     """A self-check found residuals above their thresholds."""
 
 
-def _check_positive(value, message: str) -> None:
-    """Raise InvalidParameter(message.format(value)) unless value is a finite real > 0.
+def _is_real(value) -> bool:
+    """True for a real number, numpy scalars included.
 
     A bool is a flag, not a number: JSON ``true`` is not a scale of 1.
-    "Finite" means within the float range, so an integer too large to
-    convert to a float is rejected here rather than overflowing later.
+    A string is not a number either, even one that parses as one.
     """
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max):
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _is_finite_real(value) -> bool:
+    """True for a real number within the float range.
+
+    An integer too large to convert to a float is rejected here rather
+    than overflowing later.  The test runs in float64, so a float32 is
+    never compared against the float64 range (which would overflow it).
+    """
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_positive(value, message: str) -> None:
+    """Raise InvalidParameter(message.format(value)) unless value is a finite real > 0."""
+    if not (_is_finite_real(value) and value > 0):
         raise InvalidParameter(message.format(value))
 
 

@@ -6,14 +6,13 @@ package.  Grids are immutable; the stored time array is read-only.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing, _check_count
+from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing, _check_count, _is_real
 
 __all__ = ["SamplingGrid", "make_grid", "uniform_grid", "read_grid_file", "parse_grid_lines"]
 
@@ -63,7 +62,7 @@ def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
         raise InvalidParameter("grid times must be finite")
     if np.any(t < 0.0):
         k = int(np.argmax(t < 0.0))
-        raise NegativeTime(f"grid times must be nonnegative, got t{k + 1}={t[k]!r}")
+        raise NegativeTime(f"grid times must be nonnegative, got t{k + 1}={float(t[k])!r}")
     if t.size > 1 and not np.all(t[1:] > t[:-1]):
         k = int(np.argmin(t[1:] > t[:-1]))
         raise NonIncreasing(f"grid times must be strictly increasing, got t{k + 2} <= t{k + 1}")
@@ -76,12 +75,16 @@ def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
     """Grid with t_i = t_start + (i - 1) * delta for i = 1..n."""
     _check_count(n, "uniform grid needs an integer n >= 1, got {!r}")
     for name, value in (("delta", delta), ("t_start", t_start)):
-        # A bool or a string is not a number; inf is left to make_grid's finiteness check.
-        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0.0):
+        # inf is left to make_grid's finiteness check.
+        if not (_is_real(value) and value > 0.0):
             raise InvalidParameter(f"uniform grid needs {name} > 0, got {value!r}")
-    # make_grid rejects the non-finite times an overflow leaves behind.
-    with np.errstate(over="ignore", invalid="ignore"):
-        times = t_start + delta * np.arange(n, dtype=float)
+    # make_grid rejects the non-finite times an overflow leaves behind; an
+    # integer beyond the float range overflows before numpy computes any.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            times = t_start + delta * np.arange(n, dtype=float)
+    except OverflowError:
+        raise InvalidParameter("grid times must be finite") from None
     return make_grid(times)
 
 

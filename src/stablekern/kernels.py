@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidParameter, SingularGram, _check_positive
+from .errors import InvalidParameter, SingularGram, _check_positive, _is_finite_real
 from .grid import SamplingGrid, make_grid
 
 __all__ = [
@@ -170,9 +170,13 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     """Evaluate K(t, s) = c * min(phi(t), phi(s)) at a single pair of times.
 
     The times obey the grid rules (:func:`~stablekern.grid.make_grid`):
-    a negative time raises NegativeTime, a NaN or infinite one
-    InvalidParameter.  t == s is allowed.
+    a negative time raises NegativeTime; a NaN or infinite one, or one
+    that is not a real number (a bool, a string, None), InvalidParameter.
+    t == s is allowed.
     """
+    for name, value in (("t", t), ("s", s)):
+        if not _is_finite_real(value):
+            raise InvalidParameter(f"kernel_eval needs finite real times, got {name}={value!r}")
     return spec.c * float(_Chain(spec, make_grid(np.unique([float(t), float(s)])).times).clock.min())
 
 

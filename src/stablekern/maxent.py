@@ -57,9 +57,17 @@ ENTROPY_TOLERANCE = 1e-9
 _LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 
 _EXTENSION_SCALE = 0.05
-# By the last try the halving schedule has shrunk the scale to about 1e-7,
-# so only a numerically singular completion reaches this bound.
-_EXTENSION_TRIES = 1000
+# Attempts that share one perturbation scale; the scale halves between epochs.
+_EPOCH = 50
+# By the last epoch the halving schedule has shrunk the scale to about 1e-7,
+# so only a numerically singular completion exhausts the epochs.
+_EPOCHS = 20
+# Draws of a correlation matrix per increment-test candidate; a draw is
+# replaced only when rounding leaves it or its candidate singular.
+_CORRELATION_TRIES = 100
+# Upper bound on the bytes of candidates held at once; at large n an epoch
+# is evaluated in several chunks instead of one (50, n, n) stack.
+_CANDIDATE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,44 @@ def gaussian_entropy(cov: np.ndarray) -> float:
     return 0.5 * n * _LOG_2PIE + float(np.sum(np.log(np.diag(low))))
 
 
+class _Extensions:
+    """Random positive extensions of one band, sharing everything but the draws.
+
+    The completion, the beyond-band indices, their perturbation magnitudes
+    and the candidate stack are built once per band, not once per draw.
+    """
+
+    def __init__(self, a: TridiagonalMatrix) -> None:
+        self.base = band_extend(a)
+        n = a.n
+        self.rows, self.cols = np.triu_indices(n, k=2)
+        self.mag = np.sqrt(self.base[self.rows, self.rows] * self.base[self.cols, self.cols])
+        self.stack = np.empty((max(1, min(_EPOCH, _CANDIDATE_BYTES // self.base.nbytes)), n, n))
+
+    def draw(self, seed) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        s = _EXTENSION_SCALE
+        attempt = 0
+        for _ in range(_EPOCHS):
+            for start in range(0, _EPOCH, self.stack.shape[0]):
+                cands = self.stack[: min(self.stack.shape[0], _EPOCH - start)]
+                # One draw of shape (k, m) is the stream of k draws of size m.
+                bumps = rng.uniform(-s, s, size=(cands.shape[0], self.rows.shape[0])) * self.mag
+                cands[...] = self.base
+                cands[:, self.rows, self.cols] += bumps
+                cands[:, self.cols, self.rows] += bumps
+                for cand in cands:
+                    attempt += 1
+                    try:
+                        np.linalg.cholesky(cand)
+                    except np.linalg.LinAlgError:
+                        continue
+                    _log.debug("random positive extension accepted after %d attempt(s), seed=%r", attempt, seed)
+                    return cand.copy()
+            s *= 0.5
+        raise NotPositiveDefinite(f"no positive-definite extension found in {_EPOCHS * _EPOCH} attempts")
+
+
 def random_positive_extension(a: TridiagonalMatrix, seed) -> np.ndarray:
     """A random positive-definite matrix agreeing with ``a`` on its band.
 
@@ -159,41 +205,37 @@ def random_positive_extension(a: TridiagonalMatrix, seed) -> np.ndarray:
     positive definite.  The perturbation scale is halved after every 50
     rejections, so termination is certain: the completion lies strictly
     inside the positive-definite cone.  Deterministic given ``seed``.
+
+    The 50 attempts of one scale (an epoch) are drawn by one generator
+    call and checked in order; at large n the epoch is split into chunks
+    that keep the candidate stack within 2 MiB.  A draw of k rows is the
+    generator stream of k single draws, so the result and the attempt
+    count logged at DEBUG are bit-identical to drawing and checking one
+    attempt at a time.
     """
     _check_seed(seed)
     if a.n < 3:
         raise InvalidParameter("extensions beyond the band need n >= 3")
-    base = band_extend(a)
-    n = a.n
-    rows, cols = np.triu_indices(n, k=2)
-    mag = np.sqrt(base[rows, rows] * base[cols, cols])
-    rng = np.random.default_rng(seed)
-    s = _EXTENSION_SCALE
-    for attempt in range(1, _EXTENSION_TRIES + 1):
-        bump = rng.uniform(-s, s, size=rows.shape[0]) * mag
-        cand = base.copy()
-        cand[rows, cols] += bump
-        cand[cols, rows] += bump
-        try:
-            np.linalg.cholesky(cand)
-        except np.linalg.LinAlgError:
-            if attempt % 50 == 0:
-                s *= 0.5
-            continue
-        _log.debug("random positive extension accepted after %d attempt(s), seed=%r", attempt, seed)
-        return cand
-    raise NotPositiveDefinite(f"no positive-definite extension found in {_EXTENSION_TRIES} attempts")
+    return _Extensions(a).draw(seed)
 
 
-def _random_correlation_chol(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Cholesky factor of a random correlation matrix (unit diagonal)."""
-    while True:
+def _correlated_entropy(root: np.ndarray, rng: np.random.Generator) -> float:
+    """Entropy of N(0, root C root') for a random correlation matrix C.
+
+    C is the Gram matrix of n random unit rows.  When C is close to
+    singular, rounding can leave C or the candidate covariance without a
+    Cholesky factor; such a draw is replaced by the next one from ``rng``.
+    """
+    n = root.shape[0]
+    for _ in range(_CORRELATION_TRIES):
         g = rng.standard_normal((n, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         try:
-            return np.linalg.cholesky(g @ g.T)
-        except np.linalg.LinAlgError:
+            mixed = root @ np.linalg.cholesky(g @ g.T)
+            return gaussian_entropy(mixed @ mixed.T)
+        except (np.linalg.LinAlgError, NotPositiveDefinite):
             continue
+    raise NotPositiveDefinite(f"no positive-definite correlated candidate found in {_CORRELATION_TRIES} draws")
 
 
 def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, seed, trials: int) -> GaussianEntropyReport:
@@ -210,20 +252,16 @@ def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, see
 
     Trial k draws from a generator seeded with (seed, k), so trials are
     reproducible individually and the report is deterministic given
-    ``seed``.
+    ``seed``.  A correlation matrix so close to singular that the
+    candidate covariance has no Cholesky factor in floating point is
+    redrawn from the same generator.
     """
     _check_seed(seed)
     _check_count(trials, "need at least one trial, got {!r}")
     root = sqrt_factor(spec, grid).to_dense()
     reference = 0.5 * grid.n * _LOG_2PIE + 0.5 * log_det(spec, grid)
-    entropies = []
-    for k in range(trials):
-        if k == 0:
-            corr_chol = np.eye(grid.n)
-        else:
-            corr_chol = _random_correlation_chol(np.random.default_rng((seed, k)), grid.n)
-        mixed = root @ corr_chol
-        entropies.append(gaussian_entropy(mixed @ mixed.T))
+    entropies = [gaussian_entropy(root @ root.T)]
+    entropies += [_correlated_entropy(root, np.random.default_rng((seed, k))) for k in range(1, trials)]
     return GaussianEntropyReport.from_entropies(reference, entropies)
 
 
@@ -237,11 +275,9 @@ def completion_entropy_audit(spec: KernelSpec, grid: SamplingGrid, seed, trials:
     """
     _check_seed(seed)
     _check_count(trials, "need at least one trial, got {!r}")
-    band = band_project(gram(spec, grid).values)
-    reference = gaussian_entropy(band_extend(band))
-    entropies = [
-        gaussian_entropy(random_positive_extension(band, seed=(seed, k))) for k in range(trials)
-    ]
+    extensions = _Extensions(band_project(gram(spec, grid).values))
+    reference = gaussian_entropy(extensions.base)
+    entropies = [gaussian_entropy(extensions.draw((seed, k))) for k in range(trials)]
     report = GaussianEntropyReport.from_entropies(reference, entropies)
     _log.info(
         "completion audit: %d candidates, max entropy excess %.3e (dominance=%s)",

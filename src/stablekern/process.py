@@ -186,15 +186,22 @@ def audit_constraints(ps: PathSet, spec: KernelSpec) -> ConstraintAuditReport:
     at +infinity for SS-1), each with model mean 0 and model variance
     c*delta_i.  A check is flagged when the sample mean or sample
     variance sits more than 5 standard errors from its target.
+    Non-finite paths, or paths so large that an increment variance
+    leaves the float range, raise InvalidParameter.
     """
     p = ps.p
     if p < 100:
         raise TooFewPaths(f"audit needs at least 100 paths, got {p}")
     chain = _Chain(spec, ps.grid.times)
-    increments = np.diff(ps.paths[:, chain.order], axis=1, prepend=0.0)[:, chain.order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = np.diff(ps.paths[:, chain.order], axis=1, prepend=0.0)[:, chain.order]
+        means = increments.mean(axis=0)
+        variances = increments.var(axis=0, ddof=1)
+    # A non-finite path entry leaves its increments' mean non-finite; a NaN
+    # statistic gives NaN z-scores, which no threshold flags.
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
+        raise InvalidParameter("paths must be finite, with increment variances in the float range")
     targets = spec.c * chain.steps()
-    means = increments.mean(axis=0)
-    variances = increments.var(axis=0, ddof=1)
     mean_se = np.sqrt(targets / p)
     var_se = targets * math.sqrt(2.0 / (p - 1))
     checks: List[IncrementCheck] = []

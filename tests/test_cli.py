@@ -204,6 +204,24 @@ class TestAudit:
         assert report["ok"] is False
         assert any(c["flagged"] for c in report["checks"])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_paths(self, tmp_path, wiener_kernel, capsys, bad):
+        paths_file = tmp_path / "paths.csv"
+        run(["sample", "--kernel", wiener_kernel, "--uniform", "4,0.5,0.5",
+             "--paths", "200", "--out", str(paths_file)])
+        lines = paths_file.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[row] = ",".join([bad] + lines[row].split(",")[1:])
+        paths_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["audit", "--paths", str(paths_file), "--kernel", wiener_kernel,
+                    "--uniform", "4,0.5,0.5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ERROR InvalidParameter: paths must be finite, "
+                                "with increment variances in the float range\n")
+
 
 class TestExtend:
     def test_fill_in_value(self, tmp_path, capsys):
@@ -454,6 +472,14 @@ class TestErrorsAndUsage:
         grid_file.write_text("2.0\n1.0\n")
         assert run(["gram", "--kernel", ss1_kernel, "--grid", str(grid_file)]) == 1
         assert capsys.readouterr().err.startswith("ERROR NonIncreasing:")
+
+    def test_negative_time_in_grid_file(self, tmp_path, ss1_kernel, capsys):
+        grid_file = tmp_path / "g.txt"
+        grid_file.write_text("1.0\n-1.0\n")
+        assert run(["logdet", "--kernel", ss1_kernel, "--grid", str(grid_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ERROR NegativeTime: grid times must be nonnegative, got t2=-1.0\n"
 
 
 class TestInstalledEntryPoint:

@@ -69,7 +69,8 @@ class TestUniformGrid:
         with pytest.raises(errors.InvalidParameter):
             uniform_grid(n, delta, t_start)
 
-    @pytest.mark.parametrize("n,delta,t_start", [(10, 1e308, 1e308), (3, float("inf"), 1.0)])
+    @pytest.mark.parametrize("n,delta,t_start", [(10, 1e308, 1e308), (3, float("inf"), 1.0),
+                                                (3, 10**400, 1.0), (3, 1.0, 10**400)])
     def test_non_finite_times_raise_without_a_warning(self, n, delta, t_start):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

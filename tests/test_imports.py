@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, every name
-a module exports exists, and the package exports exactly the modules' names.
+a module exports exists, the package exports exactly the modules' names,
+and no library module reaches into numpy's private modules or names.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -15,7 +16,8 @@ import pytest
 import stablekern
 from stablekern import errors, estimator, grid, kernels, maxent, process, structure
 
-MODULES = sorted(p for p in pathlib.Path(stablekern.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(pathlib.Path(stablekern.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -34,6 +36,66 @@ def unused_imports(source: str):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _private(dotted: str):
+    """The numpy path up to its first private part (leading underscore, dunders aside), or None."""
+    parts = dotted.split(".")
+    if parts[0] == "numpy":
+        for k, part in enumerate(parts[1:], start=2):
+            if part.startswith("_") and not part.endswith("__"):
+                return ".".join(parts[:k])
+    return None
+
+
+def private_numpy_uses(source: str):
+    """(line, dotted name) of each private numpy module or name a module imports or reads.
+
+    Attribute chains on a name bound to numpy (``np.linalg._umath_linalg``)
+    count as well as import statements.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if prefix := _private(alias.name):
+                    found.append((node.lineno, prefix))
+                if alias.name.split(".")[0] == "numpy":
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                if prefix := _private(dotted):
+                    found.append((node.lineno, prefix))
+                bound[alias.asname or alias.name] = dotted
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain = []
+            inner = node
+            while isinstance(inner, ast.Attribute):
+                chain.append(inner.attr)
+                inner = inner.value
+            if isinstance(inner, ast.Name) and inner.id in bound:
+                dotted = ".".join([bound[inner.id], *reversed(chain)])
+                if prefix := _private(dotted):
+                    found.append((node.lineno, prefix))
+    return sorted(set(found))
+
+
+def test_scan_finds_private_numpy():
+    source = ("import numpy as np\nimport numpy.linalg._umath_linalg\n"
+              "from numpy.linalg import _umath_linalg as u, norm\nfrom numpy import linalg as la\n"
+              "x = np.linalg._umath_linalg.cholesky_lo\ny = la._private\nz = np.__version__, np.linalg.norm\n")
+    assert private_numpy_uses(source) == [
+        (2, "numpy.linalg._umath_linalg"), (3, "numpy.linalg._umath_linalg"),
+        (5, "numpy.linalg._umath_linalg"), (6, "numpy.linalg._private")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_numpy(path):
+    assert private_numpy_uses(path.read_text(encoding="utf-8")) == []
 
 
 def test_scan_finds_an_unused_import():

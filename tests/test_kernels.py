@@ -101,6 +101,19 @@ class TestKernelEval:
         for t, s in ((float("nan"), 1.0), (1.0, float("inf")), (float("nan"), float("nan"))):
             with pytest.raises(errors.InvalidParameter):
                 kernel_eval(spec, t, s)
+        # Not numbers, whatever float() makes of them; 10**400 overflows a float.
+        for bad in ("2.0", True, False, "abc", None, [1.0], np.array(1.0), 10**400):
+            for t, s in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(errors.InvalidParameter, match="real times"):
+                    kernel_eval(spec, t, s)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_numpy_and_integer_times(self, family):
+        spec = KernelSpec(family=family, c=1.0, beta=None if family == WIENER else LN2)
+        want = kernel_eval(spec, 2.0, 3.0)
+        assert kernel_eval(spec, 2, 3) == want
+        assert kernel_eval(spec, np.int64(2), np.float64(3.0)) == want
+        assert kernel_eval(spec, np.float32(2.0), 3.0) == want
 
 
 class TestGram:

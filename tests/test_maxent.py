@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stablekern import (
     gram,
     increment_constrained_entropy_test,
     make_grid,
+    maxent,
     oracle,
     random_positive_extension,
 )
@@ -188,6 +190,70 @@ class TestRandomPositiveExtension:
             assert ext[0, 2] != base[0, 2]
 
 
+def extension_by_loop(a, seed):
+    """random_positive_extension one attempt at a time: (matrix, attempt count)."""
+    base = band_extend(a)
+    rows, cols = np.triu_indices(a.n, k=2)
+    mag = np.sqrt(base[rows, rows] * base[cols, cols])
+    rng = np.random.default_rng(seed)
+    s = 0.05
+    for attempt in range(1, 1001):
+        bump = rng.uniform(-s, s, size=rows.shape[0]) * mag
+        cand = base.copy()
+        cand[rows, cols] += bump
+        cand[cols, rows] += bump
+        try:
+            np.linalg.cholesky(cand)
+        except np.linalg.LinAlgError:
+            if attempt % 50 == 0:
+                s *= 0.5
+            continue
+        return cand, attempt
+    raise AssertionError("the reference loop found no extension")
+
+
+def logged_attempts(caplog):
+    return [int(m.group(1)) for m in (re.search(r"accepted after (\d+) attempt", r.getMessage())
+                                      for r in caplog.records) if m]
+
+
+class TestExtensionBatching:
+    """Drawing an epoch of attempts at once is bit-identical to one at a time."""
+
+    # None keeps the cap; 7 candidates split each epoch into 8 chunks; 0 bytes
+    # leaves one candidate per chunk.
+    @pytest.mark.parametrize("cap", [None, 7, 0])
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_matches_one_attempt_at_a_time(self, family, cap, caplog, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(maxent, "_CANDIDATE_BYTES", cap * 20 * 20 * 8 + 1 if cap else 0)
+        caplog.set_level("DEBUG", logger="stablekern.maxent")
+        expected_attempts = []
+        for n in (3, 20):
+            rng = np.random.default_rng(n)
+            g = random_grid(rng, n)
+            for spec in (random_spec(rng, family), random_spec(rng, family)):
+                band = band_project(gram(spec, g).values)
+                for seed in (0, 1, 7, (3, 4)):
+                    want, attempts = extension_by_loop(band, seed)
+                    assert np.array_equal(random_positive_extension(band, seed), want)
+                    expected_attempts.append(attempts)
+        assert logged_attempts(caplog) == expected_attempts
+        # Acceptance past the first chunk and past the first epoch is covered.
+        assert max(expected_attempts) > 50
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_audit_entropies_match_one_attempt_at_a_time(self, family):
+        rng = np.random.default_rng(11)
+        g = random_grid(rng, 20)
+        spec = random_spec(rng, family)
+        report = completion_entropy_audit(spec, g, seed=4, trials=10)
+        band = band_project(gram(spec, g).values)
+        want = [gaussian_entropy(extension_by_loop(band, (4, k))[0]) for k in range(10)]
+        assert list(report.candidate_entropies) == want
+        assert report.reference_entropy == gaussian_entropy(band_extend(band))
+
+
 class TestEntropyDominance:
     @pytest.mark.parametrize("family", [WIENER, SS1])
     def test_completion_dominates_random_extensions(self, family):
@@ -211,6 +277,21 @@ class TestEntropyDominance:
         others = np.asarray(report.candidate_entropies[1:])
         assert np.all(others <= report.reference_entropy + ENTROPY_TOLERANCE)
         assert np.all(others < report.reference_entropy)
+
+    def test_near_singular_correlation_is_redrawn(self):
+        # Trial 46 of this seed draws a correlation matrix so close to singular
+        # that the candidate covariance had no Cholesky factor in floating point,
+        # and the whole test raised NotPositiveDefinite.
+        times = [1.26, 2.26, 3.37, 4.42, 5.77, 6.92, 7.48, 7.85, 9.07, 9.49,
+                 10.88, 11.0, 12.33, 12.47, 13.68, 14.84, 14.98, 16.28, 16.69, 17.22]
+        spec = KernelSpec(family=WIENER, c=9.634590487177686)
+        report = increment_constrained_entropy_test(spec, make_grid(times), seed=1057115397, trials=47)
+        assert report.dominance
+        assert np.all(np.isfinite(report.candidate_entropies))
+
+    def test_correlated_candidates_give_up_on_a_singular_root(self):
+        with pytest.raises(errors.NotPositiveDefinite, match="100 draws"):
+            maxent._correlated_entropy(np.zeros((3, 3)), np.random.default_rng(0))
 
     def test_float_seed(self):
         with pytest.raises(errors.InvalidParameter, match="seed"):

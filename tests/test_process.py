@@ -214,6 +214,13 @@ class TestAudit:
         with pytest.raises(errors.TooFewPaths):
             audit_constraints(ps, KernelSpec(family=WIENER, c=1.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e300])
+    def test_non_finite_paths(self, bad):
+        ps = sample_wiener(GRID, c=1.0, seed=0, p=200)
+        ps.paths[17, 1] = bad
+        with pytest.raises(errors.InvalidParameter, match="finite"):
+            audit_constraints(ps, KernelSpec(family=WIENER, c=1.0))
+
     def test_report_to_dict(self):
         ps = sample_wiener(GRID, c=1.0, seed=0, p=200)
         d = audit_constraints(ps, KernelSpec(family=WIENER, c=1.0)).to_dict()
