@@ -46,7 +46,9 @@ class KernelSpec:
 
     ``beta`` must be supplied exactly when ``family`` is SS-1.  The scale
     ``c`` is strictly positive: c = 0 would make every Gram matrix
-    singular, so it is rejected at construction.
+    singular, so it is rejected at construction.  Both are stored as
+    Python floats, so a numpy float32 or integer hyperparameter computes
+    in float64 like any other.
     """
 
     family: str
@@ -57,15 +59,17 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise InvalidParameter(f"unknown kernel family {self.family!r}")
         _check_positive(self.c, "kernel scale c must be finite and > 0, got {!r}")
+        object.__setattr__(self, "c", float(self.c))
         if self.family == SS1:
             _check_positive(self.beta, "SS-1 kernel needs finite beta > 0, got {!r}")
+            object.__setattr__(self, "beta", float(self.beta))
         elif self.beta is not None:
             raise InvalidParameter("Wiener kernel takes no beta")
 
     def to_dict(self) -> dict:
-        d = {"family": self.family, "c": float(self.c)}
+        d = {"family": self.family, "c": self.c}
         if self.family == SS1:
-            d["beta"] = float(self.beta)
+            d["beta"] = self.beta
         return d
 
     @classmethod

@@ -653,7 +653,10 @@ class TestGoldenBytes:
     around one command table.
     The ``fit`` outputs (grid scan plus simplex, both families, free and
     fixed noise variance) were pinned before the tuner became one code
-    path.
+    path.  The two ``maxent-audit`` digests were re-recorded when the
+    completion candidates became D-vine completions and both reports
+    gained ``identity_residual``; the increment entropies kept their
+    bytes.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -669,7 +672,7 @@ class TestGoldenBytes:
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
             "factor": "79296d7fcb57b2f80fe3d020ff5c3d276d16a29e3dd055821bb3e0d36d926837",
             "sqrt": "feb0d5f56d691c17ff44539a0a39e63112e883cab4a00ac07a8e6097574e76f8",
-            "maxent-audit": "0b6456e9baf56a98483104e19a21c5ee7f2287d23cbf6a8493cd7a27c3637539",
+            "maxent-audit": "5a382fab28cd2bd178059d94a748ff4579ab4f903708b9b3fd899ed899f402e4",
             "check": "04cd1fae5d0bab3e5c9fed78220183f059445aecf141241348eae36591cd6e61",
         },
         "ss1": {
@@ -680,7 +683,7 @@ class TestGoldenBytes:
             "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
             "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
             "sqrt": "ca713e43346febe458f032c2d3c8736117d65744fa0a18744fb707269ed697c7",
-            "maxent-audit": "93dca35638b2db36d4956f0fbe770717bb5a3b52516e828a4a726bcb2fa4a8e5",
+            "maxent-audit": "10622e132977211a70a1a9cd2ef456818438396502ea04e56d99ec0530f90b16",
             "check": "b66dad8dd56378b17565018e775854b5f92035b01999871311c81ed089ca466e",
         },
         "extend": "83f023398a05eb49fb08206858cf10a24dd9ac3e7a22165e510dab994bb00cc5",

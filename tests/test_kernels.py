@@ -60,6 +60,22 @@ class TestKernelSpec:
         assert KernelSpec.from_dict(spec.to_dict()) == spec
         assert spec.to_dict() == {"family": "ss1", "c": 1.0, "beta": LN2}
 
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.int32, np.int64])
+    def test_numpy_hyperparameters_are_stored_as_float(self, kind):
+        # A float32 scale used to leak into kernel_eval: np.float32(0.1), 7 digits.
+        value = kind(0.1) if np.issubdtype(kind, np.floating) else kind(3)
+        wiener = KernelSpec(family=WIENER, c=value)
+        ss1 = KernelSpec(family=SS1, c=value, beta=value)
+        assert type(wiener.c) is float and type(ss1.c) is float and type(ss1.beta) is float
+        assert wiener.c == ss1.beta == float(value)
+        got = kernel_eval(wiener, 1.0, 2.0)
+        assert type(got) is float and got == float(value)
+        got = kernel_eval(ss1, 1.0, 2.0)
+        assert type(got) is float
+        assert got == kernel_eval(KernelSpec(family=SS1, c=float(value), beta=float(value)), 1.0, 2.0)
+        assert json.dumps(ss1.to_dict()) == json.dumps({"family": "ss1", "c": float(value), "beta": float(value)})
+        assert json.dumps(wiener.to_dict()) == json.dumps({"family": "wiener", "c": float(value)})
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(errors.InvalidParameter):
             KernelSpec.from_dict({"family": "ss1", "c": 1.0, "beta": 1.0, "gamma": 2.0})

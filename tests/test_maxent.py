@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from stablekern import (
     maxent,
     oracle,
     random_positive_extension,
+    uniform_grid,
 )
 
 from helpers import random_grid, random_spec
@@ -190,68 +190,130 @@ class TestRandomPositiveExtension:
             assert ext[0, 2] != base[0, 2]
 
 
-def extension_by_loop(a, seed):
-    """random_positive_extension one attempt at a time: (matrix, attempt count)."""
-    base = band_extend(a)
-    rows, cols = np.triu_indices(a.n, k=2)
-    mag = np.sqrt(base[rows, rows] * base[cols, cols])
+def dvine_by_solve(band, partials):
+    """The D-vine one entry at a time, each from solves over the window between the pair."""
+    n = band.n
+    m = np.diag(band.diag.astype(float))
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = m[idx + 1, idx] = band.offdiag
+    k = 0
+    for lag in range(2, n):
+        for i in range(n - lag):
+            j = i + lag
+            s = m[i + 1:j, i + 1:j]
+            a, b = m[i, i + 1:j], m[j, i + 1:j]
+            sa, sb = np.linalg.solve(s, a), np.linalg.solve(s, b)
+            m[i, j] = m[j, i] = a @ sb + partials[k] * np.sqrt((m[i, i] - a @ sa) * (m[j, j] - b @ sb))
+            k += 1
+    return m
+
+
+def kernel_band(family, n, seed):
     rng = np.random.default_rng(seed)
-    s = 0.05
-    for attempt in range(1, 1001):
-        bump = rng.uniform(-s, s, size=rows.shape[0]) * mag
-        cand = base.copy()
-        cand[rows, cols] += bump
-        cand[cols, rows] += bump
-        try:
-            np.linalg.cholesky(cand)
-        except np.linalg.LinAlgError:
-            if attempt % 50 == 0:
-                s *= 0.5
-            continue
-        return cand, attempt
-    raise AssertionError("the reference loop found no extension")
+    return band_project(gram(random_spec(rng, family), random_grid(rng, n)).values)
 
 
-def logged_attempts(caplog):
-    return [int(m.group(1)) for m in (re.search(r"accepted after (\d+) attempt", r.getMessage())
-                                      for r in caplog.records) if m]
+class TestDVine:
+    """Completions from out-of-band partial correlations by the lattice recursion."""
 
-
-class TestExtensionBatching:
-    """Drawing an epoch of attempts at once is bit-identical to one at a time."""
-
-    # None keeps the cap; 7 candidates split each epoch into 8 chunks; 0 bytes
-    # leaves one candidate per chunk.
-    @pytest.mark.parametrize("cap", [None, 7, 0])
+    @pytest.mark.parametrize("n", [3, 20, 40])
     @pytest.mark.parametrize("family", [WIENER, SS1])
-    def test_matches_one_attempt_at_a_time(self, family, cap, caplog, monkeypatch):
-        if cap is not None:
-            monkeypatch.setattr(maxent, "_CANDIDATE_BYTES", cap * 20 * 20 * 8 + 1 if cap else 0)
-        caplog.set_level("DEBUG", logger="stablekern.maxent")
-        expected_attempts = []
-        for n in (3, 20):
-            rng = np.random.default_rng(n)
-            g = random_grid(rng, n)
-            for spec in (random_spec(rng, family), random_spec(rng, family)):
-                band = band_project(gram(spec, g).values)
-                for seed in (0, 1, 7, (3, 4)):
-                    want, attempts = extension_by_loop(band, seed)
-                    assert np.array_equal(random_positive_extension(band, seed), want)
-                    expected_attempts.append(attempts)
-        assert logged_attempts(caplog) == expected_attempts
-        # Acceptance past the first chunk and past the first epoch is covered.
-        assert max(expected_attempts) > 50
+    def test_lattice_matches_the_per_entry_solve(self, family, n):
+        band = kernel_band(family, n, n)
+        partials = np.random.default_rng(n + 1).uniform(-0.3, 0.3, size=(4, (n - 1) * (n - 2) // 2))
+        got = maxent._dvine(band, partials)
+        scale = np.sqrt(np.outer(band.diag, band.diag))
+        for cand, row in zip(got, partials):
+            assert np.max(np.abs(cand - dvine_by_solve(band, row)) / scale) <= 1e-12
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
-    def test_audit_entropies_match_one_attempt_at_a_time(self, family):
-        rng = np.random.default_rng(11)
+    def test_zero_partials_give_the_completion(self, family):
+        for n in (3, 20, 60):
+            band = kernel_band(family, n, n)
+            want = band_extend(band)
+            got = maxent._dvine(band, np.zeros((2, (n - 1) * (n - 2) // 2)))
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_band_is_bit_exact(self, family):
+        for n in (3, 20, 60):
+            band = kernel_band(family, n, n)
+            for seed in (0, 1, (2, 3)):
+                ext = random_positive_extension(band, seed)
+                assert np.array_equal(np.diag(ext), band.diag)
+                assert np.array_equal(np.diag(ext, 1), band.offdiag)
+                assert np.array_equal(ext, ext.T)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_partials_near_one_stay_positive_definite(self, family):
+        # All 1711 partials at +-0.999 at once would make det R 0.002^1711 times
+        # the band's, far too small for any float64 matrix to stay positive
+        # definite.  So each lag in turn gets +-0.999, the other lags zero.
+        n = 60
+        band = kernel_band(family, n, 60)
+        rng = np.random.default_rng(61)
+        start = 0
+        for lag in range(2, n):
+            partials = np.zeros((1, (n - 1) * (n - 2) // 2))
+            partials[0, start:start + n - lag] = rng.choice([-0.999, 0.999], size=n - lag)
+            start += n - lag
+            oracle.dense_chol(maxent._dvine(band, partials)[0])
+
+    def test_band_correlation_rounding_to_one(self):
+        # The first 2x2 minor 9 - o^2 is positive, but o / (sqrt(3) * sqrt(3))
+        # rounds to 1.0.
+        band = TridiagonalMatrix(diag=np.array([3.0, 3.0, 3.0]), offdiag=np.array([2.9999999999999996, 0.5]))
+        ext = random_positive_extension(band, 0)
+        assert np.all(np.isfinite(ext))
+        assert np.array_equal(np.diag(ext, 1), band.offdiag)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_identity_residual(self, family):
+        rng = np.random.default_rng(15)
+        cases = [(random_spec(rng, family), random_grid(rng, 20)) for _ in range(3)]
+        if family == SS1:
+            # beta * t_n = 50: the Gram entries span e^0 to e^-50.
+            cases.append((KernelSpec(family=SS1, c=0.7, beta=5.0), uniform_grid(20, 0.5, 0.5)))
+        for spec, g in cases:
+            report = completion_entropy_audit(spec, g, seed=9, trials=30)
+            assert report.identity_residual <= 1e-10
+            assert report.dominance
+            band = band_project(gram(spec, g).values)
+            gaps = [0.5 * np.sum(np.log1p(-maxent._partials(g.n, (9, k)) ** 2)) for k in range(30)]
+            deficits = np.asarray(report.candidate_entropies) - report.reference_entropy
+            assert report.identity_residual == pytest.approx(np.max(np.abs(deficits - gaps)), abs=1e-15)
+            assert report.reference_entropy == gaussian_entropy(band_extend(band))
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_capped_run_matches_uncapped(self, family, monkeypatch):
+        rng = np.random.default_rng(13)
         g = random_grid(rng, 20)
         spec = random_spec(rng, family)
-        report = completion_entropy_audit(spec, g, seed=4, trials=10)
+        want = completion_entropy_audit(spec, g, seed=4, trials=20)
+        # 7 candidates leave three chunks, the last one short; 0 bytes, one per chunk.
+        for cap in (7 * 20 * 20 * 8, 0):
+            monkeypatch.setattr(maxent, "_CANDIDATE_BYTES", cap)
+            got = completion_entropy_audit(spec, g, seed=4, trials=20)
+            # Batched einsum is not bit-stable across batch shapes.
+            np.testing.assert_allclose(got.candidate_entropies, want.candidate_entropies, rtol=1e-14)
+            assert got.reference_entropy == want.reference_entropy
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_extension_is_the_audit_candidate(self, family):
+        rng = np.random.default_rng(14)
+        g = random_grid(rng, 20)
+        spec = random_spec(rng, family)
+        report = completion_entropy_audit(spec, g, seed=6, trials=10)
         band = band_project(gram(spec, g).values)
-        want = [gaussian_entropy(extension_by_loop(band, (4, k))[0]) for k in range(10)]
-        assert list(report.candidate_entropies) == want
-        assert report.reference_entropy == gaussian_entropy(band_extend(band))
+        got = [gaussian_entropy(random_positive_extension(band, (6, k))) for k in range(10)]
+        np.testing.assert_allclose(got, report.candidate_entropies, rtol=1e-14)
+
+    def test_partials_are_drawn_lag_by_lag_in_one_draw(self):
+        band = kernel_band(SS1, 5, 0)
+        ext = random_positive_extension(band, 8)
+        partials = np.random.default_rng(8).uniform(-0.3, 0.3, size=6)
+        # Lag 2 holds pairs (0, 2), (1, 3), (2, 4); lag 3 (0, 3), (1, 4); lag 4 (0, 4).
+        np.testing.assert_allclose(ext, dvine_by_solve(band, partials), rtol=1e-13)
 
 
 class TestEntropyDominance:
@@ -272,6 +334,8 @@ class TestEntropyDominance:
         spec = KernelSpec(family=family, c=2.0, beta=None if family == WIENER else 0.8)
         report = increment_constrained_entropy_test(spec, g, seed=2, trials=100)
         assert report.dominance
+        # Each deficit is 1/2 ln det C, up to the dense entropies' rounding.
+        assert report.identity_residual <= 1e-7
         # First candidate is the identity correlation: same law, same entropy.
         assert report.candidate_entropies[0] == pytest.approx(report.reference_entropy, abs=1e-9)
         others = np.asarray(report.candidate_entropies[1:])
@@ -324,6 +388,14 @@ class TestReport:
         d = GaussianEntropyReport.from_entropies(1.0, [0.5]).to_dict()
         assert d["dominance"] is True
         assert d["candidate_entropies"] == [0.5]
+        assert d["identity_residual"] is None
+
+    def test_identity_residual_is_the_largest_gap_miss(self):
+        report = GaussianEntropyReport.from_entropies(1.0, [0.5, 0.25, 1.0], gaps=[-0.5, -0.5, 0.0])
+        assert report.identity_residual == 0.25
+        assert report.to_dict()["identity_residual"] == 0.25
+        with pytest.raises(ValueError):
+            GaussianEntropyReport.from_entropies(1.0, [0.5, 0.25], gaps=[-0.5])
 
 
 @settings(max_examples=40, deadline=None)
