@@ -8,26 +8,26 @@ is obtained by the multiplicative fill-in implemented in
 (see :mod:`stablekern.kernels`), so the completion reproduces the Gram
 matrix itself: the band determines the kernel.
 
-The completion audit checks that maximality against rival completions
-of the same band, built as a D-vine (Lewandowski, Kurowicka & Joe, J.
-Multivariate Anal. 100, 2009).  The band fixes the correlation of each
-neighbour pair, the first tree; each pair (i, j) further apart gets a
-partial correlation rho_ij|i+1..j-1 given the points between them, and
-any partials in (-1, 1) give a positive-definite completion.  Candidate
-k draws them uniformly in (-0.3, 0.3) from a generator seeded with
-(seed, k).  All-zero partials give the maximum-entropy completion, and
-a candidate's entropy falls short of it by exactly
+Two audits check maximality against rival laws built as D-vines
+(Lewandowski, Kurowicka & Joe, J. Multivariate Anal. 100, 2009).  A
+D-vine correlation matrix is fixed by the correlation of each neighbour
+pair and by a partial correlation rho_ij|i+1..j-1 for each pair further
+apart, given the points between them.  Any values in (-1, 1) give a
+positive-definite matrix, with log-determinant sum ln(1 - rho^2).
+Candidate k of an audit draws its free partials uniformly in (-0.3, 0.3)
+from a generator seeded with (seed, k), nothing is rejected, and its
+entropy falls short of the maximum by exactly
 
-    gap = 1/2 * sum ln(1 - rho^2)   over its out-of-band partials,
+    gap = 1/2 * sum ln(1 - rho^2)   over its drawn partials,
 
-so the audit checks an identity, not only dominance on a sample.
+so each audit checks an identity, not only dominance on a sample.
 
-The second audit approaches the same maximality from the process side:
-among all zero-mean Gaussian laws whose increments have the variances
-prescribed by the kernel, the kernel law (independent increments) has
-the largest entropy, with equality exactly when the increment
-correlation is the identity.  There the gap is 1/2 ln det C for the
-increment correlation C.
+The completion audit keeps the band and draws the out-of-band partials.
+The increment test approaches the same maximality from the process
+side: among all zero-mean Gaussian laws whose increments have the
+variances prescribed by the kernel, the kernel law (independent
+increments) has the largest entropy.  Its candidates correlate the
+increments through a D-vine C with all n(n-1)/2 partials drawn.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,12 +71,9 @@ ENTROPY_TOLERANCE = 1e-9
 
 _LOG_2PIE = math.log(2.0 * math.pi) + 1.0
 
-# Out-of-band partial correlations of a random extension are uniform on
+# The drawn partial correlations of an audit candidate are uniform on
 # (-_PARTIAL_BOUND, _PARTIAL_BOUND).
 _PARTIAL_BOUND = 0.3
-# Draws of a correlation matrix per increment-test candidate; a draw is
-# replaced only when rounding leaves it or its candidate singular.
-_CORRELATION_TRIES = 100
 # Upper bound on the bytes of the (candidates, n, n) stack held at once; at
 # large n the candidates of an audit are built in several chunks.
 _CANDIDATE_BYTES = 2 * 1024 * 1024
@@ -89,25 +86,22 @@ class GaussianEntropyReport:
     ``dominance`` is true when every candidate entropy is at most the
     reference entropy plus ``tolerance``.  ``identity_residual`` is the
     largest |(candidate - reference) - gap| over the candidates, where
-    gap is the candidate's entropy difference in closed form; it is None
-    when no closed form was given.
+    gap is the candidate's entropy difference in closed form.
     """
 
     reference_entropy: float
     candidate_entropies: Tuple[float, ...]
     dominance: bool
-    tolerance: float = ENTROPY_TOLERANCE
-    identity_residual: Optional[float] = None
+    tolerance: float
+    identity_residual: float
 
     @classmethod
-    def from_entropies(cls, reference: float, candidates, gaps=None) -> "GaussianEntropyReport":
+    def from_entropies(cls, reference: float, candidates, gaps) -> "GaussianEntropyReport":
         cand = tuple(float(h) for h in candidates)
         dom = all(h <= reference + ENTROPY_TOLERANCE for h in cand)
-        residual = None
-        if gaps is not None:
-            residual = max(abs((h - reference) - float(g)) for h, g in zip(cand, gaps, strict=True))
+        residual = max(abs((h - reference) - float(g)) for h, g in zip(cand, gaps, strict=True))
         return cls(reference_entropy=float(reference), candidate_entropies=cand, dominance=dom,
-                   identity_residual=residual)
+                   tolerance=ENTROPY_TOLERANCE, identity_residual=residual)
 
     @property
     def max_excess(self) -> float:
@@ -134,14 +128,27 @@ def band_project(m: np.ndarray) -> TridiagonalMatrix:
     return TridiagonalMatrix(diag=np.diag(a).copy(), offdiag=np.diag(a, 1).copy())
 
 
-def _check_completable(a: TridiagonalMatrix) -> None:
-    """Raise unless the band has finite entries and positive-definite 2x2 minors."""
+def _band_correlations(a: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Neighbour correlations rho of a band and 1 - rho^2; raise unless completable.
+
+    A band of finite entries is completable exactly when its diagonal
+    and every 1 - rho^2 are positive.  1 - rho^2 is taken as the Schur
+    complement d_{i+1} - o_i (o_i / d_i) over d_{i+1}: no product of two
+    diagonal entries, which underflows for small diagonals, and positive
+    where rho itself rounds to +-1.
+    """
     d = a.diag
     o = a.offdiag
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(o))):
         raise InvalidParameter("band entries must be finite")
-    if np.any(d <= 0.0) or np.any(d[:-1] * d[1:] - o * o <= 0.0):
-        raise NotCompletable("a contiguous 2x2 principal minor is not positive definite")
+    if np.all(d > 0.0):
+        # Only a band that is not completable can overflow here.
+        with np.errstate(over="ignore"):
+            v = (d[1:] - o * (o / d[:-1])) / d[1:]
+        if np.all(v > 0.0):
+            sd = np.sqrt(d)
+            return o / (sd[:-1] * sd[1:]), v
+    raise NotCompletable("a contiguous 2x2 principal minor is not positive definite")
 
 
 def band_extend(a: TridiagonalMatrix) -> np.ndarray:
@@ -150,24 +157,35 @@ def band_extend(a: TridiagonalMatrix) -> np.ndarray:
     Entries beyond the band are filled in order of increasing distance
     from the diagonal by the chain rule
 
-        M[i, j] = M[i, j-1] * M[j-1, j] / M[j-1, j-1],   j > i + 1,
+        M[i, j] = M[i, j-1] * (M[j-1, j] / M[j-1, j-1]),   j > i + 1,
 
-    which makes the completion's inverse tridiagonal.  A band of finite
+    which makes the completion's inverse tridiagonal; the ratio comes
+    first, as a product of two entries can underflow.  A band of finite
     entries is completable exactly when every contiguous 2x2 principal
     minor is positive definite.
     """
-    _check_completable(a)
+    _band_correlations(a)
     d = a.diag
     o = a.offdiag
     n = a.n
     m = np.diag(d.astype(float))
     idx = np.arange(n - 1)
     m[idx, idx + 1] = o
+    ratio = o / d[:-1]
     for j in range(2, n):
-        m[: j - 1, j] = m[: j - 1, j - 1] * m[j - 1, j] / m[j - 1, j - 1]
+        m[: j - 1, j] = m[: j - 1, j - 1] * ratio[j - 1]
     lower = np.tril_indices(n, -1)
     m[lower] = m.T[lower]
     return m
+
+
+def _entropies(cov: np.ndarray) -> np.ndarray:
+    """Differential entropies of N(0, cov) for a (k, n, n) stack, by one batched Cholesky."""
+    try:
+        low = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("covariance is not positive definite") from None
+    return 0.5 * cov.shape[-1] * _LOG_2PIE + np.sum(np.log(np.diagonal(low, axis1=1, axis2=2)), axis=1)
 
 
 def gaussian_entropy(cov: np.ndarray) -> float:
@@ -177,28 +195,26 @@ def gaussian_entropy(cov: np.ndarray) -> float:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidParameter("covariance entries must be finite")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("covariance is not positive definite") from None
-    n = a.shape[0]
-    return 0.5 * n * _LOG_2PIE + float(np.sum(np.log(np.diag(low))))
+    return float(_entropies(a[None])[0])
 
 
-def _partials(n: int, seed) -> np.ndarray:
-    """One candidate's out-of-band partial correlations, lag by lag (lag 2 first)."""
-    return np.random.default_rng(seed).uniform(-_PARTIAL_BOUND, _PARTIAL_BOUND, size=(n - 1) * (n - 2) // 2)
+def _partials(size: int, seed) -> np.ndarray:
+    """One candidate's ``size`` drawn partial correlations, lag by lag (shortest lag first)."""
+    return np.random.default_rng(seed).uniform(-_PARTIAL_BOUND, _PARTIAL_BOUND, size=size)
 
 
-def _dvine(a: TridiagonalMatrix, partials: np.ndarray) -> np.ndarray:
-    """The completions of band ``a`` with the given out-of-band partial correlations.
+def _dvine(rho: np.ndarray, v: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """D-vine correlation matrices from neighbour correlations and longer-lag partials.
 
-    ``partials`` holds one candidate per row, ordered as :func:`_partials`
-    draws them; the result is a (candidates, n, n) stack.  Correlations
-    are built lag by lag by a non-stationary lattice (Levinson)
-    recursion.  For the pair (i, j) and the window W = i+1..j-1 between
-    them, psi regresses x_i on W (backward), phi regresses x_j on W
-    (forward), and vb, vf are their residual variances; then
+    ``rho`` holds the lag-1 correlations and ``v`` their 1 - rho^2, each
+    broadcastable to (candidates, n - 1); ``partials`` holds one
+    candidate per row, lag by lag from lag 2, each lag in row order.
+    The result is a (candidates, n, n) stack with unit diagonal.
+    Correlations are built lag by lag by a non-stationary lattice
+    (Levinson) recursion.  For the pair (i, j) and the window
+    W = i+1..j-1 between them, psi regresses x_i on W (backward), phi
+    regresses x_j on W (forward), and vb, vf are their residual
+    variances; then
 
         r_ij = psi . R[W, j] + rho * sqrt(vb * vf).
 
@@ -209,22 +225,15 @@ def _dvine(a: TridiagonalMatrix, partials: np.ndarray) -> np.ndarray:
         phi <- [k_f, phi - k_f psi],   psi <- [psi - k_b phi, k_b],
         vf <- (1 - rho^2) vf,          vb <- (1 - rho^2) vb.
 
-    That is O(lag) work per entry, O(n^3) per candidate.  The band
-    must be completable; its entries are written back as given, so they
-    are bit-exact.
+    That is O(lag) work per entry, O(n^3) per candidate.
     """
     k = partials.shape[0]
-    n = a.n
-    sd = np.sqrt(a.diag)
-    rho = a.offdiag / (sd[:-1] * sd[1:])
-    # 1 - rho^2 from the 2x2 minors, positive for any completable band even
-    # where rho itself rounds to +-1.
-    pairs = a.diag[:-1] * a.diag[1:]
-    v = (pairs - a.offdiag * a.offdiag) / pairs
-    # low[:, j, l] = R[j, j - l] for l >= 1.  Coefficients are stored nearest
-    # to j first, so R[W, j] for the pairs (j - lag, j) is low[:, lag:, 1:lag].
+    n = np.shape(rho)[-1] + 1
+    # low[:, j, l] = R[j, j - l].  Coefficients are stored nearest to j
+    # first, so R[W, j] for the pairs (j - lag, j) is low[:, lag:, 1:lag].
     low = np.zeros((k, n, n))
-    low[:, 1:, 1] = rho
+    low[:, :, 0] = 1.0
+    low[:, 1:, 1:2] = rho[..., None]
     # Lag 1: W is empty, both variances are 1 and k_f = k_b = rho.
     rho = np.broadcast_to(rho, (k, n - 1))
     v = np.broadcast_to(v, (k, n - 1))
@@ -247,17 +256,41 @@ def _dvine(a: TridiagonalMatrix, partials: np.ndarray) -> np.ndarray:
         v = (1.0 - rho) * (1.0 + rho)
         vb = vb[:, :-1] * v[:, :-1]
         vf = vf[:, 1:] * v[:, 1:]
-    # Scale to covariances in the same buffer, then restore the band as given.
+    # From lags to matrix positions, in the same buffer.
     rows, cols = np.tril_indices(n)
     values = low[:, rows, rows - cols]
-    values *= sd[rows] * sd[cols]
     low[:, rows, cols] = values
     low[:, cols, rows] = values
-    idx = np.arange(n)
-    low[:, idx, idx] = a.diag
-    low[:, idx[:-1], idx[1:]] = a.offdiag
-    low[:, idx[1:], idx[:-1]] = a.offdiag
     return low
+
+
+def _completions(a: TridiagonalMatrix, partials: np.ndarray) -> np.ndarray:
+    """D-vine completions of band ``a``, one per row of ``partials``; the band is written back bit-exactly."""
+    cov = _dvine(*_band_correlations(a), partials)
+    sd = np.sqrt(a.diag)
+    cov *= np.outer(sd, sd)
+    idx = np.arange(a.n)
+    cov[:, idx, idx] = a.diag
+    cov[:, idx[:-1], idx[1:]] = a.offdiag
+    cov[:, idx[1:], idx[:-1]] = a.offdiag
+    return cov
+
+
+def _audit(reference: float, n: int, trials: int, draw, build) -> GaussianEntropyReport:
+    """Judge candidates 0..trials-1 against the ``reference`` entropy.
+
+    Candidate k has the partial correlations ``draw(k)``, and ``build``
+    maps a (chunk, size) array of them to candidate covariances.  Chunks
+    keep the (chunk, n, n) stack within ``_CANDIDATE_BYTES``, and each
+    is judged by one batched Cholesky.
+    """
+    chunk = max(1, _CANDIDATE_BYTES // (8 * n * n))
+    entropies, gaps = [], []
+    for first in range(0, trials, chunk):
+        partials = np.array([draw(k) for k in range(first, min(first + chunk, trials))])
+        entropies.extend(_entropies(build(partials)))
+        gaps.extend(0.5 * np.log1p(-partials * partials).sum(axis=1))
+    return GaussianEntropyReport.from_entropies(reference, entropies, gaps)
 
 
 def random_positive_extension(a: TridiagonalMatrix, seed) -> np.ndarray:
@@ -275,28 +308,7 @@ def random_positive_extension(a: TridiagonalMatrix, seed) -> np.ndarray:
     _check_seed(seed)
     if a.n < 3:
         raise InvalidParameter("extensions beyond the band need n >= 3")
-    _check_completable(a)
-    return _dvine(a, _partials(a.n, seed)[None])[0]
-
-
-def _correlated_entropy(root: np.ndarray, rng: np.random.Generator) -> Tuple[float, float]:
-    """Entropy of N(0, root C root') for a random correlation matrix C, and 1/2 ln det C.
-
-    C is the Gram matrix of n random unit rows.  When C is close to
-    singular, rounding can leave C or the candidate covariance without a
-    Cholesky factor; such a draw is replaced by the next one from ``rng``.
-    """
-    n = root.shape[0]
-    for _ in range(_CORRELATION_TRIES):
-        g = rng.standard_normal((n, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        try:
-            low = np.linalg.cholesky(g @ g.T)
-            mixed = root @ low
-            return gaussian_entropy(mixed @ mixed.T), float(np.sum(np.log(np.diag(low))))
-        except (np.linalg.LinAlgError, NotPositiveDefinite):
-            continue
-    raise NotPositiveDefinite(f"no positive-definite correlated candidate found in {_CORRELATION_TRIES} draws")
+    return _completions(a, _partials((a.n - 1) * (a.n - 2) // 2, seed)[None])[0]
 
 
 def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, seed, trials: int) -> GaussianEntropyReport:
@@ -304,30 +316,26 @@ def increment_constrained_entropy_test(spec: KernelSpec, grid: SamplingGrid, see
 
     The kernel law is h = U z, U the structured square root of the Gram
     matrix and z independent unit innovations of the chain (for SS-1
-    its standardized increments).  Each candidate correlates the
-    innovations through a random correlation matrix C; its entropy
-    differs from the kernel entropy by half the log-determinant of C,
-    which is never positive.  The first candidate always uses the
-    identity correlation and must therefore match the reference entropy
-    up to rounding.  The reference is the closed form
-    (n/2) ln(2 pi e) + (1/2) ln det P, the candidates are dense
-    entropies, and ``identity_residual`` compares their differences
-    with 1/2 ln det C from the Cholesky factor of C.
-
-    Trial k draws from a generator seeded with (seed, k), so trials are
-    reproducible individually and the report is deterministic given
-    ``seed``.  A correlation matrix so close to singular that the
-    candidate covariance has no Cholesky factor in floating point is
-    redrawn from the same generator.
+    its standardized increments).  Candidate k has covariance U C_k U',
+    C_k a D-vine correlation matrix whose n(n-1)/2 partials, lag 1
+    first, are drawn uniformly in (-0.3, 0.3) from a generator seeded
+    with (seed, k); its gap is 1/2 ln det C_k.  Candidate 0 keeps them
+    zero, so C_0 = I and it matches the reference up to rounding.  The
+    reference is the closed form (n/2) ln(2 pi e) + (1/2) ln det P; the
+    candidates are dense entropies.
     """
     _check_seed(seed)
     _check_count(trials, "need at least one trial, got {!r}")
+    n = grid.n
+    size = n * (n - 1) // 2
     root = sqrt_factor(spec, grid).to_dense()
-    reference = 0.5 * grid.n * _LOG_2PIE + 0.5 * log_det(spec, grid)
-    candidates = [(gaussian_entropy(root @ root.T), 0.0)]
-    candidates += [_correlated_entropy(root, np.random.default_rng((seed, k))) for k in range(1, trials)]
-    entropies, gaps = zip(*candidates)
-    return GaussianEntropyReport.from_entropies(reference, entropies, gaps)
+    reference = 0.5 * n * _LOG_2PIE + 0.5 * log_det(spec, grid)
+
+    def build(partials):
+        rho = partials[:, : n - 1]
+        return root @ _dvine(rho, (1.0 - rho) * (1.0 + rho), partials[:, n - 1:]) @ root.T
+
+    return _audit(reference, n, trials, lambda k: _partials(size, (seed, k)) if k else np.zeros(size), build)
 
 
 def completion_entropy_audit(spec: KernelSpec, grid: SamplingGrid, seed, trials: int) -> GaussianEntropyReport:
@@ -335,31 +343,18 @@ def completion_entropy_audit(spec: KernelSpec, grid: SamplingGrid, seed, trials:
 
     Projects the Gram matrix to its band, rebuilds the maximum-entropy
     completion (which reproduces the Gram matrix) as the reference, and
-    compares it with ``trials`` D-vine completions of the same band.
-    Candidate k draws its out-of-band partial correlations uniformly in
-    (-0.3, 0.3) from a generator seeded with (seed, k): it is
-    ``random_positive_extension(band, (seed, k))``.  Every entropy is the
-    dense :func:`gaussian_entropy`; ``identity_residual`` compares each
-    candidate's difference from the reference with the closed form
-    1/2 sum ln(1 - rho^2) over its partials.  Candidates are built in
-    chunks that keep the (chunk, n, n) stack within 2 MiB.
+    compares it with ``trials`` D-vine completions of the same band:
+    candidate k is ``random_positive_extension(band, (seed, k))``.  Every
+    entropy is dense, and candidates are built in chunks that keep the
+    (chunk, n, n) stack within 2 MiB.
     """
     _check_seed(seed)
     _check_count(trials, "need at least one trial, got {!r}")
     band = band_project(gram(spec, grid).values)
     reference = gaussian_entropy(band_extend(band))
-    chunk = max(1, _CANDIDATE_BYTES // (8 * band.n * band.n))
-    entropies, gaps = [], []
-    for first in range(0, trials, chunk):
-        partials = np.array([_partials(band.n, (seed, k)) for k in range(first, min(first + chunk, trials))])
-        entropies += [gaussian_entropy(cand) for cand in _dvine(band, partials)]
-        gaps += list(0.5 * np.log1p(-partials * partials).sum(axis=1))
-    report = GaussianEntropyReport.from_entropies(reference, entropies, gaps)
-    _log.info(
-        "completion audit: %d candidates, max entropy excess %.3e, identity residual %.3e (dominance=%s)",
-        trials,
-        report.max_excess,
-        report.identity_residual,
-        report.dominance,
-    )
+    size = (band.n - 1) * (band.n - 2) // 2
+    report = _audit(reference, band.n, trials, lambda k: _partials(size, (seed, k)),
+                    lambda partials: _completions(band, partials))
+    _log.info("completion audit: %d candidates, max entropy excess %.3e, identity residual %.3e (dominance=%s)",
+              trials, report.max_excess, report.identity_residual, report.dominance)
     return report

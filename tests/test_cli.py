@@ -656,7 +656,13 @@ class TestGoldenBytes:
     path.  The two ``maxent-audit`` digests were re-recorded when the
     completion candidates became D-vine completions and both reports
     gained ``identity_residual``; the increment entropies kept their
-    bytes.
+    bytes.  They were re-recorded again, with ``extend`` and the SS-1
+    ``check``, when the increment candidates became D-vine correlations
+    and the fill-in took the ratio M[j-1, j] / M[j-1, j-1] before the
+    product.  The increment section holds new candidates.  The completion
+    numbers, the extended band and the SS-1 ``band_roundtrip`` residual
+    moved in the last bits, by about the old values' own error against
+    60-digit arithmetic.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -672,7 +678,7 @@ class TestGoldenBytes:
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
             "factor": "79296d7fcb57b2f80fe3d020ff5c3d276d16a29e3dd055821bb3e0d36d926837",
             "sqrt": "feb0d5f56d691c17ff44539a0a39e63112e883cab4a00ac07a8e6097574e76f8",
-            "maxent-audit": "5a382fab28cd2bd178059d94a748ff4579ab4f903708b9b3fd899ed899f402e4",
+            "maxent-audit": "889ecba5a8117944a90294a41589ac2c85469ec561435adde892d598ca641b24",
             "check": "04cd1fae5d0bab3e5c9fed78220183f059445aecf141241348eae36591cd6e61",
         },
         "ss1": {
@@ -683,10 +689,10 @@ class TestGoldenBytes:
             "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
             "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
             "sqrt": "ca713e43346febe458f032c2d3c8736117d65744fa0a18744fb707269ed697c7",
-            "maxent-audit": "10622e132977211a70a1a9cd2ef456818438396502ea04e56d99ec0530f90b16",
-            "check": "b66dad8dd56378b17565018e775854b5f92035b01999871311c81ed089ca466e",
+            "maxent-audit": "f9f0ae211dbcf13a411742e0f74f63f66607fbb8fb126bd206ed4410e50f1378",
+            "check": "329115f61927c9ab8da92e0017edcc1e2093deaa3eedbe3a0bde1977c409c7c4",
         },
-        "extend": "83f023398a05eb49fb08206858cf10a24dd9ac3e7a22165e510dab994bb00cc5",
+        "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
             "wiener": {"free": "592508b455523f7bbb48fcb1a847e821b127b7040ce44db33d3cdc7358da550e",
                        "fixed": "86835cd6713fa50ae13a6658b2e3919a9807e7ddca6f308f2c6edf4b930e2c90"},

@@ -3,7 +3,8 @@
 The cancellation-prone quantities (tiny-beta increments, log-determinants
 whose raw determinants underflow float64) are recomputed here with mpmath
 and compared both to the frozen constants pinned elsewhere in the suite
-and to the library's float64 closed forms.
+and to the library's float64 closed forms.  So is the band completion's
+fill-in, whose entries are products along the chain.
 """
 
 import warnings
@@ -12,7 +13,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablekern import SS1, KernelSpec, log_det, make_grid, stable_increments, uniform_grid
+from stablekern import (
+    SS1,
+    WIENER,
+    KernelSpec,
+    TridiagonalMatrix,
+    band_extend,
+    band_project,
+    gram,
+    log_det,
+    make_grid,
+    stable_increments,
+    uniform_grid,
+)
+
+from helpers import random_grid, random_spec
 
 mpmath.mp.dps = 60
 
@@ -95,3 +110,30 @@ class TestIncrementsBelowTheFloatRange:
                 ld = log_det(KernelSpec(family=SS1, c=c, beta=beta), make_grid(times))
             ref = mp_log_det([float(t) for t in times], beta, c)
             assert ld == pytest.approx(float(ref), rel=1e-13)
+
+
+class TestBandCompletion:
+    def test_fill_matches_sixty_digits(self):
+        # M[i, j] = o_i * prod_{i < l < j} (o_l / d_l): one division and one
+        # product per step, so to first order the relative error is at most
+        # 2 (j - i - 1) units of roundoff.
+        u = 2.0**-53
+        rng = np.random.default_rng(43)
+        worst = 0.0
+        for trial in range(30):
+            if trial % 3 < 2:
+                spec = random_spec(rng, (WIENER, SS1)[trial % 3])
+                band = band_project(gram(spec, random_grid(rng, 16)).values)
+            else:
+                diag = rng.uniform(0.1, 10.0, size=16)
+                off = rng.uniform(-0.95, 0.95, size=15) * np.sqrt(diag[:-1] * diag[1:])
+                band = TridiagonalMatrix(diag=diag, offdiag=off)
+            m = band_extend(band)
+            for i in range(band.n - 2):
+                exact = mpmath.mpf(band.offdiag[i])
+                for j in range(i + 2, band.n):
+                    exact *= mpmath.mpf(band.offdiag[j - 1]) / mpmath.mpf(band.diag[j - 1])
+                    err = float(abs((mpmath.mpf(m[i, j]) - exact) / exact))
+                    assert err <= 2 * (j - i - 1) * u
+                    worst = max(worst, err)
+        assert worst <= 1e-15

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, every name
-a module exports exists, the package exports exactly the modules' names,
+"""Every name a library module imports is used in that module, every
+private module-level name is read somewhere in the package, every name a
+module exports exists, the package exports exactly the modules' names,
 and no library module reaches into numpy's private modules or names.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
@@ -106,6 +107,50 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str):
+    """(line, name) of each module-level private function, class or constant (dunders aside)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def dead_private_names(sources):
+    """(file, line, name) of each private module-level name that no source reads.
+
+    A read is a loaded bare name or an attribute name anywhere in
+    ``sources`` (file name -> text); an import alone is not a read.
+    """
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((name, line, private) for name, source in sources.items()
+                  for line, private in private_definitions(source) if private not in read)
+
+
+def test_scan_finds_a_dead_private_name():
+    sources = {"a.py": ("_USED = 1\n_DEAD = 2\ndef _helper():\n    return _USED\n"
+                        "class _Orphan:\n    pass\n__all__ = []\n"),
+               "b.py": "import a\nfrom a import _DEAD\nx = a._helper()\n"}
+    assert dead_private_names(sources) == [("a.py", 2, "_DEAD"), ("a.py", 5, "_Orphan")]
+
+
+def test_no_dead_private_names():
+    # A deletion that leaves a private helper or constant behind fails here.
+    assert dead_private_names({p.name: p.read_text(encoding="utf-8") for p in SOURCES}) == []
 
 
 def test_every_export_resolves():

@@ -23,6 +23,7 @@ from stablekern import (
     maxent,
     oracle,
     random_positive_extension,
+    sqrt_factor,
     uniform_grid,
 )
 
@@ -44,7 +45,7 @@ def band_extend_by_loop(a):
     for dist in range(2, n):
         for i in range(n - dist):
             j = i + dist
-            m[i, j] = m[i, j - 1] * m[j - 1, j] / m[j - 1, j - 1]
+            m[i, j] = m[i, j - 1] * (m[j - 1, j] / m[j - 1, j - 1])
             m[j, i] = m[i, j]
     return m
 
@@ -118,6 +119,23 @@ class TestBandExtend:
         skel = TridiagonalMatrix(diag=np.array([1.0, 1.0, 1.0]), offdiag=np.array([1.1, 0.2]))
         with pytest.raises(errors.NotCompletable):
             band_extend(skel)
+        # o_0 / d_0 is past the float range; no overflow warning escapes.
+        skel = TridiagonalMatrix(diag=np.array([1e-300, 1.0, 1.0]), offdiag=np.array([1e10, 0.2]))
+        with pytest.raises(errors.NotCompletable):
+            band_extend(skel)
+
+    def test_small_diagonals_do_not_underflow(self):
+        # The diagonal runs from 8e-40 down to 4e-196, so the product of two
+        # neighbouring diagonal entries underflows: such a product made this
+        # Gram band look not completable, and zeroed the fill-in.
+        spec = KernelSpec(family=SS1, c=1.0, beta=1.0)
+        g = uniform_grid(5, 90.0, 90.0)
+        p = gram(spec, g).values
+        assert np.max(np.abs(band_extend(band_project(p)) - p) / np.abs(p)) <= 1e-12
+        for audit in (completion_entropy_audit, increment_constrained_entropy_test):
+            report = audit(spec, g, seed=0, trials=20)
+            assert report.dominance
+            assert report.identity_residual <= 1e-10
 
     def test_not_completable_diag(self):
         skel = TridiagonalMatrix(diag=np.array([1.0, -1.0, 1.0]), offdiag=np.array([0.1, 0.1]))
@@ -221,7 +239,7 @@ class TestDVine:
     def test_lattice_matches_the_per_entry_solve(self, family, n):
         band = kernel_band(family, n, n)
         partials = np.random.default_rng(n + 1).uniform(-0.3, 0.3, size=(4, (n - 1) * (n - 2) // 2))
-        got = maxent._dvine(band, partials)
+        got = maxent._completions(band, partials)
         scale = np.sqrt(np.outer(band.diag, band.diag))
         for cand, row in zip(got, partials):
             assert np.max(np.abs(cand - dvine_by_solve(band, row)) / scale) <= 1e-12
@@ -231,7 +249,7 @@ class TestDVine:
         for n in (3, 20, 60):
             band = kernel_band(family, n, n)
             want = band_extend(band)
-            got = maxent._dvine(band, np.zeros((2, (n - 1) * (n - 2) // 2)))
+            got = maxent._completions(band, np.zeros((2, (n - 1) * (n - 2) // 2)))
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
@@ -257,7 +275,7 @@ class TestDVine:
             partials = np.zeros((1, (n - 1) * (n - 2) // 2))
             partials[0, start:start + n - lag] = rng.choice([-0.999, 0.999], size=n - lag)
             start += n - lag
-            oracle.dense_chol(maxent._dvine(band, partials)[0])
+            oracle.dense_chol(maxent._completions(band, partials)[0])
 
     def test_band_correlation_rounding_to_one(self):
         # The first 2x2 minor 9 - o^2 is positive, but o / (sqrt(3) * sqrt(3))
@@ -279,7 +297,8 @@ class TestDVine:
             assert report.identity_residual <= 1e-10
             assert report.dominance
             band = band_project(gram(spec, g).values)
-            gaps = [0.5 * np.sum(np.log1p(-maxent._partials(g.n, (9, k)) ** 2)) for k in range(30)]
+            size = (g.n - 1) * (g.n - 2) // 2
+            gaps = [0.5 * np.sum(np.log1p(-maxent._partials(size, (9, k)) ** 2)) for k in range(30)]
             deficits = np.asarray(report.candidate_entropies) - report.reference_entropy
             assert report.identity_residual == pytest.approx(np.max(np.abs(deficits - gaps)), abs=1e-15)
             assert report.reference_entropy == gaussian_entropy(band_extend(band))
@@ -289,14 +308,16 @@ class TestDVine:
         rng = np.random.default_rng(13)
         g = random_grid(rng, 20)
         spec = random_spec(rng, family)
-        want = completion_entropy_audit(spec, g, seed=4, trials=20)
+        audits = (completion_entropy_audit, increment_constrained_entropy_test)
+        wants = [audit(spec, g, seed=4, trials=20) for audit in audits]
         # 7 candidates leave three chunks, the last one short; 0 bytes, one per chunk.
         for cap in (7 * 20 * 20 * 8, 0):
             monkeypatch.setattr(maxent, "_CANDIDATE_BYTES", cap)
-            got = completion_entropy_audit(spec, g, seed=4, trials=20)
-            # Batched einsum is not bit-stable across batch shapes.
-            np.testing.assert_allclose(got.candidate_entropies, want.candidate_entropies, rtol=1e-14)
-            assert got.reference_entropy == want.reference_entropy
+            for audit, want in zip(audits, wants):
+                got = audit(spec, g, seed=4, trials=20)
+                # Batched einsum and matmul are not bit-stable across batch shapes.
+                np.testing.assert_allclose(got.candidate_entropies, want.candidate_entropies, rtol=1e-14)
+                assert got.reference_entropy == want.reference_entropy
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
     def test_extension_is_the_audit_candidate(self, family):
@@ -314,6 +335,55 @@ class TestDVine:
         partials = np.random.default_rng(8).uniform(-0.3, 0.3, size=6)
         # Lag 2 holds pairs (0, 2), (1, 3), (2, 4); lag 3 (0, 3), (1, 4); lag 4 (0, 4).
         np.testing.assert_allclose(ext, dvine_by_solve(band, partials), rtol=1e-13)
+
+
+class TestIncrementLaw:
+    """Increment candidates U C U', C a D-vine correlation matrix drawn from (seed, k)."""
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_candidates_are_dvine_correlations(self, family):
+        rng = np.random.default_rng(16)
+        n = 8
+        spec, g = random_spec(rng, family), random_grid(rng, n)
+        report = increment_constrained_entropy_test(spec, g, seed=11, trials=6)
+        root = sqrt_factor(spec, g).to_dense()
+        size = n * (n - 1) // 2
+        for k, entropy in enumerate(report.candidate_entropies):
+            partials = maxent._partials(size, (11, k)) if k else np.zeros(size)
+            rho = partials[None, :n - 1]
+            c = maxent._dvine(rho, (1.0 - rho) * (1.0 + rho), partials[None, n - 1:])[0]
+            assert np.array_equal(np.diag(c), np.ones(n))
+            assert np.array_equal(c, c.T)
+            unit_band = TridiagonalMatrix(diag=np.ones(n), offdiag=partials[:n - 1])
+            assert np.max(np.abs(c - dvine_by_solve(unit_band, partials[n - 1:]))) <= 1e-12
+            assert entropy == pytest.approx(gaussian_entropy(root @ c @ root.T), rel=1e-14)
+            if k == 0:
+                assert np.array_equal(c, np.eye(n))
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_one_and_two_points(self, family):
+        assert np.array_equal(maxent._dvine(np.zeros((3, 0)), np.ones((3, 0)), np.zeros((3, 0))), np.ones((3, 1, 1)))
+        two = maxent._dvine(np.array([0.4]), np.array([0.84]), np.zeros((2, 0)))
+        assert np.array_equal(two, np.array([[[1.0, 0.4], [0.4, 1.0]]] * 2))
+        spec = KernelSpec(family=family, c=1.5, beta=None if family == WIENER else 0.7)
+        one = increment_constrained_entropy_test(spec, make_grid([2.0]), seed=3, trials=4)
+        # C is 1x1: every candidate is the kernel law.
+        np.testing.assert_allclose(one.candidate_entropies, one.reference_entropy, rtol=1e-15)
+        pair = increment_constrained_entropy_test(spec, make_grid([0.5, 2.0]), seed=3, trials=4)
+        rho = np.array([maxent._partials(1, (3, k))[0] for k in range(1, 4)])
+        deficits = np.asarray(pair.candidate_entropies[1:]) - pair.reference_entropy
+        np.testing.assert_allclose(deficits, 0.5 * np.log1p(-rho * rho), rtol=1e-12)
+        for report in (one, pair):
+            assert report.dominance
+            assert report.identity_residual <= 1e-14
+
+    @pytest.mark.parametrize("n", [4, 20, 60])
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_identity_residual(self, family, n):
+        rng = np.random.default_rng(n)
+        report = increment_constrained_entropy_test(random_spec(rng, family), random_grid(rng, n), seed=5, trials=30)
+        assert report.dominance
+        assert report.identity_residual <= 1e-10
 
 
 class TestEntropyDominance:
@@ -335,7 +405,7 @@ class TestEntropyDominance:
         report = increment_constrained_entropy_test(spec, g, seed=2, trials=100)
         assert report.dominance
         # Each deficit is 1/2 ln det C, up to the dense entropies' rounding.
-        assert report.identity_residual <= 1e-7
+        assert report.identity_residual <= 1e-10
         # First candidate is the identity correlation: same law, same entropy.
         assert report.candidate_entropies[0] == pytest.approx(report.reference_entropy, abs=1e-9)
         others = np.asarray(report.candidate_entropies[1:])
@@ -343,19 +413,16 @@ class TestEntropyDominance:
         assert np.all(others < report.reference_entropy)
 
     def test_near_singular_correlation_is_redrawn(self):
-        # Trial 46 of this seed draws a correlation matrix so close to singular
-        # that the candidate covariance had no Cholesky factor in floating point,
-        # and the whole test raised NotPositiveDefinite.
+        # When C was the Gram matrix of random unit rows, trial 46 of this seed
+        # drew a C so close to singular that its candidate had no Cholesky
+        # factor in floating point.  A D-vine C with partials in (-0.3, 0.3)
+        # is well conditioned, so every candidate has one.
         times = [1.26, 2.26, 3.37, 4.42, 5.77, 6.92, 7.48, 7.85, 9.07, 9.49,
                  10.88, 11.0, 12.33, 12.47, 13.68, 14.84, 14.98, 16.28, 16.69, 17.22]
         spec = KernelSpec(family=WIENER, c=9.634590487177686)
         report = increment_constrained_entropy_test(spec, make_grid(times), seed=1057115397, trials=47)
         assert report.dominance
         assert np.all(np.isfinite(report.candidate_entropies))
-
-    def test_correlated_candidates_give_up_on_a_singular_root(self):
-        with pytest.raises(errors.NotPositiveDefinite, match="100 draws"):
-            maxent._correlated_entropy(np.zeros((3, 3)), np.random.default_rng(0))
 
     def test_float_seed(self):
         with pytest.raises(errors.InvalidParameter, match="seed"):
@@ -378,17 +445,17 @@ class TestEntropyDominance:
 
 class TestReport:
     def test_dominance_flag_uses_tolerance(self):
-        ok = GaussianEntropyReport.from_entropies(1.0, [0.5, 1.0 + 0.5e-9])
+        ok = GaussianEntropyReport.from_entropies(1.0, [0.5, 1.0 + 0.5e-9], gaps=[-0.5, 0.0])
         assert ok.dominance
-        bad = GaussianEntropyReport.from_entropies(1.0, [0.5, 1.0 + 2e-9])
+        bad = GaussianEntropyReport.from_entropies(1.0, [0.5, 1.0 + 2e-9], gaps=[-0.5, 0.0])
         assert not bad.dominance
         assert bad.max_excess == pytest.approx(2e-9)
 
     def test_to_dict_is_json_ready(self):
-        d = GaussianEntropyReport.from_entropies(1.0, [0.5]).to_dict()
+        d = GaussianEntropyReport.from_entropies(1.0, [0.5], gaps=[-0.5]).to_dict()
         assert d["dominance"] is True
         assert d["candidate_entropies"] == [0.5]
-        assert d["identity_residual"] is None
+        assert d["identity_residual"] == 0.0
 
     def test_identity_residual_is_the_largest_gap_miss(self):
         report = GaussianEntropyReport.from_entropies(1.0, [0.5, 0.25, 1.0], gaps=[-0.5, -0.5, 0.0])
