@@ -4,14 +4,19 @@ The model is y = Phi h + e with Phi the Toeplitz regressor of the input
 (zero initial conditions), e ~ N(0, sigma2 * I), and a zero-mean
 Gaussian prior h ~ N(0, P) with P the Gram matrix of a Wiener or SS-1
 kernel on the coefficient grid.  All linear algebra happens at the FIR
-order n, never at the data length N: the prior enters only through its
-closed-form tridiagonal inverse and log-determinant, and the N-dim
-log-determinant and quadratic form are folded down to n-dim identities.
+order n, never at the data length N.  The log marginal likelihood is
+evaluated in the prior's whitened coordinates: with P = c U U' (U the
+closed-form square root at c = 1), the N-dim log-determinant and
+quadratic form fold down to n-dim identities in M = I + (c / sigma2)
+U'Phi'Phi U, whose eigenvalues are all at least 1.  The posterior mean
+uses the prior's closed-form tridiagonal inverse.
 
 Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
 ``fit`` builds Phi once and folds the data into these statistics once,
-in O(N n^2); every tuning candidate and the final posterior mean then
-cost O(n^3), independent of N.
+in O(N n^2).  Whitening costs O(n^3) once, for the part of U shared by
+every beta, and O(n^2) per beta; all of one beta's grid candidates then
+go through one batched Cholesky, O(n^3) each.  The final posterior mean
+costs O(n^3).  None of it depends on N.
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional simplex refinement in
@@ -23,6 +28,7 @@ can never fall below a grid point.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -42,7 +48,7 @@ from .errors import (
 )
 from .grid import SamplingGrid
 from .kernels import SS1, WIENER, KernelSpec
-from .structure import closed_form_inverse, log_det
+from .structure import closed_form_inverse, sqrt_factor
 
 __all__ = [
     "EstimationProblem",
@@ -53,6 +59,8 @@ __all__ = [
     "log_marginal_likelihood",
     "fit",
 ]
+
+_log = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -157,18 +165,95 @@ def _posterior_mean(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: Sa
     return scipy.linalg.cho_solve(cho, rhs)
 
 
-def _log_ml(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
-    import scipy.linalg
+@dataclass(frozen=True, eq=False)
+class _Whitened:
+    """The folded data in the coordinates of the c = 1 prior's square root U = W diag(s).
 
-    cho = _posterior_factor(stats, sigma2, spec, grid)
-    b = stats.cross
-    ldet_a = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    ldet_cov = log_det(spec, grid) + ldet_a + stats.n_data * math.log(sigma2)
+    W is the unit triangle of :meth:`StructuredSqrt.unit_triangle`, the
+    same at every beta, and s = inv_diag.  ``summed`` holds W'Phi'Phi W
+    and W'Phi'y, which a scan over beta forms once.
+    """
+
+    summed: Tuple[np.ndarray, np.ndarray]
+    gram: np.ndarray  # U'Phi'Phi U
+    cross: np.ndarray  # U'Phi'y
+
+
+def _whiten(stats: _DataStats, family: str, beta: Optional[float], grid: SamplingGrid,
+            summed: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> _Whitened:
+    """Whiten the folded data by the closed-form square root of the c = 1 prior at ``beta``.
+
+    O(n^2) given the ``summed`` data of any beta of the same family and
+    grid; O(n^3) without.
+    """
+    root = sqrt_factor(KernelSpec(family=family, c=1.0, beta=beta), grid)
+    # Overflow is reported per candidate, by the finiteness check of its system.
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = (stats.yy - b @ scipy.linalg.cho_solve(cho, b) / sigma2) / sigma2
-    if not math.isfinite(quad):
-        raise InvalidParameter(f"the data are too large for sigma2={sigma2!r}: y'y / sigma2 overflows the float range")
-    return -0.5 * (stats.n_data * _LOG_2PI + ldet_cov + quad)
+        if summed is None:
+            w = root.unit_triangle()
+            summed = (w.T @ stats.gram @ w, stats.cross @ w)
+        gram, cross = summed
+        s = root.inv_diag
+        return _Whitened(summed=summed, gram=gram * s[:, None] * s, cross=cross * s)
+
+
+def _cholesky(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (k, m, m) stack; NaN fills each factor that does not exist."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        if stack.shape[0] == 1:
+            return np.full_like(stack, np.nan)
+        return np.concatenate([_cholesky(one[None]) for one in stack])
+
+
+def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray) -> list:
+    """Log marginal likelihoods of the candidates (c[k], sigma2[k]) at one beta.
+
+    Each entry is a float, or the StableKernError of a candidate whose
+    system leaves the float range or has no Cholesky factor.  With
+    lam = c / sigma2, M = I + lam U'Phi'Phi U and b = U'Phi'y,
+
+        ln det(Phi P Phi' + sigma2 I) = N ln sigma2 + ln det M,
+        y'(Phi P Phi' + sigma2 I)^{-1} y = (y'y - lam b'M^{-1}b) / sigma2.
+
+    All candidates go through one batched Cholesky of the bordered
+    matrices [[M, g], [g', 2]], g = sqrt(lam) b / 2^e, with e the integer
+    for which y'y / 4^e lies in [1/4, 1).  Its first n pivots give
+    ln det M, and its last row is (L^{-1} g)', whose squared norm is
+    lam b'M^{-1}b / 4^e <= y'y / 4^e < 1: the last pivot stays above 1,
+    and no entry overflows for any finite y'y.
+    """
+    count, n = c.shape[0], white.gram.shape[0]
+    shift = (math.frexp(stats.yy)[1] + 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = c / sigma2
+        stack = np.empty((count, n + 1, n + 1))
+        np.multiply(lam[:, None, None], white.gram, out=stack[:, :n, :n])
+        np.multiply(np.sqrt(lam)[:, None], np.ldexp(white.cross, -shift), out=stack[:, n, :n])
+        stack[:, :n, n] = stack[:, n, :n]
+        stack[:, n, n] = 1.0
+        stack.reshape(count, -1)[:, :: n + 2] += 1.0
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            stack[~finite] = np.eye(n + 1)
+        low = _cholesky(stack)
+        log_det_m = 2.0 * np.log(low.reshape(count, -1)[:, : n * (n + 2) : n + 2]).sum(axis=1)
+        row = low[:, n, :n]
+        quad = (stats.yy - np.ldexp((row * row).sum(axis=1), 2 * shift)) / sigma2
+        values = -0.5 * (stats.n_data * _LOG_2PI + (log_det_m + stats.n_data * np.log(sigma2)) + quad)
+    out = []
+    for k, s2 in enumerate(sigma2.tolist()):
+        if not finite[k]:
+            out.append(NotPositiveDefinite("posterior system overflows the float range"))
+        elif math.isnan(low[k, 0, 0]):
+            out.append(NotPositiveDefinite("posterior system is numerically indefinite"))
+        elif not math.isfinite(quad[k]):
+            out.append(InvalidParameter(f"the data are too large for sigma2={s2!r}: "
+                                        "y'y / sigma2 overflows the float range"))
+        else:
+            out.append(float(values[k]))
+    return out
 
 
 def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
@@ -179,11 +264,23 @@ def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSp
 def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
     """ln N(y; 0, Phi P Phi' + sigma2 I), evaluated with n-dim algebra.
 
-    Uses ln det(Phi P Phi' + sigma2 I) = ln det P + ln det A + N ln sigma2
-    with A = P^{-1} + Phi'Phi/sigma2, and the matching identity for the
-    quadratic form, so no N x N matrix is ever formed.
+    With P = c U U' (U the closed-form square root of the c = 1 prior),
+    lam = c / sigma2, B = U'Phi'Phi U and b = U'Phi'y, the identities
+
+        ln det(Phi P Phi' + sigma2 I) = N ln sigma2 + ln det(I + lam B),
+        y'(Phi P Phi' + sigma2 I)^{-1} y = (y'y - lam b'(I + lam B)^{-1} b) / sigma2
+
+    fold the N-dim algebra down to order n.  Every eigenvalue of
+    I + lam B is at least 1, so no precision entry or separate ln det P
+    enters, and no N x N matrix is ever formed.
     """
-    return _log_ml(_fold(phi, y, grid), sigma2, spec, grid)
+    stats = _fold(phi, y, grid)
+    _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
+    (value,) = _log_mls(stats, _whiten(stats, spec.family, spec.beta, grid),
+                        np.array([spec.c]), np.array([float(sigma2)]))
+    if isinstance(value, StableKernError):
+        raise value
+    return value
 
 
 @dataclass(frozen=True)
@@ -278,10 +375,13 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     """Best trace entry, the trace of every candidate evaluated, and the failure count.
 
     Scans (c, beta, sigma2), c slowest; a fixed ``sigma2`` is a one-value
-    axis and Wiener's beta axis is ``(None,)``.  The simplex then moves
-    only the free parameters, from the best grid entry.  When every grid
-    candidate fails, the error raised has the type of the last candidate
-    error (``NotPositiveDefinite`` if none raised).
+    axis and Wiener's beta axis is ``(None,)``.  The data are whitened
+    once per beta, and all of a beta's grid candidates are evaluated in
+    one batch; a beta whose prior has no closed-form square root fails
+    every candidate at it.  The simplex then moves only the free
+    parameters, from the best grid entry, one candidate per step.  When
+    every grid candidate fails, the error raised has the type of the
+    last candidate error.
     """
     tune_beta, tune_sigma2 = search.family == SS1, sigma2 is None
     axes = (search.c_grid, search.beta_grid if tune_beta else (None,),
@@ -293,28 +393,48 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     trace: list = []
     n_failed = 0
     last_error = None
+    whitened: dict = {}  # the last beta's whitened data, or the error of its square root
+    summed = None
 
-    def evaluate(c: float, beta: Optional[float], s2: float) -> float:
+    def batch(beta: Optional[float], c: tuple, s2: tuple) -> list:
+        nonlocal summed
+        if beta not in whitened:
+            whitened.clear()
+            try:
+                whitened[beta] = _whiten(stats, search.family, beta, grid, summed)
+                summed = whitened[beta].summed
+            except SingularGram as exc:
+                whitened[beta] = exc
+        white = whitened[beta]
+        if isinstance(white, Exception):
+            return [white] * len(c)
+        return _log_mls(stats, white, np.array(c), np.array(s2))
+
+    def record(c: float, beta: Optional[float], s2: float, result) -> float:
         nonlocal n_failed, last_error
-        try:
-            value = _log_ml(stats, s2, KernelSpec(family=search.family, c=c, beta=beta), grid)
-        except (InvalidParameter, NotPositiveDefinite, SingularGram, OverflowError) as exc:
+        if isinstance(result, Exception):
             n_failed += 1
-            last_error = exc
+            last_error = result
             return -math.inf
-        entry = {"c": float(c), "sigma2": float(s2), "log_ml": float(value)}
+        entry = {"c": float(c), "sigma2": float(s2), "log_ml": result}
         if beta is not None:
             entry["beta"] = float(beta)
         trace.append(entry)
-        return value
+        return result
 
-    for params in itertools.product(*axes):
-        evaluate(*params)
+    # One batch per beta, recorded back in (c, beta, sigma2) order.
+    c_axis, beta_axis, s2_axis = axes
+    cs, s2s = zip(*itertools.product(c_axis, s2_axis))
+    results = []
+    for beta in beta_axis:
+        results.append(batch(beta, cs, s2s))
+        _log.debug("grid beta=%r: %d of %d candidates failed", beta,
+                   sum(isinstance(r, Exception) for r in results[-1]), len(cs))
+    for (i, c), (j, beta), (k, s2) in itertools.product(*(enumerate(axis) for axis in axes)):
+        record(c, beta, s2, results[j][i * len(s2_axis) + k])
     if not trace:
-        message = "no search candidate produced a finite log marginal likelihood"
-        if isinstance(last_error, StableKernError):
-            raise type(last_error)(f"{message}; last failure: {last_error}")
-        raise NotPositiveDefinite(message)
+        raise type(last_error)("no search candidate produced a finite log marginal likelihood; "
+                               f"last failure: {last_error}")
 
     if search.refine:
         import scipy.optimize
@@ -325,20 +445,23 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
 
         def objective(theta: np.ndarray) -> float:
             nonlocal n_failed
-            if np.any(theta > 700.0):
+            # exp(theta) stays well inside the float range, away from overflow and from 0.
+            if np.any(np.abs(theta) > 700.0):
                 n_failed += 1
                 return math.inf
             params = list(start)
-            for i, value in zip(free, np.exp(theta)):
+            for i, value in zip(free, np.exp(theta).tolist()):
                 params[i] = value
-            return -evaluate(*params)
+            c, beta, s2 = params
+            return -record(c, beta, s2, batch(beta, (c,), (s2,))[0])
 
-        scipy.optimize.minimize(
+        result = scipy.optimize.minimize(
             objective,
             np.array([math.log(start[i]) for i in free]),
             method="Nelder-Mead",
             options={"maxiter": search.refine_maxiter, "xatol": 1e-6, "fatol": 1e-9},
         )
+        _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", result.success, result.nit, result.message)
     return max(trace, key=lambda e: e["log_ml"]), trace, n_failed
 
 

@@ -135,19 +135,24 @@ def _band_correlations(a: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
     and every 1 - rho^2 are positive.  1 - rho^2 is taken as the Schur
     complement d_{i+1} - o_i (o_i / d_i) over d_{i+1}: no product of two
     diagonal entries, which underflows for small diagonals, and positive
-    where rho itself rounds to +-1.
+    where rho itself rounds to +-1.  Where o_i / d_i overflows (a
+    subnormal d_i next to a large d_{i+1}), it is (1 - rho)(1 + rho).
     """
     d = a.diag
     o = a.offdiag
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(o))):
         raise InvalidParameter("band entries must be finite")
     if np.all(d > 0.0):
+        sd = np.sqrt(d)
         # Only a band that is not completable can overflow here.
         with np.errstate(over="ignore"):
-            v = (d[1:] - o * (o / d[:-1])) / d[1:]
+            rho = o / (sd[:-1] * sd[1:])
+            ratio = o / d[:-1]
+            v = (d[1:] - o * ratio) / d[1:]
+            far = np.isinf(ratio)
+            v[far] = (1.0 - rho[far]) * (1.0 + rho[far])
         if np.all(v > 0.0):
-            sd = np.sqrt(d)
-            return o / (sd[:-1] * sd[1:]), v
+            return rho, v
     raise NotCompletable("a contiguous 2x2 principal minor is not positive definite")
 
 
@@ -160,9 +165,11 @@ def band_extend(a: TridiagonalMatrix) -> np.ndarray:
         M[i, j] = M[i, j-1] * (M[j-1, j] / M[j-1, j-1]),   j > i + 1,
 
     which makes the completion's inverse tridiagonal; the ratio comes
-    first, as a product of two entries can underflow.  A band of finite
-    entries is completable exactly when every contiguous 2x2 principal
-    minor is positive definite.
+    first, as a product of two entries can underflow.  Where the ratio
+    overflows (a subnormal M[j-1, j-1]), both entries are divided by
+    sqrt(M[j-1, j-1]) instead.  A band of finite entries is completable
+    exactly when every contiguous 2x2 principal minor is positive
+    definite.
     """
     _band_correlations(a)
     d = a.diag
@@ -171,9 +178,14 @@ def band_extend(a: TridiagonalMatrix) -> np.ndarray:
     m = np.diag(d.astype(float))
     idx = np.arange(n - 1)
     m[idx, idx + 1] = o
-    ratio = o / d[:-1]
+    with np.errstate(over="ignore"):
+        ratio = (o / d[:-1]).tolist()
     for j in range(2, n):
-        m[: j - 1, j] = m[: j - 1, j - 1] * ratio[j - 1]
+        if math.isinf(ratio[j - 1]):
+            sd = math.sqrt(d[j - 1])
+            m[: j - 1, j] = m[: j - 1, j - 1] / sd * (o[j - 1] / sd)
+        else:
+            m[: j - 1, j] = m[: j - 1, j - 1] * ratio[j - 1]
     lower = np.tril_indices(n, -1)
     m[lower] = m.T[lower]
     return m

@@ -102,9 +102,18 @@ class StructuredSqrt:
     def n(self) -> int:
         return self.grid.n
 
-    def to_dense(self) -> np.ndarray:
+    def unit_triangle(self) -> np.ndarray:
+        """The unit upper triangle W with U = W diag(inv_diag).
+
+        W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for
+        Wiener, exactly 1 for SS-1.  It depends on neither c nor beta, so
+        those move only the column scales inv_diag.
+        """
         phi = _Chain(self.spec, self.grid.times).clock
-        return np.triu(np.minimum(phi[:, None], phi[None, :]) / phi * self.inv_diag)
+        return np.triu(np.minimum(phi[:, None], phi[None, :]) / phi)
+
+    def to_dense(self) -> np.ndarray:
+        return self.unit_triangle() * self.inv_diag
 
 
 def closed_form_inverse(spec: KernelSpec, grid: SamplingGrid) -> TridiagonalMatrix:

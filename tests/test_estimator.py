@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from stablekern import (
     oracle,
     posterior_mean,
     sample_ss1,
+    sqrt_factor,
     toeplitz_regressor,
     uniform_grid,
 )
@@ -542,3 +544,218 @@ class TestSingleEvaluationPath:
             assert entry["log_ml"] == log_marginal_likelihood(phi, problem.y, entry["sigma2"], spec, grid)
         coefficients = posterior_mean(phi, problem.y, est.sigma2, est.spec, grid)
         np.testing.assert_array_equal(coefficients, est.coefficients)
+
+
+def refined_problem(family, fixed_sigma2, seed):
+    """A refined-fit problem of the committed set: SS-1 truth, N = 150, order 10."""
+    problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(seed=seed, n_data=150, order=10)
+    if fixed_sigma2:
+        problem = EstimationProblem(u=problem.u, y=problem.y, order=10, sigma2=sigma2)
+    search = SearchConfig(family=family, c_grid=(0.3 * c, 3.0 * c),
+                          beta_grid=(0.5 * beta, 2.0 * beta) if family == SS1 else None,
+                          sigma2_grid=(0.3 * sigma2, 3.0 * sigma2), refine=True)
+    return problem, grid, search
+
+
+class TestWhitenedLogMarginalLikelihood:
+    """The log marginal likelihood in the prior's whitened coordinates, against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_matches_dense_oracle_on_non_uniform_grids(self, family):
+        rng = np.random.default_rng(20)
+        for _ in range(8):
+            n_data = int(rng.integers(5, 60))
+            order = int(rng.integers(1, min(n_data, 12) + 1))
+            phi, y, sigma2, spec, grid = make_instance(rng, family, n_data, order)
+            value = log_marginal_likelihood(phi, y, sigma2, spec, grid)
+            assert value == pytest.approx(dense_log_marginal_likelihood(phi, y, sigma2, spec, grid), rel=1e-8)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_fixed_sigma2_trace_matches_dense_oracle(self, family):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=6, n_data=40)
+        problem = EstimationProblem(u=problem.u, y=problem.y, order=6, sigma2=sigma2)
+        search = SearchConfig(family=family, c_grid=(0.5 * c, 2 * c),
+                              beta_grid=(beta, 2 * beta) if family == SS1 else None, refine_maxiter=20)
+        phi = toeplitz_regressor(problem.u, 6)
+        for entry in fit(problem, grid, search).diagnostics["trace"]:
+            assert entry["sigma2"] == sigma2
+            spec = KernelSpec(family=family, c=entry["c"], beta=entry.get("beta"))
+            ref = dense_log_marginal_likelihood(phi, problem.y, sigma2, spec, grid)
+            assert entry["log_ml"] == pytest.approx(ref, rel=1e-8)
+
+    def test_steep_ss1_prior(self):
+        # beta * t_n = 50: the prior's precision reaches e^50 ~ 5e21.
+        rng = np.random.default_rng(21)
+        grid = uniform_grid(10, 1.0, 1.0)
+        spec = KernelSpec(family=SS1, c=3.0, beta=5.0)
+        phi = toeplitz_regressor(rng.standard_normal(40), 10)
+        y = rng.standard_normal(40)
+        value = log_marginal_likelihood(phi, y, 0.2, spec, grid)
+        assert value == pytest.approx(dense_log_marginal_likelihood(phi, y, 0.2, spec, grid), rel=1e-8)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_zero_output(self, family):
+        rng = np.random.default_rng(22)
+        phi, _, sigma2, spec, grid = make_instance(rng, family, 30, 5)
+        y = np.zeros(30)
+        value = log_marginal_likelihood(phi, y, sigma2, spec, grid)
+        assert value == pytest.approx(dense_log_marginal_likelihood(phi, y, sigma2, spec, grid), rel=1e-8)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_order_one(self, family):
+        rng = np.random.default_rng(23)
+        phi, y, sigma2, spec, grid = make_instance(rng, family, 12, 1)
+        value = log_marginal_likelihood(phi, y, sigma2, spec, grid)
+        assert value == pytest.approx(dense_log_marginal_likelihood(phi, y, sigma2, spec, grid), rel=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_output_energy_near_the_float_limit(self, family):
+        # y'y = 1.5e308: twice y'y is past the float range, so the border of
+        # the bordered system must be scaled, not padded by a multiple of y'y.
+        rng = np.random.default_rng(24)
+        phi, y, _, spec, grid = make_instance(rng, family, 40, 6)
+        y *= math.sqrt(1.5e308 / float(y @ y))
+        assert 1e308 < float(y @ y) < np.finfo(float).max
+        value = log_marginal_likelihood(phi, y, 10.0, spec, grid)
+        assert value == pytest.approx(dense_log_marginal_likelihood(phi, y, 10.0, spec, grid), rel=1e-8)
+
+
+class TestBatchedEvaluation:
+    """One beta's candidates share one whitening and one batched Cholesky."""
+
+    def test_batch_equals_one_at_a_time(self):
+        rng = np.random.default_rng(25)
+        for family in (WIENER, SS1):
+            phi, y, _, spec, grid = make_instance(rng, family, 80, 9)
+            stats = stablekern.estimator._fold(phi, y, grid)
+            white = stablekern.estimator._whiten(stats, family, spec.beta, grid)
+            # The last candidate's system overflows: it fails alone, in the batch or not.
+            c = np.array([0.1, 1.0, 10.0, 3.0, 1e300])
+            s2 = np.array([0.5, 0.01, 2.0, 0.2, 1e-10])
+            batch = stablekern.estimator._log_mls(stats, white, c, s2)
+            single = [stablekern.estimator._log_mls(stats, white, c[k:k + 1], s2[k:k + 1])[0] for k in range(5)]
+            assert batch[:4] == single[:4]
+            assert all(isinstance(v, float) for v in batch[:4])
+            for value in (batch[4], single[4]):
+                assert isinstance(value, errors.NotPositiveDefinite)
+                assert str(value) == "posterior system overflows the float range"
+            for k in range(4):
+                spec_k = KernelSpec(family=family, c=float(c[k]), beta=spec.beta)
+                assert batch[k] == log_marginal_likelihood(phi, y, float(s2[k]), spec_k, grid)
+
+    def test_a_factor_that_fails_is_its_candidate_alone(self):
+        stack = np.stack([np.eye(3) * 4.0, -np.eye(3), np.diag([9.0, 1.0, 4.0])])
+        low = stablekern.estimator._cholesky(stack)
+        np.testing.assert_array_equal(low[0], np.eye(3) * 2.0)
+        assert np.all(np.isnan(low[1]))
+        np.testing.assert_array_equal(low[2], np.diag([3.0, 1.0, 2.0]))
+
+    def test_whitening_at_another_beta_is_bit_identical(self):
+        # W'Phi'Phi W is the same at every beta, so reusing it changes no bit.
+        rng = np.random.default_rng(26)
+        phi, y, _, _, grid = make_instance(rng, SS1, 60, 7)
+        stats = stablekern.estimator._fold(phi, y, grid)
+        summed = stablekern.estimator._whiten(stats, SS1, 0.9, grid).summed
+        for beta in (0.05, 0.3, 2.0):
+            fresh = stablekern.estimator._whiten(stats, SS1, beta, grid)
+            reused = stablekern.estimator._whiten(stats, SS1, beta, grid, summed)
+            np.testing.assert_array_equal(fresh.gram, reused.gram)
+            np.testing.assert_array_equal(fresh.cross, reused.cross)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_whitened_gram_is_the_congruence_by_the_square_root(self, family):
+        rng = np.random.default_rng(27)
+        phi, y, _, spec, grid = make_instance(rng, family, 50, 8)
+        stats = stablekern.estimator._fold(phi, y, grid)
+        white = stablekern.estimator._whiten(stats, family, spec.beta, grid)
+        root = sqrt_factor(KernelSpec(family=family, c=1.0, beta=spec.beta), grid).to_dense()
+        np.testing.assert_allclose(white.gram, root.T @ (phi.T @ phi) @ root, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(white.cross, root.T @ (phi.T @ y), rtol=1e-11, atol=1e-13 * np.max(np.abs(white.cross)))
+
+    def count_whitenings(self, monkeypatch):
+        calls = []
+        whiten = stablekern.estimator._whiten
+
+        def counting(stats, family, beta, grid, summed=None):
+            calls.append(beta)
+            return whiten(stats, family, beta, grid, summed)
+
+        monkeypatch.setattr(stablekern.estimator, "_whiten", counting)
+        return calls
+
+    def test_grid_scan_whitens_once_per_beta(self, monkeypatch):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        calls = self.count_whitenings(monkeypatch)
+        betas = (0.5 * beta, beta, 2 * beta)
+        search = SearchConfig(family=SS1, c_grid=(c, 2 * c, 4 * c), beta_grid=betas,
+                              sigma2_grid=(sigma2, 4 * sigma2), refine=False)
+        est = fit(problem, grid, search)
+        assert calls == list(betas)
+        assert est.diagnostics["n_evaluations"] == 18
+
+    def test_wiener_fit_whitens_once_in_all(self, monkeypatch):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        calls = self.count_whitenings(monkeypatch)
+        search = SearchConfig(family=WIENER, c_grid=(c, 2 * c), sigma2_grid=(sigma2, 4 * sigma2), refine=True)
+        est = fit(problem, grid, search)
+        assert est.diagnostics["n_evaluations"] > 4
+        assert calls == [None]
+
+    def test_failed_beta_fails_each_of_its_candidates(self):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(200)
+        y = np.convolve(u, np.exp(-0.3 * np.arange(40)))[:200] + 0.1 * rng.standard_normal(200)
+        grid = uniform_grid(40, 1.0, 1.0)
+        # beta * t_n = 2000: exp(-beta * t_n) underflows, so the c = 1 square root does not exist.
+        search = SearchConfig(family=SS1, c_grid=(0.5, 1.0, 2.0), beta_grid=(0.1, 50.0, 0.2),
+                              sigma2_grid=(0.01, 0.1), refine=False)
+        est = fit(EstimationProblem(u=u, y=y, order=40), grid, search)
+        assert est.diagnostics["n_failed"] == 6
+        trace = est.diagnostics["trace"]
+        order = [(e["c"], e["beta"], e["sigma2"]) for e in trace]
+        assert order == [(c, b, s) for c in (0.5, 1.0, 2.0) for b in (0.1, 0.2) for s in (0.01, 0.1)]
+
+
+class TestTunerLog:
+    """The tuner's DEBUG lines on the stablekern logger; off by default."""
+
+    def test_debug_lines(self, caplog):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        search = SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta, 200.0), sigma2_grid=(sigma2,),
+                              refine_maxiter=15)
+        with caplog.at_level(logging.DEBUG, logger="stablekern"):
+            fit(problem, grid, search)
+        lines = [r.getMessage() for r in caplog.records if r.name == "stablekern.estimator"]
+        assert lines[:2] == [f"grid beta={beta!r}: 0 of 1 candidates failed", "grid beta=200.0: 1 of 1 candidates failed"]
+        assert len(lines) == 3
+        assert lines[2].startswith("Nelder-Mead: success=False, nit=15, message=")
+
+    def test_silent_by_default(self, capsys):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        fit(problem, grid, SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta,), sigma2_grid=(sigma2,),
+                                        refine_maxiter=15))
+        assert capsys.readouterr() == ("", "")
+
+
+class TestRefinedFits:
+    """Refined fits on a committed set of problems reach at least the optimum the dense-inverse tuner found."""
+
+    # fit(...).log_ml of each problem, recorded with the tuner that formed
+    # the dense prior inverse and a Cholesky factor per candidate.
+    RECORDED = {
+        (WIENER, False, 0): -172.58304044153329, (WIENER, False, 1): -65.5061066552631,
+        (WIENER, False, 2): -107.01728783762364, (WIENER, True, 0): -173.32579391763016,
+        (WIENER, True, 1): -66.37742886669201, (WIENER, True, 2): -107.77002748299705,
+        (SS1, False, 0): -169.42409530607532, (SS1, False, 1): -62.14981080790248,
+        (SS1, False, 2): -101.974632292383, (SS1, True, 0): -170.14112141006007,
+        (SS1, True, 1): -63.027988221169, (SS1, True, 2): -102.72186170192602,
+    }
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("fixed_sigma2", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_optimum_no_lower_than_recorded(self, family, fixed_sigma2, seed):
+        problem, grid, search = refined_problem(family, fixed_sigma2, seed)
+        recorded = self.RECORDED[(family, fixed_sigma2, seed)]
+        assert fit(problem, grid, search).log_ml >= recorded - 1e-9 * abs(recorded)

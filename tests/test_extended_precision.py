@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import stablekern.maxent
 from stablekern import (
     SS1,
     WIENER,
@@ -137,3 +138,24 @@ class TestBandCompletion:
                     assert err <= 2 * (j - i - 1) * u
                     worst = max(worst, err)
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("diag, offdiag", [([5e-324, 1.7e308, 1.0], [1e-12, 0.5]),
+                                               ([1.0, 5e-324, 1.7e308], [1e-170, 1e-12])])
+    def test_subnormal_diagonal_completes(self, diag, offdiag):
+        # o_i / d_i overflows at the subnormal d_i, yet o_i^2 < d_i d_{i+1}:
+        # the band is completable.  The first M[0, 2] is itself subnormal.
+        u = 2.0**-53
+        band = TridiagonalMatrix(diag=np.array(diag), offdiag=np.array(offdiag))
+        d = [mpmath.mpf(x) for x in diag]
+        o = [mpmath.mpf(x) for x in offdiag]
+        rho, v = stablekern.maxent._band_correlations(band)
+        for i in range(2):
+            exact = o[i] / mpmath.sqrt(d[i] * d[i + 1])
+            assert float(abs((mpmath.mpf(rho[i]) - exact) / exact)) <= 2 * u
+            assert float(abs((mpmath.mpf(v[i]) - (1 - exact**2)) / (1 - exact**2))) <= 2 * u
+        m = band_extend(band)
+        exact = o[0] * o[1] / d[1]
+        assert float(abs(mpmath.mpf(m[0, 2]) - exact)) <= max(4 * u * float(exact), 2.0**-1075)
+        assert m[2, 0] == m[0, 2]
+        np.testing.assert_array_equal(np.diag(m), diag)
+        np.testing.assert_array_equal(np.diag(m, 1), offdiag)
