@@ -52,8 +52,11 @@ class InvalidParameter(StableKernError):
 
 
 class SingularGram(StableKernError):
-    """The Gram matrix is singular (Wiener kernel with t1 = 0) or its inverse
-    leaves the float range (SS-1 kernel with c*exp(-beta*t_n) below 1e-308)."""
+    """The Gram matrix is singular (Wiener kernel with t1 = 0), an entry leaves
+    the float range (Wiener kernel with c*t_n above 1.8e308), or a closed form
+    does: the inverse and precision factor need c*exp(-beta*t_n) above 1.1e-308
+    for SS-1, and the square root needs a positive column scale, down to
+    sqrt(c)*exp(-beta*t_n/2) ~ 5e-324 (beta*t_n ~ 1490 at c = 1)."""
 
 
 class DimensionMismatch(StableKernError):

@@ -4,19 +4,26 @@ The model is y = Phi h + e with Phi the Toeplitz regressor of the input
 (zero initial conditions), e ~ N(0, sigma2 * I), and a zero-mean
 Gaussian prior h ~ N(0, P) with P the Gram matrix of a Wiener or SS-1
 kernel on the coefficient grid.  All linear algebra happens at the FIR
-order n, never at the data length N.  The log marginal likelihood is
-evaluated in the prior's whitened coordinates: with P = c U U' (U the
-closed-form square root at c = 1), the N-dim log-determinant and
-quadratic form fold down to n-dim identities in M = I + (c / sigma2)
-U'Phi'Phi U, whose eigenvalues are all at least 1.  The posterior mean
-uses the prior's closed-form tridiagonal inverse.
+order n, never at the data length N, in the prior's whitened
+coordinates.  With P = c U U' (U the closed-form square root at c = 1),
+lam = c / sigma2, M = I + lam U'Phi'Phi U (every eigenvalue at least 1)
+and b = U'Phi'y:
+
+    ln det(Phi P Phi' + sigma2 I) = N ln sigma2 + ln det M,
+    y'(Phi P Phi' + sigma2 I)^{-1} y = (y'y - lam b'M^{-1}b) / sigma2,
+    h = P Phi'(Phi P Phi' + sigma2 I)^{-1} y = lam U M^{-1} b.
+
+All three come from one Cholesky factor of a bordered M, so the log
+marginal likelihood and the posterior mean share one domain; no P^{-1},
+Phi'y / sigma2 or N x N matrix is formed.
 
 Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
 ``fit`` builds Phi once and folds the data into these statistics once,
 in O(N n^2).  Whitening costs O(n^3) once, for the part of U shared by
 every beta, and O(n^2) per beta; all of one beta's grid candidates then
-go through one batched Cholesky, O(n^3) each.  The final posterior mean
-costs O(n^3).  None of it depends on N.
+go through one batched Cholesky, O(n^3) each.  The posterior mean reuses
+the best candidate's whitened data: one more factor, then one triangular
+solve and one product with U, O(n^2).  None of it depends on N.
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional simplex refinement in
@@ -48,7 +55,7 @@ from .errors import (
 )
 from .grid import SamplingGrid
 from .kernels import SS1, WIENER, KernelSpec
-from .structure import closed_form_inverse, sqrt_factor
+from .structure import StructuredSqrt, sqrt_factor
 
 __all__ = [
     "EstimationProblem",
@@ -137,34 +144,6 @@ def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
     return stats
 
 
-def _posterior_factor(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid):
-    """Cholesky factor of A = P^{-1} + Phi'Phi/sigma2, from the folded data: O(n^3)."""
-    _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
-    a = closed_form_inverse(spec, grid).to_dense()
-    # Overflow is reported by the finiteness check, not as a numpy warning.
-    with np.errstate(over="ignore"):
-        a += stats.gram / sigma2
-    if not np.all(np.isfinite(a)):
-        raise NotPositiveDefinite("posterior system overflows the float range")
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise NotPositiveDefinite("posterior system is numerically indefinite") from None
-
-
-def _posterior_mean(stats: _DataStats, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
-    import scipy.linalg
-
-    cho = _posterior_factor(stats, sigma2, spec, grid)
-    with np.errstate(over="ignore"):
-        rhs = stats.cross / sigma2
-    if not np.all(np.isfinite(rhs)):
-        raise InvalidParameter(f"the data are too large for sigma2={sigma2!r}: Phi'y / sigma2 overflows the float range")
-    return scipy.linalg.cho_solve(cho, rhs)
-
-
 @dataclass(frozen=True, eq=False)
 class _Whitened:
     """The folded data in the coordinates of the c = 1 prior's square root U = W diag(s).
@@ -174,6 +153,7 @@ class _Whitened:
     and W'Phi'y, which a scan over beta forms once.
     """
 
+    root: StructuredSqrt  # U
     summed: Tuple[np.ndarray, np.ndarray]
     gram: np.ndarray  # U'Phi'Phi U
     cross: np.ndarray  # U'Phi'y
@@ -194,7 +174,7 @@ def _whiten(stats: _DataStats, family: str, beta: Optional[float], grid: Samplin
             summed = (w.T @ stats.gram @ w, stats.cross @ w)
         gram, cross = summed
         s = root.inv_diag
-        return _Whitened(summed=summed, gram=gram * s[:, None] * s, cross=cross * s)
+        return _Whitened(root=root, summed=summed, gram=gram * s[:, None] * s, cross=cross * s)
 
 
 def _cholesky(stack: np.ndarray) -> np.ndarray:
@@ -207,22 +187,16 @@ def _cholesky(stack: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky(one[None]) for one in stack])
 
 
-def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray) -> list:
-    """Log marginal likelihoods of the candidates (c[k], sigma2[k]) at one beta.
+def _bordered(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray):
+    """Batched Cholesky factors of the candidates' [[M, g], [g', 2]], the exponent e, and each failure.
 
-    Each entry is a float, or the StableKernError of a candidate whose
-    system leaves the float range or has no Cholesky factor.  With
-    lam = c / sigma2, M = I + lam U'Phi'Phi U and b = U'Phi'y,
-
-        ln det(Phi P Phi' + sigma2 I) = N ln sigma2 + ln det M,
-        y'(Phi P Phi' + sigma2 I)^{-1} y = (y'y - lam b'M^{-1}b) / sigma2.
-
-    All candidates go through one batched Cholesky of the bordered
-    matrices [[M, g], [g', 2]], g = sqrt(lam) b / 2^e, with e the integer
-    for which y'y / 4^e lies in [1/4, 1).  Its first n pivots give
-    ln det M, and its last row is (L^{-1} g)', whose squared norm is
-    lam b'M^{-1}b / 4^e <= y'y / 4^e < 1: the last pivot stays above 1,
-    and no entry overflows for any finite y'y.
+    For candidate k, lam = c[k] / sigma2[k] and g = sqrt(lam) b / 2^e, with
+    e the integer for which y'y / 4^e lies in [1/4, 1).  The factor's
+    first n pivots give ln det M, and its last row r' = (L_M^{-1} g)' has
+    squared norm lam b'M^{-1}b / 4^e <= y'y / 4^e < 1: the last pivot
+    stays above 1, and no entry overflows for any finite y'y.  A failure
+    is None, or the error of a system that leaves the float range or has
+    no Cholesky factor.
     """
     count, n = c.shape[0], white.gram.shape[0]
     shift = (math.frexp(stats.yy)[1] + 1) // 2
@@ -237,42 +211,61 @@ def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndar
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             stack[~finite] = np.eye(n + 1)
-        low = _cholesky(stack)
+    low = _cholesky(stack)
+    failures = [None if ok and not bad else NotPositiveDefinite(
+                "posterior system " + ("is numerically indefinite" if ok else "overflows the float range"))
+                for ok, bad in zip(finite.tolist(), np.isnan(low[:, 0, 0]).tolist())]
+    return low, shift, failures
+
+
+def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray) -> list:
+    """Log marginal likelihoods of the candidates (c[k], sigma2[k]) at one beta: each a float or an error."""
+    low, shift, failures = _bordered(stats, white, c, sigma2)
+    count, n = c.shape[0], white.gram.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
         log_det_m = 2.0 * np.log(low.reshape(count, -1)[:, : n * (n + 2) : n + 2]).sum(axis=1)
         row = low[:, n, :n]
         quad = (stats.yy - np.ldexp((row * row).sum(axis=1), 2 * shift)) / sigma2
         values = -0.5 * (stats.n_data * _LOG_2PI + (log_det_m + stats.n_data * np.log(sigma2)) + quad)
-    out = []
-    for k, s2 in enumerate(sigma2.tolist()):
-        if not finite[k]:
-            out.append(NotPositiveDefinite("posterior system overflows the float range"))
-        elif math.isnan(low[k, 0, 0]):
-            out.append(NotPositiveDefinite("posterior system is numerically indefinite"))
-        elif not math.isfinite(quad[k]):
-            out.append(InvalidParameter(f"the data are too large for sigma2={s2!r}: "
-                                        "y'y / sigma2 overflows the float range"))
-        else:
-            out.append(float(values[k]))
-    return out
+    for k in np.flatnonzero(~np.isfinite(quad)).tolist():
+        failures[k] = failures[k] or InvalidParameter(
+            f"the data are too large for sigma2={sigma2.tolist()[k]!r}: y'y / sigma2 overflows the float range")
+    return [failure or value for failure, value in zip(failures, values.tolist())]
+
+
+def _posterior_mean(stats: _DataStats, white: _Whitened, c: float, sigma2: float) -> np.ndarray:
+    """h = lam U M^{-1} b = sqrt(lam) 2^e U L_M^{-T} r, with r' the last row of the bordered factor."""
+    low, shift, (failure,) = _bordered(stats, white, np.array([c]), np.array([sigma2]))
+    if failure is not None:
+        raise failure
+    import scipy.linalg
+
+    n = white.gram.shape[0]
+    v = scipy.linalg.solve_triangular(low[0, :n, :n], low[0, n, :n], trans="T", lower=True, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.ldexp((white.root.to_dense() @ v) * math.sqrt(c / sigma2), shift)
+    if not np.all(np.isfinite(h)):
+        raise InvalidParameter(f"the data are too large for sigma2={sigma2!r}: "
+                               "the posterior mean leaves the float range")
+    return h
 
 
 def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
-    """Posterior mean (P^{-1} + Phi'Phi/sigma2)^{-1} Phi'y / sigma2."""
-    return _posterior_mean(_fold(phi, y, grid), sigma2, spec, grid)
+    """Posterior mean P Phi'(Phi P Phi' + sigma2 I)^{-1} y = lam U M^{-1} b, in whitened coordinates.
+
+    It is read from the same bordered Cholesky factor as
+    :func:`log_marginal_likelihood`, so it exists wherever that system does.
+    """
+    stats = _fold(phi, y, grid)
+    _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
+    return _posterior_mean(stats, _whiten(stats, spec.family, spec.beta, grid), spec.c, float(sigma2))
 
 
 def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
-    """ln N(y; 0, Phi P Phi' + sigma2 I), evaluated with n-dim algebra.
+    """ln N(y; 0, Phi P Phi' + sigma2 I), by the order-n identities of the module docstring.
 
-    With P = c U U' (U the closed-form square root of the c = 1 prior),
-    lam = c / sigma2, B = U'Phi'Phi U and b = U'Phi'y, the identities
-
-        ln det(Phi P Phi' + sigma2 I) = N ln sigma2 + ln det(I + lam B),
-        y'(Phi P Phi' + sigma2 I)^{-1} y = (y'y - lam b'(I + lam B)^{-1} b) / sigma2
-
-    fold the N-dim algebra down to order n.  Every eigenvalue of
-    I + lam B is at least 1, so no precision entry or separate ln det P
-    enters, and no N x N matrix is ever formed.
+    Every eigenvalue of M is at least 1, so no precision entry or
+    separate ln det P enters, and no N x N matrix is ever formed.
     """
     stats = _fold(phi, y, grid)
     _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
@@ -372,16 +365,16 @@ class ImpulseResponseEstimate:
 
 
 def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
-    """Best trace entry, the trace of every candidate evaluated, and the failure count.
+    """Best trace entry, its beta's whitened data, the trace of every candidate evaluated, and the failure count.
 
     Scans (c, beta, sigma2), c slowest; a fixed ``sigma2`` is a one-value
     axis and Wiener's beta axis is ``(None,)``.  The data are whitened
     once per beta, and all of a beta's grid candidates are evaluated in
     one batch; a beta whose prior has no closed-form square root fails
     every candidate at it.  The simplex then moves only the free
-    parameters, from the best grid entry, one candidate per step.  When
-    every grid candidate fails, the error raised has the type of the
-    last candidate error.
+    parameters, from the best grid entry, one candidate per step.  The
+    best entry is the trace's first maximum.  When every grid candidate
+    fails, the error raised has the type of the last candidate error.
     """
     tune_beta, tune_sigma2 = search.family == SS1, sigma2 is None
     axes = (search.c_grid, search.beta_grid if tune_beta else (None,),
@@ -395,8 +388,10 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     last_error = None
     whitened: dict = {}  # the last beta's whitened data, or the error of its square root
     summed = None
+    best: list = []  # the best entry so far and its beta's whitened data
 
-    def batch(beta: Optional[float], c: tuple, s2: tuple) -> list:
+    def batch(beta: Optional[float], c: tuple, s2: tuple):
+        """The whitened data at beta (or its error) and the log_ml, or error, of each candidate (c[k], s2[k])."""
         nonlocal summed
         if beta not in whitened:
             whitened.clear()
@@ -407,10 +402,10 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
                 whitened[beta] = exc
         white = whitened[beta]
         if isinstance(white, Exception):
-            return [white] * len(c)
-        return _log_mls(stats, white, np.array(c), np.array(s2))
+            return white, [white] * len(c)
+        return white, _log_mls(stats, white, np.array(c), np.array(s2))
 
-    def record(c: float, beta: Optional[float], s2: float, result) -> float:
+    def record(c: float, beta: Optional[float], s2: float, result, white) -> float:
         nonlocal n_failed, last_error
         if isinstance(result, Exception):
             n_failed += 1
@@ -420,18 +415,21 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
         if beta is not None:
             entry["beta"] = float(beta)
         trace.append(entry)
+        if not best or result > best[0]["log_ml"]:
+            best[:] = [entry, white]
         return result
 
     # One batch per beta, recorded back in (c, beta, sigma2) order.
     c_axis, beta_axis, s2_axis = axes
     cs, s2s = zip(*itertools.product(c_axis, s2_axis))
-    results = []
+    scans = []
     for beta in beta_axis:
-        results.append(batch(beta, cs, s2s))
+        scans.append(batch(beta, cs, s2s))
         _log.debug("grid beta=%r: %d of %d candidates failed", beta,
-                   sum(isinstance(r, Exception) for r in results[-1]), len(cs))
+                   sum(isinstance(r, Exception) for r in scans[-1][1]), len(cs))
     for (i, c), (j, beta), (k, s2) in itertools.product(*(enumerate(axis) for axis in axes)):
-        record(c, beta, s2, results[j][i * len(s2_axis) + k])
+        white, results = scans[j]
+        record(c, beta, s2, results[i * len(s2_axis) + k], white)
     if not trace:
         raise type(last_error)("no search candidate produced a finite log marginal likelihood; "
                                f"last failure: {last_error}")
@@ -439,8 +437,7 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     if search.refine:
         import scipy.optimize
 
-        best = max(trace, key=lambda e: e["log_ml"])
-        start = [best["c"], best.get("beta"), best["sigma2"]]
+        start = [best[0]["c"], best[0].get("beta"), best[0]["sigma2"]]
         free = [i for i, tuned in enumerate((True, tune_beta, tune_sigma2)) if tuned]
 
         def objective(theta: np.ndarray) -> float:
@@ -453,7 +450,8 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             for i, value in zip(free, np.exp(theta).tolist()):
                 params[i] = value
             c, beta, s2 = params
-            return -record(c, beta, s2, batch(beta, (c,), (s2,))[0])
+            white, (result,) = batch(beta, (c,), (s2,))
+            return -record(c, beta, s2, result, white)
 
         result = scipy.optimize.minimize(
             objective,
@@ -462,24 +460,25 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             options={"maxiter": search.refine_maxiter, "xatol": 1e-6, "fatol": 1e-9},
         )
         _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", result.success, result.nit, result.message)
-    return max(trace, key=lambda e: e["log_ml"]), trace, n_failed
+    return best[0], best[1], trace, n_failed
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
     """Tune hyperparameters, then compute the posterior-mean coefficients.
 
-    The data are folded once; the tuner and the final posterior mean both
-    read the same Phi'Phi, Phi'y and y'y.  ``diagnostics["trace"]`` lists
+    The data are folded and whitened as the tuner needs them, and the
+    posterior mean reuses the best candidate's whitened data, so it
+    costs one more bordered Cholesky and no whitening.  ``diagnostics["trace"]`` lists
     every candidate the tuner evaluated; ``n_failed`` counts those whose
     prior or posterior system was numerically singular.
     """
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
     stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid)
-    best, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
+    best, white, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
     spec = KernelSpec(family=search.family, c=best["c"], beta=best.get("beta"))
     return ImpulseResponseEstimate(
-        coefficients=_posterior_mean(stats, best["sigma2"], spec, grid),
+        coefficients=_posterior_mean(stats, white, best["c"], best["sigma2"]),
         spec=spec,
         sigma2=best["sigma2"],
         log_ml=best["log_ml"],

@@ -156,9 +156,17 @@ class _Chain:
     def scaled_steps(self) -> np.ndarray:
         """c * delta, the increments' variances, whose reciprocals are the chain's precisions."""
         cd = self.steps()
-        cd *= self.c
-        return _regular(cd, _MIN_STEP, "a chain increment c*delta is zero or too small to invert "
-                                       "(Wiener needs t1 > 0, SS-1 needs c*exp(-beta*t_n) > 1e-308)")
+        with np.errstate(over="ignore"):
+            cd *= self.c
+        return _regular(cd, _MIN_STEP, "a chain increment c*delta is zero, too small to invert or "
+                                       "too large (Wiener needs t1 > 0, SS-1 needs c*exp(-beta*t_n) > 1e-308)")
+
+    def scaled(self, phi):
+        """c * phi for clock values phi, the Gram entries: Wiener c * t can overflow where each c * delta does not."""
+        with np.errstate(over="ignore"):
+            cphi = self.c * phi
+        return _regular(cphi, -math.inf, "a Gram entry c*min(phi_i, phi_j) leaves the float range "
+                                         "(Wiener needs c*t_n < 1.8e308)")
 
     def log_det(self) -> float:
         """The sum of ln(c * delta) = ln(c * rel) + log_scale, finite where delta underflows."""
@@ -176,31 +184,34 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     The times obey the grid rules (:func:`~stablekern.grid.make_grid`):
     a negative time raises NegativeTime; a NaN or infinite one, or one
     that is not a real number (a bool, a string, None), InvalidParameter.
-    t == s is allowed.
+    t == s is allowed.  A value beyond the float range (Wiener c * min(t, s)
+    above 1.8e308) raises SingularGram.
     """
     for name, value in (("t", t), ("s", s)):
         if not _is_finite_real(value):
             raise InvalidParameter(f"kernel_eval needs finite real times, got {name}={value!r}")
-    return spec.c * float(_Chain(spec, make_grid(np.unique([float(t), float(s)])).times).clock.min())
+    chain = _Chain(spec, make_grid(np.unique([float(t), float(s)])).times)
+    return float(chain.scaled(chain.clock.min()))
 
 
 def gram(spec: KernelSpec, grid: SamplingGrid) -> KernelMatrix:
     """Assemble the Gram matrix P with P[i, j] = c * min(phi_i, phi_j).
 
-    Each unit-scale entry is evaluated once and mirrored, then scaled by
-    c, so the result is bit-exact symmetric and satisfies
-    ``gram(c) == c * gram(c=1)`` elementwise.
+    Each entry is the smaller of two scaled clock values c * phi, and
+    rounding is monotone, so the result is bit-exact symmetric and
+    satisfies ``gram(c) == c * gram(c=1)`` elementwise.
 
     Raises
     ------
     SingularGram
         When a chain increment is zero or out of range, for example for
-        the Wiener family when t1 = 0 (first row and column vanish).
+        the Wiener family when t1 = 0 (first row and column vanish), or
+        when an entry leaves the float range (Wiener c * t_n overflows).
     """
     chain = _Chain(spec, grid.times)
     chain.scaled_steps()
-    phi = chain.clock
-    values = spec.c * np.minimum(phi[:, None], phi[None, :])
+    cphi = chain.scaled(chain.clock)
+    values = np.minimum(cphi[:, None], cphi[None, :])
     values.setflags(write=False)
     return KernelMatrix(grid=grid, values=values)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .grid import SamplingGrid
-from .kernels import KernelSpec, _Chain
+from .kernels import KernelSpec, _Chain, _regular
 
 __all__ = [
     "TridiagonalMatrix",
@@ -88,8 +88,11 @@ class UpperBidiagonal:
 class StructuredSqrt:
     """Upper-triangular square root of a Gram matrix, stored implicitly.
 
-    Only the n reciprocals of the precision-factor diagonal are kept;
-    the dense triangle is materialized on demand as
+    Only the n column scales are kept: inv_diag[j] = sqrt(c * rho_j *
+    |phi_{j+1} - phi_j|) and inv_diag[n] = sqrt(c * phi_n), the standard
+    deviations of the precision factor's rows (so they equal
+    1 / precision_factor(...).diag, but are formed with no reciprocal).
+    The dense triangle is materialized on demand as
     U[i, j] = (min(phi_i, phi_j) / phi_j) * inv_diag[j] for i <= j, which
     is constant down each SS-1 column.
     """
@@ -106,11 +109,15 @@ class StructuredSqrt:
         """The unit upper triangle W with U = W diag(inv_diag).
 
         W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for
-        Wiener, exactly 1 for SS-1.  It depends on neither c nor beta, so
+        Wiener, exactly 1 for SS-1, taken as such, with no division by a
+        clock that may underflow.  It depends on neither c nor beta, so
         those move only the column scales inv_diag.
         """
-        phi = _Chain(self.spec, self.grid.times).clock
-        return np.triu(np.minimum(phi[:, None], phi[None, :]) / phi)
+        chain = _Chain(self.spec, self.grid.times)
+        if not chain.rising:
+            return np.triu(np.ones((self.n, self.n)))
+        t = chain.clock
+        return np.triu(t[:, None] / t)
 
     def to_dense(self) -> np.ndarray:
         return self.unit_triangle() * self.inv_diag
@@ -166,16 +173,43 @@ def precision_factor(spec: KernelSpec, grid: SamplingGrid) -> UpperBidiagonal:
     np.multiply(chain.scaled_steps()[chain.order][1:][chain.order], rho, out=head)
     np.sqrt(head, out=head)
     np.divide(1.0, head, out=head)
-    diag[-1] = 1.0 / math.sqrt(spec.c * phi[-1])
+    # c * phi_n can overflow (Wiener c * t_n) where its reciprocal root does not.
+    last = spec.c * float(phi[-1])
+    diag[-1] = 1.0 / (math.sqrt(last) if last < math.inf else math.sqrt(spec.c) * math.sqrt(phi[-1]))
     sup = rho * head
     np.negative(sup, out=sup)
     return UpperBidiagonal(diag=diag, super=sup)
 
 
 def sqrt_factor(spec: KernelSpec, grid: SamplingGrid) -> StructuredSqrt:
-    """Closed-form upper-triangular U with U @ U.T equal to the Gram matrix."""
-    factor = precision_factor(spec, grid)
-    return StructuredSqrt(spec=spec, grid=grid, inv_diag=1.0 / factor.diag)
+    """Closed-form upper-triangular U with U @ U.T equal to the Gram matrix.
+
+    Each column scale sqrt(c * rho_j * |phi_{j+1} - phi_j|) is formed
+    directly, with no reciprocal: for SS-1 it is sqrt(c * rel_j) times
+    the clock's root exp(-beta*t_j / 2), so U exists wherever that is a
+    positive float, up to beta*t_n ~ 1490 at c = 1, about twice as far as
+    the precision factor.  Raises SingularGram where a scale is zero (Wiener
+    t1 = 0, an SS-1 root that underflows) or leaves the float range
+    (Wiener c * t_n).
+    """
+    chain = _Chain(spec, grid.times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chain.rising:
+            t = chain.clock
+            root = np.empty(grid.n)
+            np.multiply(chain.rel[1:] * spec.c, t[:-1] / t[1:], out=root[:-1])
+            root[-1] = spec.c * t[-1]
+            np.sqrt(root, out=root)
+        else:
+            root = np.sqrt(chain.rel * spec.c)
+            half = np.sqrt(chain.scale)
+            # Past beta*t = 700 the clock nears the subnormals or is 0, but its root is not.
+            deep = int(np.searchsorted(grid.times, 700.0 / spec.beta))
+            half[deep:] = np.exp(0.5 * chain.log_scale[deep:])
+            root *= half
+    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_regular(
+        root, 0.0, "a square-root column scale is zero or not finite "
+                   "(Wiener needs t1 > 0 and c*t_n < 1.8e308, SS-1 needs sqrt(c)*exp(-beta*t_n/2) > 5e-324)"))
 
 
 def apply_precision(factor: UpperBidiagonal, v: np.ndarray) -> np.ndarray:

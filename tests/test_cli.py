@@ -327,11 +327,11 @@ class TestFit:
 
     @pytest.mark.filterwarnings("error")
     def test_all_underflow_search_is_a_domain_error(self, tmp_path, capsys):
-        # On the default grid 1..40, beta >= 30 underflows exp(-beta * t_n).
+        # On the default grid 1..40, beta >= 40 underflows exp(-beta * t_n / 2).
         data, *_ = self.write_problem(tmp_path, n_data=80, order=40)
         search_file = tmp_path / "underflow.json"
         search_file.write_text(json.dumps({"c": {"min": 1, "max": 1, "num": 1},
-                                           "beta": {"min": 30, "max": 50, "num": 2},
+                                           "beta": {"min": 40, "max": 50, "num": 2},
                                            "sigma2": {"min": 0.01, "max": 0.01, "num": 1}}))
         code = run(["fit", "--data", str(data), "--order", "40",
                     "--kernel-family", SS1, "--search", str(search_file)])
@@ -667,6 +667,15 @@ class TestGoldenBytes:
     prior's whitened coordinates: trace values moved in the last bits,
     and one fixed-sigma2 Wiener optimum moved to a near-tie whose value is
     higher in 50-digit arithmetic.
+    The square roots, both ``maxent-audit`` digests, the SS-1 ``check``
+    and the four ``fit`` digests were re-recorded when the square root's
+    column scales were formed directly instead of as reciprocals of the
+    precision factor, and the posterior mean moved to the tuner's
+    whitened system.  The square-root entries, the increment entropies,
+    the SS-1 ``sqrt_factor`` residual, the fit coefficients and the SS-1
+    trace values moved in the last bits, with the same hyperparameters,
+    trace points and evaluation counts, and stay within a few units of
+    roundoff of 60-digit arithmetic.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -681,8 +690,8 @@ class TestGoldenBytes:
             "audit": "43804aa9b2deef7c27eb696e4d645f84ca867500c553b9875ef7d333275af7b6",
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
             "factor": "79296d7fcb57b2f80fe3d020ff5c3d276d16a29e3dd055821bb3e0d36d926837",
-            "sqrt": "feb0d5f56d691c17ff44539a0a39e63112e883cab4a00ac07a8e6097574e76f8",
-            "maxent-audit": "889ecba5a8117944a90294a41589ac2c85469ec561435adde892d598ca641b24",
+            "sqrt": "20a08168d81502f559a16a1a1647d568b03a9f97757ba4fd460da1fc3b36eb89",
+            "maxent-audit": "d7bd730f8f813ea79fa2bd453e04c0ef965049aef5d11045fa4b9e63680cb342",
             "check": "04cd1fae5d0bab3e5c9fed78220183f059445aecf141241348eae36591cd6e61",
         },
         "ss1": {
@@ -692,16 +701,16 @@ class TestGoldenBytes:
             "audit": "0016ea06d55f5ab9cd65e8519cbe22813d33626e3c72beea107ba20ec770c7a7",
             "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
             "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
-            "sqrt": "ca713e43346febe458f032c2d3c8736117d65744fa0a18744fb707269ed697c7",
-            "maxent-audit": "f9f0ae211dbcf13a411742e0f74f63f66607fbb8fb126bd206ed4410e50f1378",
-            "check": "329115f61927c9ab8da92e0017edcc1e2093deaa3eedbe3a0bde1977c409c7c4",
+            "sqrt": "7a37d74f899e2dc7ef5a43deccd793fe15cf04377197bbf2897c5da6ed00f127",
+            "maxent-audit": "19aa1f635838df9ad6a271c876d9e1a2f66f964536d710650b79eaf1bffe70b0",
+            "check": "0106b361ebb8dce07115be67c91e4bf883892b0f52da1724cc17500d3d5844d1",
         },
         "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
-            "wiener": {"free": "efbd54695d74bfa0ad1e078c6ef722f3e9112aa039b4252a113600389f50ccf5",
-                       "fixed": "c700799e48784b5fe055d5b86f166c5253861bfc4a77b459b2254cc7e2186167"},
-            "ss1": {"free": "06559053ce9206b239b67701f55451c4e0228b4411e8a756f832e156b1d9ccec",
-                    "fixed": "175087157f40ec8284c26275b4dc4b34f1c5e79540dbb544c18e833e8f81919f"},
+            "wiener": {"free": "ed8ba8abb09e487261d1bccdf3ce2b392e02d3a22d4338b0e5b6e51bd10cf84d",
+                       "fixed": "47c2882fd315d1350a3fd85ce872772363b6ba0ec2e23f0a0964b652b995c871"},
+            "ss1": {"free": "0e321ef7666f6f3e933354988257f3a72511b85d2a6d89f8b4db7fb97830891a",
+                    "fixed": "51a372306fde5e745cf147407169feaa1b2ec975473012d6a0031de11a10e143"},
         },
     }
     # u in {-5/4, ..., 5/4}, y = sum_j 2^-j u[k-j] plus a dyadic disturbance:

@@ -16,6 +16,7 @@ from stablekern import (
     fit,
     gram,
     log_marginal_likelihood,
+    make_grid,
     oracle,
     posterior_mean,
     sample_ss1,
@@ -24,7 +25,7 @@ from stablekern import (
     uniform_grid,
 )
 
-from helpers import inf_norm, random_grid, random_spec
+from helpers import inf_norm, mp_regression, random_grid, random_spec
 
 
 def make_instance(rng, family, n_data, order):
@@ -235,10 +236,13 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(9)
         phi = toeplitz_regressor(rng.standard_normal(40), 10)
         y = rng.standard_normal(40)
-        # exp(-100 * 10) is below the float range: the prior inverse overflows.
-        with pytest.raises(errors.SingularGram):
-            log_marginal_likelihood(phi, y, 0.1, KernelSpec(family=SS1, c=1.0, beta=100.0), grid)
-        # Phi'Phi / sigma2 overflows for a subnormal noise variance.
+        # exp(-100 * 10) is below the float range, so the prior inverse
+        # overflows; its square root, down to exp(-500), does not.
+        spec = KernelSpec(family=SS1, c=1.0, beta=100.0)
+        value = log_marginal_likelihood(phi, y, 0.1, spec, grid)
+        exact, _ = mp_regression(phi, y, 0.1, spec, grid, 50)
+        assert value == pytest.approx(float(exact), rel=1e-13)
+        # c / sigma2 overflows for a subnormal noise variance.
         with pytest.raises(errors.NotPositiveDefinite):
             posterior_mean(phi, y, 1e-310, KernelSpec(family=WIENER, c=1.0), grid)
 
@@ -269,12 +273,14 @@ class TestLogMarginalLikelihood:
         search = SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(0.5,), sigma2_grid=(0.1,))
         with pytest.raises(errors.InvalidParameter, match="y'y is not finite"):
             fit(EstimationProblem(u=u, y=y, order=5), grid, search)
-        # Folding succeeds here; y'y / sigma2^2 and Phi'y / sigma2 do not.
+        # Folding succeeds here, but y'y / sigma2 overflows.
         y[3] = 1e150
         with pytest.raises(errors.InvalidParameter, match="y'y / sigma2 overflows"):
             log_marginal_likelihood(toeplitz_regressor(u, 5), y, 1e-10, spec, grid)
-        with pytest.raises(errors.InvalidParameter, match="Phi'y / sigma2 overflows"):
-            posterior_mean(toeplitz_regressor(u, 5), y, 1e-170, spec, grid)
+        # The mean never forms Phi'y / sigma2 (it would be 1e320).
+        h = posterior_mean(toeplitz_regressor(u, 5), y, 1e-170, spec, grid)
+        _, exact = mp_regression(toeplitz_regressor(u, 5), y, 1e-170, spec, grid, 60)
+        assert max(abs(float(e) - x) for e, x in zip(exact, h)) <= 1e-13 * np.max(np.abs(h))
 
 
 class TestSearchConfig:
@@ -486,8 +492,8 @@ class TestFit:
         assert d["kernel"]["family"] == SS1
 
     def test_beta_underflow_is_a_failed_candidate(self):
-        # beta * t_n = 2000 underflows exp(-beta * t_n), so that prior's
-        # closed-form inverse overflows; the candidate must count as failed.
+        # beta * t_n = 2000 underflows exp(-beta * t_n / 2), so that prior's
+        # closed-form square root does not exist; the candidate must count as failed.
         rng = np.random.default_rng(3)
         order, n_data = 40, 200
         u = rng.standard_normal(n_data)
@@ -500,7 +506,7 @@ class TestFit:
         assert all(e["beta"] != 50.0 for e in est.diagnostics["trace"])
         assert np.all(np.isfinite(est.coefficients))
 
-        underflow_only = SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(30.0, 50.0), sigma2_grid=(0.01,))
+        underflow_only = SearchConfig(family=SS1, c_grid=(1.0,), beta_grid=(40.0, 50.0), sigma2_grid=(0.01,))
         with pytest.raises(errors.SingularGram):
             fit(problem, grid, underflow_only)
 
@@ -736,6 +742,79 @@ class TestTunerLog:
         fit(problem, grid, SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta,), sigma2_grid=(sigma2,),
                                         refine_maxiter=15))
         assert capsys.readouterr() == ("", "")
+
+
+class TestOneDomain:
+    """posterior_mean and log_marginal_likelihood share one whitened system, so one domain.
+
+    The sweep crosses the SS-1 bound beta*t_n ~ 709 below which the
+    prior's inverse and precision factor exist: beta 17.60..17.79 on
+    t = 1..40, c from 1e-3 to 1e3, sigma2 0.01 and 0.1.
+    """
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(200)
+        y = np.convolve(u, np.exp(-0.3 * np.arange(40)))[:200] + 0.1 * rng.standard_normal(200)
+        return u, y, uniform_grid(40, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_mover_sweep(self):
+        u, y, grid = self.problem()
+        phi = toeplitz_regressor(u, 40)
+        t = grid.times
+        failed = []
+        for beta in np.round(np.arange(17.60, 17.795, 0.01), 2).tolist():
+            # P from the clock directly: gram refuses c*exp(-beta*t_n) <= 1.1e-308.
+            unit = np.exp(-beta * np.maximum.outer(t, t))
+            for c in (1e-3, 0.1, 0.5, 2.0, 10.0, 1e3):
+                for sigma2 in (0.01, 0.1):
+                    spec = KernelSpec(family=SS1, c=c, beta=beta)
+                    outcomes = []
+                    for function in (log_marginal_likelihood, posterior_mean):
+                        try:
+                            outcomes.append(function(phi, y, sigma2, spec, grid))
+                        except errors.StableKernError as exc:
+                            outcomes.append(type(exc))
+                    value, h = outcomes
+                    if isinstance(value, type) or isinstance(h, type):
+                        assert value is h, (beta, c, sigma2, value, h)
+                        failed.append((beta, c, sigma2))
+                        continue
+                    assert math.isfinite(value) and np.all(np.isfinite(h))
+                    p = c * unit
+                    h_ref = p @ phi.T @ np.linalg.solve(phi @ p @ phi.T + sigma2 * np.eye(200), y)
+                    assert np.max(np.abs(h - h_ref)) <= 1e-8 * np.max(np.abs(h)), (beta, c, sigma2)
+        assert failed == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_failures_agree(self):
+        # Where the system fails, both functions fail alike: past the square
+        # root's range, where c / sigma2 overflows, and where the data make
+        # y'y / sigma2 and the mean itself (5e308) leave the float range.
+        u, y, grid = self.problem()
+        phi = toeplitz_regressor(u, 40)
+        cases = [(phi, y, grid, KernelSpec(family=SS1, c=1.0, beta=50.0), 0.1, errors.SingularGram),
+                 (phi, y, grid, KernelSpec(family=WIENER, c=1e300), 1e-10, errors.NotPositiveDefinite),
+                 (phi, y, grid, KernelSpec(family=SS1, c=1.0, beta=0.5), 1e-310, errors.NotPositiveDefinite),
+                 (np.array([[1e-159]]), np.array([1e150]), make_grid([1e308]), KernelSpec(family=WIENER, c=1.0),
+                  1e-10, errors.InvalidParameter)]
+        for phi, y, grid, spec, sigma2, error in cases:
+            for function in (log_marginal_likelihood, posterior_mean):
+                with pytest.raises(error):
+                    function(phi, y, sigma2, spec, grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_candidate_fit_below_the_inverse_range(self):
+        # c*exp(-beta*t_n) = 1e-3 * exp(-708) ~ 2.6e-311: no precision factor, but a square root.
+        u, y, grid = self.problem()
+        search = SearchConfig(family=SS1, c_grid=(1e-3,), beta_grid=(17.7,), sigma2_grid=(0.1,), refine=False)
+        est = fit(EstimationProblem(u=u, y=y, order=40), grid, search)
+        assert est.diagnostics["n_failed"] == 0
+        assert np.all(np.isfinite(est.coefficients))
+        phi = toeplitz_regressor(u, 40)
+        np.testing.assert_array_equal(est.coefficients, posterior_mean(phi, y, 0.1, est.spec, grid))
 
 
 class TestRefinedFits:

@@ -4,9 +4,11 @@ The cancellation-prone quantities (tiny-beta increments, log-determinants
 whose raw determinants underflow float64) are recomputed here with mpmath
 and compared both to the frozen constants pinned elsewhere in the suite
 and to the library's float64 closed forms.  So is the band completion's
-fill-in, whose entries are products along the chain.
+fill-in, whose entries are products along the chain, and the estimator's
+whitened posterior system.
 """
 
+import math
 import warnings
 
 import mpmath
@@ -23,12 +25,15 @@ from stablekern import (
     band_project,
     gram,
     log_det,
+    log_marginal_likelihood,
     make_grid,
+    posterior_mean,
     stable_increments,
+    toeplitz_regressor,
     uniform_grid,
 )
 
-from helpers import random_grid, random_spec
+from helpers import mp_regression, random_grid, random_spec
 
 mpmath.mp.dps = 60
 
@@ -159,3 +164,41 @@ class TestBandCompletion:
         assert m[2, 0] == m[0, 2]
         np.testing.assert_array_equal(np.diag(m), diag)
         np.testing.assert_array_equal(np.diag(m, 1), offdiag)
+
+
+def regression_problems(count=32, seed=44):
+    """The committed set: both families, non-uniform grids, order 3..15, N = order + 5..60."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 16))
+        n_data = n + int(rng.integers(5, 61))
+        grid = random_grid(rng, n)
+        spec = random_spec(rng, (WIENER, SS1)[k % 2])
+        phi = toeplitz_regressor(rng.standard_normal(n_data), n)
+        sigma2 = float(10.0 ** rng.uniform(-2, 0))
+        y = phi @ rng.standard_normal(n) + math.sqrt(sigma2) * rng.standard_normal(n_data)
+        yield phi, y, sigma2, spec, grid
+
+
+class TestWhitenedPosterior:
+    def test_posterior_mean_matches_fifty_digits(self):
+        residuals = []
+        for phi, y, sigma2, spec, grid in regression_problems():
+            h = posterior_mean(phi, y, sigma2, spec, grid)
+            _, exact = mp_regression(phi, y, sigma2, spec, grid, 50)
+            residuals.append(max(abs(float(e) - x) for e, x in zip(exact, h)) / np.max(np.abs(h)))
+        assert max(residuals) <= 1e-13
+
+    def test_log_marginal_likelihood_past_the_inverse_range(self):
+        # beta * t_n = 1000: no prior inverse, but a square root down to exp(-500).
+        grid = uniform_grid(10, 1.0, 1.0)
+        rng = np.random.default_rng(9)
+        phi = toeplitz_regressor(rng.standard_normal(40), 10)
+        y = rng.standard_normal(40)
+        spec = KernelSpec(family=SS1, c=1.0, beta=100.0)
+        exact, _ = mp_regression(phi, y, 0.1, spec, grid, 50)
+        assert float(exact) == pytest.approx(-145.2490827000079, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_marginal_likelihood(phi, y, 0.1, spec, grid)
+        assert value == pytest.approx(float(exact), rel=1e-14)

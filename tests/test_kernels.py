@@ -132,6 +132,15 @@ class TestKernelEval:
         assert kernel_eval(spec, np.float32(2.0), 3.0) == want
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_beyond_the_float_range_is_singular(self):
+        spec = KernelSpec(family=WIENER, c=1e300)
+        with pytest.raises(errors.SingularGram, match="leaves the float range"):
+            kernel_eval(spec, 1e9, 1e9)
+        # Only the smaller time enters: c * 1 is finite.
+        assert kernel_eval(spec, 1e9, 1.0) == 1e300
+
+
 class TestGram:
     def test_ss1_worked_example(self):
         spec = KernelSpec(family=SS1, c=1.0, beta=LN2)
@@ -174,6 +183,16 @@ class TestGram:
         # exp(-1000) underflows to 0: the last row and column would vanish.
         with pytest.raises(errors.SingularGram):
             gram(KernelSpec(family=SS1, c=1.0, beta=1.0), uniform_grid(10, 100.0, 100.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_entry_beyond_the_float_range_is_singular(self):
+        # Every c*delta = 1e308 is finite, but c*t_n = 1e309 is not.
+        spec = KernelSpec(family=WIENER, c=1e300)
+        with pytest.raises(errors.SingularGram, match="leaves the float range"):
+            gram(spec, make_grid(np.arange(1, 11) * 1e8))
+        # Here c*delta = 1e310 overflows too.
+        with pytest.raises(errors.SingularGram, match="too large"):
+            gram(spec, make_grid(np.arange(1, 11) * 1e10))
 
     def test_ss1_allows_zero_start(self):
         p = gram(KernelSpec(family=SS1, c=2.0, beta=1.0), make_grid([0.0, 1.0])).values

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from stablekern import (
 from helpers import inf_norm, random_grid, random_spec
 
 LN2 = math.log(2.0)
+U = 2.0**-53  # unit roundoff
 SS1_SPEC = KernelSpec(family=SS1, c=1.0, beta=LN2)
 SS1_GRID = make_grid([1.0, 2.0, 3.0])
 W_SPEC = KernelSpec(family=WIENER, c=1.0)
@@ -94,7 +96,10 @@ class TestAgainstDenseOracle:
             assert np.all(f.diag > 0)
             fd = f.to_dense()
             assert inf_norm(fd.T @ fd - tri) <= 1e-12 * inf_norm(tri)
-            u = sqrt_factor(spec, g).to_dense()
+            root = sqrt_factor(spec, g)
+            # Formed with no reciprocal, the column scales are F's reciprocals up to rounding.
+            np.testing.assert_allclose(root.inv_diag * f.diag, 1.0, rtol=4 * U, atol=0.0)
+            u = root.to_dense()
             assert inf_norm(u @ u.T - p) <= 1e-13 * inf_norm(p)
             assert np.array_equal(u, np.triu(u))
 
@@ -180,10 +185,49 @@ class TestErrors:
         # exp(-1000) underflows: the inverse would reach 1e130 and then inf.
         spec = KernelSpec(family=SS1, c=1.0, beta=1.0)
         g = uniform_grid(10, 100.0, 100.0)
-        for op in (closed_form_inverse, precision_factor, sqrt_factor):
+        for op in (closed_form_inverse, precision_factor):
             with pytest.raises(errors.SingularGram):
                 op(spec, g)
         assert math.isfinite(log_det(spec, g))
+        # The square root needs no reciprocal: its columns sqrt(delta_j) reach
+        # only exp(-500) ~ 7e-218.  U U' = P down to the float range, where
+        # P's exact entries exp(-max(t_i, t_j)) fall below it.
+        with mpmath.workdps(60):
+            clock = [mpmath.exp(-mpmath.mpf(t)) for t in g.times]
+            steps = [clock[j] - clock[j + 1] for j in range(9)] + [clock[-1]]
+            root = sqrt_factor(spec, g)
+            u = root.to_dense()
+            assert np.array_equal(u, np.triu(u[:1].repeat(10, axis=0)))
+            for got, step in zip(root.inv_diag, steps):
+                assert abs(mpmath.mpf(got) - mpmath.sqrt(step)) <= 2 * U * mpmath.sqrt(step)
+            p = u @ u.T
+            for i in range(10):
+                for j in range(10):
+                    exact = clock[max(i, j)]
+                    assert abs(mpmath.mpf(p[i, j]) - exact) <= 4 * U * exact + 2.0**-1074 * 10
+
+    @pytest.mark.filterwarnings("error")
+    def test_ss1_sqrt_exists_until_its_column_root_underflows(self):
+        # At c = 1 the last column scale is exp(-beta*t_n / 2): a positive
+        # float up to beta*t_n ~ 1490, twice the precision factor's reach.
+        g = uniform_grid(40, 1.0, 1.0)
+        root = sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=37.2), g)
+        assert 0.0 < root.inv_diag[-1] < 1e-322
+        np.testing.assert_array_equal(root.unit_triangle(), np.triu(np.ones((40, 40))))
+        with pytest.raises(errors.SingularGram, match="square-root column scale"):
+            sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=37.3), g)
+
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_precision_factor_beyond_the_gram_range(self):
+        # c*t_n = 1e309 overflows, and so does the Gram matrix, but the last
+        # precision-factor entry 1/sqrt(c*t_n) = 10^-154.5 is a float.
+        spec = KernelSpec(family=WIENER, c=1e300)
+        g = make_grid(np.arange(1, 11) * 1e8)
+        factor = precision_factor(spec, g)
+        assert factor.diag[-1] == pytest.approx(10.0**-154.5, rel=4 * U)
+        assert np.all(np.isfinite(factor.diag)) and np.all(np.isfinite(factor.super))
+        with pytest.raises(errors.SingularGram, match="square-root column scale"):
+            sqrt_factor(spec, g)
 
     @pytest.mark.filterwarnings("error")
     def test_ss1_inverse_near_the_float_range(self):
@@ -193,6 +237,7 @@ class TestErrors:
         tri = closed_form_inverse(spec, g)
         assert np.all(np.isfinite(tri.diag)) and tri.diag[-1] > 1e303
         assert np.all(np.isfinite(precision_factor(spec, g).diag))
+
 
 
 @settings(max_examples=60, deadline=None)
