@@ -55,8 +55,8 @@ class SingularGram(StableKernError):
     """The Gram matrix is singular (Wiener kernel with t1 = 0), an entry leaves
     the float range (Wiener kernel with c*t_n above 1.8e308), or a closed form
     does: the inverse and precision factor need c*exp(-beta*t_n) above 1.1e-308
-    for SS-1, and the square root needs a positive column scale, down to
-    sqrt(c)*exp(-beta*t_n/2) ~ 5e-324 (beta*t_n ~ 1490 at c = 1)."""
+    for SS-1, and the square root needs exp(-beta*t_n/2) and every column
+    scale to be normal floats, at least 2.2e-308 (beta*t_n up to ~1416.8)."""
 
 
 class DimensionMismatch(StableKernError):

@@ -13,9 +13,10 @@ and b = U'Phi'y:
     y'(Phi P Phi' + sigma2 I)^{-1} y = (y'y - lam b'M^{-1}b) / sigma2,
     h = P Phi'(Phi P Phi' + sigma2 I)^{-1} y = lam U M^{-1} b.
 
-All three come from one Cholesky factor of a bordered M, so the log
-marginal likelihood and the posterior mean share one domain; no P^{-1},
-Phi'y / sigma2 or N x N matrix is formed.
+All three come from one Cholesky factor of a bordered M: where it fails,
+both public functions fail alike, and the mean, which needs no y'y / sigma2,
+also exists where that overflows.  No P^{-1}, Phi'y / sigma2 or N x N
+matrix is formed.
 
 Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
 ``fit`` builds Phi once and folds the data into these statistics once,
@@ -194,9 +195,8 @@ def _bordered(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.nda
     e the integer for which y'y / 4^e lies in [1/4, 1).  The factor's
     first n pivots give ln det M, and its last row r' = (L_M^{-1} g)' has
     squared norm lam b'M^{-1}b / 4^e <= y'y / 4^e < 1: the last pivot
-    stays above 1, and no entry overflows for any finite y'y.  A failure
-    is None, or the error of a system that leaves the float range or has
-    no Cholesky factor.
+    stays above 1, and no entry overflows for any finite y'y.  A failure is
+    None or the error of a system that overflows or has no Cholesky factor.
     """
     count, n = c.shape[0], white.gram.shape[0]
     shift = (math.frexp(stats.yy)[1] + 1) // 2
@@ -240,8 +240,7 @@ def _posterior_mean(stats: _DataStats, white: _Whitened, c: float, sigma2: float
         raise failure
     import scipy.linalg
 
-    n = white.gram.shape[0]
-    v = scipy.linalg.solve_triangular(low[0, :n, :n], low[0, n, :n], trans="T", lower=True, check_finite=False)
+    v = scipy.linalg.solve_triangular(low[0, :-1, :-1], low[0, -1, :-1], trans="T", lower=True, check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.ldexp((white.root.to_dense() @ v) * math.sqrt(c / sigma2), shift)
     if not np.all(np.isfinite(h)):
@@ -253,8 +252,9 @@ def _posterior_mean(stats: _DataStats, white: _Whitened, c: float, sigma2: float
 def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> np.ndarray:
     """Posterior mean P Phi'(Phi P Phi' + sigma2 I)^{-1} y = lam U M^{-1} b, in whitened coordinates.
 
-    It is read from the same bordered Cholesky factor as
-    :func:`log_marginal_likelihood`, so it exists wherever that system does.
+    Read from the bordered factor of :func:`log_marginal_likelihood`, it
+    fails alike where that factor does; it also exists where y'y / sigma2
+    overflows, and fails alone only where h leaves the float range.
     """
     stats = _fold(phi, y, grid)
     _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
@@ -466,11 +466,11 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
     """Tune hyperparameters, then compute the posterior-mean coefficients.
 
-    The data are folded and whitened as the tuner needs them, and the
-    posterior mean reuses the best candidate's whitened data, so it
-    costs one more bordered Cholesky and no whitening.  ``diagnostics["trace"]`` lists
-    every candidate the tuner evaluated; ``n_failed`` counts those whose
-    prior or posterior system was numerically singular.
+    The data are folded and whitened as the tuner needs them; the mean
+    reuses the best candidate's whitened data, so it costs one more
+    bordered Cholesky and no whitening.  ``diagnostics["trace"]`` lists
+    every candidate evaluated; ``n_failed`` counts those whose prior or
+    posterior system was numerically singular.
     """
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")

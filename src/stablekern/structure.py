@@ -23,6 +23,9 @@ from .errors import DimensionMismatch
 from .grid import SamplingGrid
 from .kernels import KernelSpec, _Chain, _regular
 
+# The largest subnormal: a square-root column scale must lie above it.
+_MIN_SCALE = float(np.nextafter(np.finfo(float).tiny, 0.0))
+
 __all__ = [
     "TridiagonalMatrix",
     "UpperBidiagonal",
@@ -91,7 +94,8 @@ class StructuredSqrt:
     Only the n column scales are kept: inv_diag[j] = sqrt(c * rho_j *
     |phi_{j+1} - phi_j|) and inv_diag[n] = sqrt(c * phi_n), the standard
     deviations of the precision factor's rows (so they equal
-    1 / precision_factor(...).diag, but are formed with no reciprocal).
+    1 / precision_factor(...).diag up to rounding, but are formed with no
+    reciprocal).
     The dense triangle is materialized on demand as
     U[i, j] = (min(phi_i, phi_j) / phi_j) * inv_diag[j] for i <= j, which
     is constant down each SS-1 column.
@@ -184,32 +188,34 @@ def precision_factor(spec: KernelSpec, grid: SamplingGrid) -> UpperBidiagonal:
 def sqrt_factor(spec: KernelSpec, grid: SamplingGrid) -> StructuredSqrt:
     """Closed-form upper-triangular U with U @ U.T equal to the Gram matrix.
 
-    Each column scale sqrt(c * rho_j * |phi_{j+1} - phi_j|) is formed
-    directly, with no reciprocal: for SS-1 it is sqrt(c * rel_j) times
-    the clock's root exp(-beta*t_j / 2), so U exists wherever that is a
-    positive float, up to beta*t_n ~ 1490 at c = 1, about twice as far as
-    the precision factor.  Raises SingularGram where a scale is zero (Wiener
-    t1 = 0, an SS-1 root that underflows) or leaves the float range
-    (Wiener c * t_n).
+    Each column scale sqrt(c * rho_j * |phi_{j+1} - phi_j|) is a product
+    of square roots, with no reciprocal: SS-1 exp(-beta*t_j / 2) *
+    sqrt(c) * sqrt(rel_j), Wiener (sqrt(t_j) / sqrt(t_{j+1})) *
+    sqrt(rel_{j+1}) * sqrt(c) and sqrt(t_n) * sqrt(c).  Each product
+    starts from a normal float (for Wiener, when every time is above
+    1e-307), and each later factor either keeps it normal or is at most 1,
+    so a scale at or above the smallest normal float 2.2e-308 had no
+    subnormal intermediate and keeps full precision.  Raises SingularGram
+    where a scale is zero (Wiener t1 = 0), not finite or below 2.2e-308,
+    or where exp(-beta*t_n / 2) is (SS-1 beta*t_n above about 1416.8,
+    twice the precision factor's reach, whatever c).
     """
     chain = _Chain(spec, grid.times)
-    with np.errstate(over="ignore", invalid="ignore"):
+    message = ("a square-root column scale is zero, subnormal or not finite (Wiener needs t1 > 0, "
+               "SS-1 needs exp(-beta*t_n/2) and sqrt(c*delta_j) >= 2.2e-308)")
+    with np.errstate(over="ignore"):
         if chain.rising:
-            t = chain.clock
-            root = np.empty(grid.n)
-            np.multiply(chain.rel[1:] * spec.c, t[:-1] / t[1:], out=root[:-1])
-            root[-1] = spec.c * t[-1]
-            np.sqrt(root, out=root)
+            root = np.sqrt(chain.clock)
+            root[:-1] /= root[1:]
+            root[:-1] *= np.sqrt(chain.rel[1:])
+            root *= math.sqrt(spec.c)
         else:
-            root = np.sqrt(chain.rel * spec.c)
-            half = np.sqrt(chain.scale)
-            # Past beta*t = 700 the clock nears the subnormals or is 0, but its root is not.
-            deep = int(np.searchsorted(grid.times, 700.0 / spec.beta))
-            half[deep:] = np.exp(0.5 * chain.log_scale[deep:])
-            root *= half
-    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_regular(
-        root, 0.0, "a square-root column scale is zero or not finite "
-                   "(Wiener needs t1 > 0 and c*t_n < 1.8e308, SS-1 needs sqrt(c)*exp(-beta*t_n/2) > 5e-324)"))
+            root = chain.log_scale * 0.5
+            np.exp(root, out=root)
+            _regular(root[-1:], _MIN_SCALE, message)  # the smallest: every root of the clock is normal
+            root *= math.sqrt(spec.c)
+            root *= np.sqrt(chain.rel)
+    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_regular(root, _MIN_SCALE, message))
 
 
 def apply_precision(factor: UpperBidiagonal, v: np.ndarray) -> np.ndarray:

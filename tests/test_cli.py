@@ -667,12 +667,12 @@ class TestGoldenBytes:
     prior's whitened coordinates: trace values moved in the last bits,
     and one fixed-sigma2 Wiener optimum moved to a near-tie whose value is
     higher in 50-digit arithmetic.
-    The square roots, both ``maxent-audit`` digests, the SS-1 ``check``
-    and the four ``fit`` digests were re-recorded when the square root's
-    column scales were formed directly instead of as reciprocals of the
-    precision factor, and the posterior mean moved to the tuner's
-    whitened system.  The square-root entries, the increment entropies,
-    the SS-1 ``sqrt_factor`` residual, the fit coefficients and the SS-1
+    The square roots, both ``maxent-audit`` digests, both ``check``
+    digests and the four ``fit`` digests were re-recorded when the square
+    root's column scales became products of square roots instead of
+    reciprocals of the precision factor, and the posterior mean moved to
+    the tuner's whitened system.  The square-root entries, the increment
+    entropies, the ``sqrt_factor`` residuals, the fit coefficients and the
     trace values moved in the last bits, with the same hyperparameters,
     trace points and evaluation counts, and stay within a few units of
     roundoff of 60-digit arithmetic.
@@ -690,9 +690,9 @@ class TestGoldenBytes:
             "audit": "43804aa9b2deef7c27eb696e4d645f84ca867500c553b9875ef7d333275af7b6",
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
             "factor": "79296d7fcb57b2f80fe3d020ff5c3d276d16a29e3dd055821bb3e0d36d926837",
-            "sqrt": "20a08168d81502f559a16a1a1647d568b03a9f97757ba4fd460da1fc3b36eb89",
-            "maxent-audit": "d7bd730f8f813ea79fa2bd453e04c0ef965049aef5d11045fa4b9e63680cb342",
-            "check": "04cd1fae5d0bab3e5c9fed78220183f059445aecf141241348eae36591cd6e61",
+            "sqrt": "bbaf1ad8c962917670f1a0d5724d74e2bbde1b1fa404b3ed2e30c85982ecb0f6",
+            "maxent-audit": "ed7545d1d12e6a7cbb24f4c64d34d3a5c2e9fec40e42f92af65225c29f50bbdf",
+            "check": "c6a1a57442768ee938384322ed41ae39cfef9a33595b2f590e4640248cbce487",
         },
         "ss1": {
             "gram": "78d6f5a0dd24e59fa7c8368314a9d8eaee6b945a031e3528dc600f37aff57183",
@@ -701,16 +701,16 @@ class TestGoldenBytes:
             "audit": "0016ea06d55f5ab9cd65e8519cbe22813d33626e3c72beea107ba20ec770c7a7",
             "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
             "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
-            "sqrt": "7a37d74f899e2dc7ef5a43deccd793fe15cf04377197bbf2897c5da6ed00f127",
-            "maxent-audit": "19aa1f635838df9ad6a271c876d9e1a2f66f964536d710650b79eaf1bffe70b0",
+            "sqrt": "5c3ede193b6222fa5dcca29ff94cbcd3960e5f41e10a7bec13b1f3c5d82bd5fb",
+            "maxent-audit": "c6aa0fa6b8835bc5d14ed87dd8e9d1409f1b3c9d2bfe87ccc7b607d5db468f00",
             "check": "0106b361ebb8dce07115be67c91e4bf883892b0f52da1724cc17500d3d5844d1",
         },
         "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
-            "wiener": {"free": "ed8ba8abb09e487261d1bccdf3ce2b392e02d3a22d4338b0e5b6e51bd10cf84d",
-                       "fixed": "47c2882fd315d1350a3fd85ce872772363b6ba0ec2e23f0a0964b652b995c871"},
-            "ss1": {"free": "0e321ef7666f6f3e933354988257f3a72511b85d2a6d89f8b4db7fb97830891a",
-                    "fixed": "51a372306fde5e745cf147407169feaa1b2ec975473012d6a0031de11a10e143"},
+            "wiener": {"free": "53da81fac0165504fa90be9a9c46adaf97813ac29be0005d7f0075d8ea8b8f5f",
+                       "fixed": "9fa692d0916431be126c754a08aeeacf95d51414be8b4b588730fb3dc0816db6"},
+            "ss1": {"free": "9d8a64e352cce9e7aa2f5b9571556f7310bf14bb570b8782435433cc8d172e33",
+                    "fixed": "0a84344a762af21b5f9b27d70dc2875d9fac221a24afce8119e01283a39172fa"},
         },
     }
     # u in {-5/4, ..., 5/4}, y = sum_j 2^-j u[k-j] plus a dyadic disturbance:

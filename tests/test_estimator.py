@@ -231,6 +231,7 @@ class TestLogMarginalLikelihood:
         assert math.isfinite(value)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error")
     def test_float_range_overflow_is_a_domain_error(self):
         grid = uniform_grid(10, 1.0, 1.0)
         rng = np.random.default_rng(9)
@@ -241,7 +242,8 @@ class TestLogMarginalLikelihood:
         spec = KernelSpec(family=SS1, c=1.0, beta=100.0)
         value = log_marginal_likelihood(phi, y, 0.1, spec, grid)
         exact, _ = mp_regression(phi, y, 0.1, spec, grid, 50)
-        assert value == pytest.approx(float(exact), rel=1e-13)
+        assert float(exact) == pytest.approx(-145.2490827000079, rel=1e-15)
+        assert value == pytest.approx(float(exact), rel=1e-14)
         # c / sigma2 overflows for a subnormal noise variance.
         with pytest.raises(errors.NotPositiveDefinite):
             posterior_mean(phi, y, 1e-310, KernelSpec(family=WIENER, c=1.0), grid)
@@ -277,7 +279,10 @@ class TestLogMarginalLikelihood:
         y[3] = 1e150
         with pytest.raises(errors.InvalidParameter, match="y'y / sigma2 overflows"):
             log_marginal_likelihood(toeplitz_regressor(u, 5), y, 1e-10, spec, grid)
-        # The mean never forms Phi'y / sigma2 (it would be 1e320).
+        # The mean needs neither y'y / sigma2 nor Phi'y / sigma2 (1e470 and 1e320
+        # here): it exists where the likelihood fails on their overflow.
+        with pytest.raises(errors.InvalidParameter, match="y'y / sigma2 overflows"):
+            log_marginal_likelihood(toeplitz_regressor(u, 5), y, 1e-170, spec, grid)
         h = posterior_mean(toeplitz_regressor(u, 5), y, 1e-170, spec, grid)
         _, exact = mp_regression(toeplitz_regressor(u, 5), y, 1e-170, spec, grid, 60)
         assert max(abs(float(e) - x) for e, x in zip(exact, h)) <= 1e-13 * np.max(np.abs(h))

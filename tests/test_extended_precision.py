@@ -188,17 +188,3 @@ class TestWhitenedPosterior:
             _, exact = mp_regression(phi, y, sigma2, spec, grid, 50)
             residuals.append(max(abs(float(e) - x) for e, x in zip(exact, h)) / np.max(np.abs(h)))
         assert max(residuals) <= 1e-13
-
-    def test_log_marginal_likelihood_past_the_inverse_range(self):
-        # beta * t_n = 1000: no prior inverse, but a square root down to exp(-500).
-        grid = uniform_grid(10, 1.0, 1.0)
-        rng = np.random.default_rng(9)
-        phi = toeplitz_regressor(rng.standard_normal(40), 10)
-        y = rng.standard_normal(40)
-        spec = KernelSpec(family=SS1, c=1.0, beta=100.0)
-        exact, _ = mp_regression(phi, y, 0.1, spec, grid, 50)
-        assert float(exact) == pytest.approx(-145.2490827000079, rel=1e-15)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            value = log_marginal_likelihood(phi, y, 0.1, spec, grid)
-        assert value == pytest.approx(float(exact), rel=1e-14)

@@ -97,8 +97,9 @@ class TestAgainstDenseOracle:
             fd = f.to_dense()
             assert inf_norm(fd.T @ fd - tri) <= 1e-12 * inf_norm(tri)
             root = sqrt_factor(spec, g)
-            # Formed with no reciprocal, the column scales are F's reciprocals up to rounding.
-            np.testing.assert_allclose(root.inv_diag * f.diag, 1.0, rtol=4 * U, atol=0.0)
+            # Formed with no reciprocal, the column scales are F's reciprocals up to
+            # rounding: at most 5 roundings in a scale, 3.5 in F's entry, 1 in the product.
+            np.testing.assert_allclose(root.inv_diag * f.diag, 1.0, rtol=10 * U, atol=0.0)
             u = root.to_dense()
             assert inf_norm(u @ u.T - p) <= 1e-13 * inf_norm(p)
             assert np.array_equal(u, np.triu(u))
@@ -207,27 +208,58 @@ class TestErrors:
                     assert abs(mpmath.mpf(p[i, j]) - exact) <= 4 * U * exact + 2.0**-1074 * 10
 
     @pytest.mark.filterwarnings("error")
-    def test_ss1_sqrt_exists_until_its_column_root_underflows(self):
-        # At c = 1 the last column scale is exp(-beta*t_n / 2): a positive
-        # float up to beta*t_n ~ 1490, twice the precision factor's reach.
+    def test_ss1_sqrt_exists_while_its_column_root_is_normal(self):
+        # At c = 1 the last column scale is exp(-beta*t_n / 2): a normal
+        # float up to beta*t_n ~ 1416.8, twice the precision factor's reach.
         g = uniform_grid(40, 1.0, 1.0)
-        root = sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=37.2), g)
-        assert 0.0 < root.inv_diag[-1] < 1e-322
+        root = sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=35.4), g)
+        with mpmath.workdps(30):
+            # -beta*t_n is rounded once, to within 2^-43 of 1416: that bounds the error.
+            exact = mpmath.exp(-mpmath.mpf(35.4) * 40 / 2)
+            assert abs(mpmath.mpf(root.inv_diag[-1]) - exact) <= 2.0**-43 * exact
         np.testing.assert_array_equal(root.unit_triangle(), np.triu(np.ones((40, 40))))
+        # exp(-beta*t_n / 2) below the normal floats fails, whatever c.
+        for beta, c in ((35.42, 1.0), (37.3, 1.0), (36.0, 1e300)):
+            with pytest.raises(errors.SingularGram, match="square-root column scale"):
+                sqrt_factor(KernelSpec(family=SS1, c=c, beta=beta), g)
+        # So does a normal exp(-beta*t_n / 2) whose scale sqrt(c) takes below them.
         with pytest.raises(errors.SingularGram, match="square-root column scale"):
-            sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=37.3), g)
+            sqrt_factor(KernelSpec(family=SS1, c=1e-300, beta=35.4), g)
 
     @pytest.mark.filterwarnings("error")
-    def test_wiener_precision_factor_beyond_the_gram_range(self):
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_sqrt_scales_keep_full_precision_for_a_small_c(self, family):
+        # c * delta ~ 1e-310 is subnormal, but each scale sqrt(c * delta) ~ 1e-155 is
+        # a normal float: formed as a product of roots, it keeps full precision.
+        g = make_grid([1e-10, 3e-10, 4e-10, 7e-10])
+        spec = KernelSpec(family=family, c=1e-300, beta=None if family == WIENER else 1.0)
+        root = sqrt_factor(spec, g)
+        with mpmath.workdps(60):
+            t = [mpmath.mpf(x) for x in g.times]
+            c = mpmath.mpf(spec.c)
+            if family == WIENER:
+                var = [c * t[j] * (t[j + 1] - t[j]) / t[j + 1] for j in range(3)] + [c * t[3]]
+            else:
+                clock = [mpmath.exp(-x) for x in t]
+                var = [c * (clock[j] - clock[j + 1]) for j in range(3)] + [c * clock[3]]
+            for got, v in zip(root.inv_diag, var):
+                assert abs(mpmath.mpf(got) - mpmath.sqrt(v)) <= 4 * U * mpmath.sqrt(v)
+
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_factors_beyond_the_gram_range(self):
         # c*t_n = 1e309 overflows, and so does the Gram matrix, but the last
-        # precision-factor entry 1/sqrt(c*t_n) = 10^-154.5 is a float.
+        # precision-factor entry 1/sqrt(c*t_n) = 10^-154.5 is a float, and so
+        # is its reciprocal, the last square-root scale.
         spec = KernelSpec(family=WIENER, c=1e300)
         g = make_grid(np.arange(1, 11) * 1e8)
         factor = precision_factor(spec, g)
         assert factor.diag[-1] == pytest.approx(10.0**-154.5, rel=4 * U)
         assert np.all(np.isfinite(factor.diag)) and np.all(np.isfinite(factor.super))
-        with pytest.raises(errors.SingularGram, match="square-root column scale"):
-            sqrt_factor(spec, g)
+        root = sqrt_factor(spec, g)
+        assert root.inv_diag[-1] == pytest.approx(10.0**154.5, rel=4 * U)
+        np.testing.assert_allclose(root.inv_diag * factor.diag, 1.0, rtol=4 * U, atol=0.0)
+        with pytest.raises(errors.SingularGram, match="Gram entry"):
+            gram(spec, g)
 
     @pytest.mark.filterwarnings("error")
     def test_ss1_inverse_near_the_float_range(self):
