@@ -5,9 +5,9 @@ inverses, determinants and factorizations, maximum-entropy audits,
 exact process samplers, and a kernel-regularized FIR estimator whose
 linear algebra runs at the FIR order rather than the data length.
 
-Importing the package loads numpy only.  scipy is imported where it is
-called, on first use: by the samplers' inverse normal CDF and by the
-estimator's regressor, Cholesky solves and simplex refinement.
+Importing the package loads numpy only.  scipy is imported on first use,
+and only by the samplers' inverse normal CDF; the estimator runs on numpy
+alone.
 
 Each module's ``__all__`` is the one declaration of its public names;
 the package exports them all, in module order.

@@ -56,7 +56,10 @@ class SingularGram(StableKernError):
     the float range (Wiener kernel with c*t_n above 1.8e308), or a closed form
     does: the inverse and precision factor need c*exp(-beta*t_n) above 1.1e-308
     for SS-1, and the square root needs exp(-beta*t_n/2) and every column
-    scale to be normal floats, at least 2.2e-308 (beta*t_n up to ~1416.8)."""
+    scale to be normal floats, at least 2.2e-308 (beta*t_n up to ~1416.8).
+    Every SS-1 computation needs beta*t_n below 1.8e308 and each
+    beta*(t_{i+1} - t_i) at least 2.2e-308, where its steps keep full
+    precision."""
 
 
 class DimensionMismatch(StableKernError):

@@ -31,6 +31,13 @@ over a log-spaced grid followed by an optional simplex refinement in
 log-space.  Tuning is deterministic given the search configuration, and
 the reported optimum is the best of every candidate evaluated, so it
 can never fall below a grid point.
+
+The module needs numpy only, so a cold ``fit`` process loads no scipy:
+Phi is a strided view of the zero-padded input, the mean's triangular
+solve is numpy's LU of a triangle (no pivoting, exact zero multipliers),
+and the simplex, :func:`_nelder_mead`, is a port of scipy's
+``minimize(method="Nelder-Mead")`` that evaluates the same points bit
+for bit.
 """
 
 from __future__ import annotations
@@ -110,9 +117,8 @@ def toeplitz_regressor(u: np.ndarray, order: int) -> np.ndarray:
     """N x n Toeplitz matrix with Phi[k, j] = u[k - j], zero above the diagonal."""
     uu = np.asarray(u, dtype=float).reshape(-1)
     _check_order(order, uu.shape[0])
-    import scipy.linalg
-
-    return scipy.linalg.toeplitz(uu, np.zeros(order))
+    padded = np.concatenate([np.zeros(order - 1), uu])
+    return np.lib.stride_tricks.sliding_window_view(padded, order)[:, ::-1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +244,9 @@ def _posterior_mean(stats: _DataStats, white: _Whitened, c: float, sigma2: float
     low, shift, (failure,) = _bordered(stats, white, np.array([c]), np.array([sigma2]))
     if failure is not None:
         raise failure
-    import scipy.linalg
-
-    v = scipy.linalg.solve_triangular(low[0, :-1, :-1], low[0, -1, :-1], trans="T", lower=True, check_finite=False)
+    # LU of the triangle L_M' pivots on its diagonal and its multipliers are
+    # exact zeros, so this is back substitution.
+    v = np.linalg.solve(low[0, :-1, :-1].T, low[0, -1, :-1])
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.ldexp((white.root.to_dense() @ v) * math.sqrt(c / sigma2), shift)
     if not np.all(np.isfinite(h)):
@@ -364,6 +370,64 @@ class ImpulseResponseEstimate:
         }
 
 
+def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> Tuple[int, bool]:
+    """Minimize func from x0 by the Nelder-Mead simplex; return the iteration count and whether it converged.
+
+    Step for step and expression for expression this is scipy's
+    ``minimize(method="Nelder-Mead")`` without bounds, adaptive parameters
+    or an evaluation limit, so it visits the same points bit for bit:
+    reflection 1, expansion 2, contraction and shrink 1/2, an initial
+    simplex that moves one coordinate of x0 by 5% (to 0.00025 where it is
+    0), and a stop once every vertex lies within xatol and every value
+    within fatol of the best, or at ``maxiter`` iterations (counted from 1).
+    The best point is not returned: the caller records what it evaluates.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = x0.shape[0]
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim], dtype=float)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts twice before the first step
+    nit = 1
+    while nit < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        nit += 1
+        sim, fsim = ordered(sim, fsim)
+    return nit, nit < maxiter
+
+
 def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
     """Best trace entry, its beta's whitened data, the trace of every candidate evaluated, and the failure count.
 
@@ -435,8 +499,6 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
                                f"last failure: {last_error}")
 
     if search.refine:
-        import scipy.optimize
-
         start = [best[0]["c"], best[0].get("beta"), best[0]["sigma2"]]
         free = [i for i, tuned in enumerate((True, tune_beta, tune_sigma2)) if tuned]
 
@@ -453,13 +515,11 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             white, (result,) = batch(beta, (c,), (s2,))
             return -record(c, beta, s2, result, white)
 
-        result = scipy.optimize.minimize(
-            objective,
-            np.array([math.log(start[i]) for i in free]),
-            method="Nelder-Mead",
-            options={"maxiter": search.refine_maxiter, "xatol": 1e-6, "fatol": 1e-9},
-        )
-        _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", result.success, result.nit, result.message)
+        nit, success = _nelder_mead(objective, np.array([math.log(start[i]) for i in free]),
+                                    maxiter=search.refine_maxiter, xatol=1e-6, fatol=1e-9)
+        _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", success, nit,
+                   "Optimization terminated successfully." if success
+                   else "Maximum number of iterations has been exceeded.")
     return best[0], best[1], trace, n_failed
 
 

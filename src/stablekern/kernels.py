@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -105,6 +106,10 @@ def _json_fields(items) -> dict:
     return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
 
 
+# The largest subnormal: an SS-1 relative step or a square-root column
+# scale must lie above it, or it has lost digits.
+_MIN_SCALE = float(np.nextafter(np.finfo(float).tiny, 0.0))
+
 # Bound on c*delta below which its reciprocal, or the sum of two reciprocals
 # on the inverse's diagonal, would leave the float range.
 _MIN_STEP = 2.0 / np.finfo(float).max
@@ -124,31 +129,56 @@ class _Chain:
     to its neighbour toward the end where phi vanishes (phi = 0 past it),
     kept as scale * rel, scale = exp(log_scale), each factor free of
     cancellation: Wiener scale 1, rel = t_i - t_{i-1} (t_0 = 0); SS-1
-    scale phi, rel = -expm1(-beta*(t_{i+1} - t_i)), rel_n = 1.  ``order``
-    lists the grid from the vanishing end; ``rising`` is true when that
-    end is t = 0.  Methods allocate at most one n-array each: the closed
-    forms run at n = 10^6.
+    scale phi, rel = -expm1(-beta*(t_{i+1} - t_i)), rel_n = 1.  The SS-1
+    clock and rel are formed on first read (``log_det`` and
+    ``sqrt_factor`` never read the clock, ``kernel_eval`` never reads
+    rel).  An SS-1 chain raises SingularGram where -beta*t_n leaves the
+    float range, and its rel where an entry is below the normal floats
+    (beta*(t_{i+1} - t_i) < 2.2e-308, where it loses digits).
+    ``order`` lists the grid from the vanishing end; ``rising`` is true
+    when that end is t = 0.  Methods allocate at most one n-array each:
+    the closed forms run at n = 10^6.
     """
 
     def __init__(self, spec: KernelSpec, times: np.ndarray) -> None:
         self.c = spec.c
+        self.beta = spec.beta
+        self.times = times
         self.rising = spec.family == WIENER
         if self.rising:
             self.clock = times
             self.log_scale = 0.0
-            self.scale = 1.0
             self.rel = np.diff(times, prepend=0.0)
         else:
+            # A Python float product: no numpy overflow warning.  The times
+            # ascend, so every other -beta*t and -beta*dt is finite too.
+            if spec.beta * float(times[-1]) == math.inf:
+                raise SingularGram("the SS-1 log clock -beta*t_n leaves the float range: beta*t_n must be "
+                                   "below 1.8e308")
             self.log_scale = -spec.beta * times
-            self.clock = self.scale = np.exp(self.log_scale)
-            self.rel = np.empty(times.shape[0])
-            self.rel[-1] = 1.0
-            head = self.rel[:-1]
-            np.subtract(times[1:], times[:-1], out=head)
-            head *= -spec.beta
-            np.expm1(head, out=head)
-            np.negative(head, out=head)
         self.order = slice(None) if self.rising else slice(None, None, -1)
+
+    @cached_property
+    def clock(self) -> np.ndarray:
+        """The SS-1 clock exp(-beta*t); a Wiener chain sets its times."""
+        return np.exp(self.log_scale)
+
+    @cached_property
+    def rel(self) -> np.ndarray:
+        """The SS-1 relative steps; a Wiener chain sets its time differences."""
+        rel = np.empty(self.times.shape[0])
+        rel[-1] = 1.0
+        head = rel[:-1]
+        np.subtract(self.times[1:], self.times[:-1], out=head)
+        head *= -self.beta
+        np.expm1(head, out=head)
+        np.negative(head, out=head)
+        return _regular(rel, _MIN_SCALE, "an SS-1 relative step -expm1(-beta*(t_{i+1} - t_i)) is subnormal "
+                                         "or zero: beta*(t_{i+1} - t_i) must be at least 2.2e-308")
+
+    @property
+    def scale(self):
+        return 1.0 if self.rising else self.clock
 
     def steps(self) -> np.ndarray:
         return self.scale * self.rel
@@ -174,8 +204,10 @@ class _Chain:
         with np.errstate(divide="ignore"):
             np.log(logs, out=logs)
         logs += self.log_scale
-        return float(_regular(logs.sum(), -math.inf,
-                              "a chain increment c*delta is zero or not finite (Wiener needs t1 > 0)"))
+        with np.errstate(over="ignore"):
+            total = logs.sum()
+        return float(_regular(total, -math.inf, "a chain increment c*delta is zero or not finite (Wiener needs "
+                                                "t1 > 0), or the sum of their logs leaves the float range"))
 
 
 def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
@@ -185,7 +217,8 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     a negative time raises NegativeTime; a NaN or infinite one, or one
     that is not a real number (a bool, a string, None), InvalidParameter.
     t == s is allowed.  A value beyond the float range (Wiener c * min(t, s)
-    above 1.8e308) raises SingularGram.
+    above 1.8e308) raises SingularGram, and so does an SS-1 beta * max(t, s)
+    above 1.8e308.
     """
     for name, value in (("t", t), ("s", s)):
         if not _is_finite_real(value):
@@ -205,8 +238,10 @@ def gram(spec: KernelSpec, grid: SamplingGrid) -> KernelMatrix:
     ------
     SingularGram
         When a chain increment is zero or out of range, for example for
-        the Wiener family when t1 = 0 (first row and column vanish), or
-        when an entry leaves the float range (Wiener c * t_n overflows).
+        the Wiener family when t1 = 0 (first row and column vanish), when
+        an entry leaves the float range (Wiener c * t_n overflows), or
+        outside the SS-1 chain's domain (beta * t_n overflows, or a step
+        beta * (t_{i+1} - t_i) is below 2.2e-308).
     """
     chain = _Chain(spec, grid.times)
     chain.scaled_steps()

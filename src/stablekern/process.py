@@ -136,7 +136,8 @@ class TimeTransform:
 def stable_time_transform(grid: SamplingGrid, beta: float) -> TimeTransform:
     """Transformed grid tau_j = exp(-beta * t_{n+1-j}) with its reversal map."""
     _check_positive(beta, "time transform needs finite beta > 0, got {!r}")
-    tau = np.exp(-beta * grid.times[::-1])
+    with np.errstate(over="ignore"):  # -beta*t = -inf gives tau = 0, rejected below
+        tau = np.exp(-beta * grid.times[::-1])
     if tau[0] <= 0.0:
         raise InvalidParameter("beta * t_n is too large: the transformed grid underflows to 0")
     return TimeTransform(original=grid, tau=make_grid(tau), reversal=np.arange(grid.n)[::-1])

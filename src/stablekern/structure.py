@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .grid import SamplingGrid
-from .kernels import KernelSpec, _Chain, _regular
-
-# The largest subnormal: a square-root column scale must lie above it.
-_MIN_SCALE = float(np.nextafter(np.finfo(float).tiny, 0.0))
+from .kernels import _MIN_SCALE, KernelSpec, _Chain, _regular
 
 __all__ = [
     "TridiagonalMatrix",

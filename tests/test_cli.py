@@ -590,6 +590,9 @@ class TestScipyImportedOnUse:
         paths_file = tmp_path / "paths.csv"
         ps = sample_ss1(uniform_grid(4, 1.0, 1.0), c=1.0, beta=LN2, seed=0, p=200)
         np.savetxt(paths_file, ps.paths, fmt="%.17g", delimiter=",")
+        data, search_file, search, _, _, order = TestFit().write_problem(tmp_path, n_data=60, order=6)
+        search["refine"] = True
+        search_file.write_text(json.dumps(search))
         common = ["--kernel", ss1_kernel, "--uniform", "4,1,1", "--quiet"]
         commands = [
             ["gram", *common, "--out", str(tmp_path / "gram.csv")],
@@ -601,13 +604,15 @@ class TestScipyImportedOnUse:
             ["audit", "--paths", str(paths_file), *common, "--out", str(tmp_path / "audit.json")],
             ["check", *common, "--out", str(tmp_path / "check.json")],
             ["maxent-audit", *common, "--trials", "20", "--out", str(tmp_path / "maxent.json")],
+            ["fit", "--data", str(data), "--order", str(order), "--kernel-family", SS1,
+             "--search", str(search_file), "--quiet", "--out", str(tmp_path / "fit.json")],
         ]
         steps = _probe(commands)
         for step in steps:
             assert step["code"] == 0, step["argv"]
             assert step["scipy"] == [], step["argv"]
 
-    def test_sampling_and_fit_import_scipy_on_first_use(self, tmp_path, ss1_kernel):
+    def test_only_sampling_imports_scipy(self, tmp_path, ss1_kernel):
         paths_file = tmp_path / "paths.csv"
         audit_file = tmp_path / "audit.json"
         fit_file = tmp_path / "fit.json"
@@ -627,7 +632,7 @@ class TestScipyImportedOnUse:
         assert steps[0]["scipy"] == []
         assert "scipy.special" in steps[1]["scipy"]
         assert steps[2]["scipy"] == steps[1]["scipy"]  # the audit imports nothing more
-        assert {"scipy.linalg", "scipy.optimize"} <= set(steps[3]["scipy"])
+        assert steps[3]["scipy"] == steps[1]["scipy"]  # nor does fit, with refinement on
 
         ps = sample_ss1(uniform_grid(5, 0.5, 0.5), c=1.0, beta=LN2, seed=7, p=200)
         np.testing.assert_array_equal(parse_csv(paths_file.read_text()), ps.paths)
@@ -770,6 +775,20 @@ class TestGoldenBytes:
         got = {name: self.stdout_digest(base + extra, capsys)[1]
                for name, extra in (("free", []), ("fixed", ["--sigma2", "0.02"]))}
         assert got == self.DIGESTS["fit"][family]
+
+    def test_fit_runs_without_scipy(self, workdir):
+        # A fresh interpreter in which importing scipy fails: fit, refinement
+        # on, prints the pinned bytes.
+        (workdir / "uy.csv").write_text(self.UY)
+        (workdir / "search.json").write_text(json.dumps(self.SEARCH))
+        argv = ["fit", "--data", "uy.csv", "--order", "8", "--kernel-family", "ss1",
+                "--search", "search.json", "--grid", "g.txt"]
+        script = ("import sys; sys.modules['scipy'] = None; import stablekern.cli; "
+                  "sys.exit(stablekern.cli.run(sys.argv[1:]))")
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, timeout=120,
+                                env=source_env(), cwd=workdir)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout).hexdigest() == self.DIGESTS["fit"]["ss1"]["free"]
 
     ERROR_LINES = {
         "malformed band": (["extend", "--band", "bad_band.csv"],

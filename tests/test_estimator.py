@@ -1,5 +1,7 @@
+import inspect
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -747,6 +749,85 @@ class TestTunerLog:
         fit(problem, grid, SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta,), sigma2_grid=(sigma2,),
                                         refine_maxiter=15))
         assert capsys.readouterr() == ("", "")
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+class TestNelderMead:
+    """The tuner's simplex against scipy's, which it ports: the same points, bit for bit."""
+
+    # Each objective, start and maxiter; between them they take every step.
+    CASES = {
+        "1-D, zero start": (lambda x: float((x[0] - 3.0) ** 2), [0.0], 200),
+        # inf outside the box, as _tune's |theta| > 700 guard returns.
+        "1-D, inf wall": (lambda x: math.inf if np.any(np.abs(x) > 1.0) else float(np.sum((x - 0.9) ** 2)),
+                          [0.5], 200),
+        "2-D Rosenbrock": (_rosenbrock, [-1.2, 1.0], 400),
+        # A staircase: exactly tied values, and contractions that fail into shrinks.
+        "3-D, ties": (lambda x: float(np.floor(8.0 * np.sum((x - [0.3, -0.2, 0.1]) ** 2))), [1.0, 1.0, 1.0], 200),
+        "3-D Rosenbrock, maxiter": (_rosenbrock, [-1.0, 0.5, 2.0], 30),
+    }
+    # A source line of each step, and the convergence break.
+    STEPS = ("xe = (1 + rho * chi)", "xc = (1 + psi * rho)", "xc = (1 - psi)", "sim[j] = sim[0]", "break")
+
+    @staticmethod
+    def port(objective, x0, maxiter):
+        """The port's evaluated points, nit, success and the source lines it ran."""
+        points, ran = [], set()
+        code = stablekern.estimator._nelder_mead.__code__
+        source, first = inspect.getsourcelines(code)
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line":
+                ran.add(source[frame.f_lineno - first].strip())
+            return tracer
+
+        def recorded(x):
+            points.append(x.copy())
+            return objective(x)
+
+        sys.settrace(tracer)
+        try:
+            nit, success = stablekern.estimator._nelder_mead(recorded, np.array(x0, dtype=float),
+                                                             maxiter=maxiter, xatol=1e-6, fatol=1e-9)
+        finally:
+            sys.settrace(None)
+        return np.array(points), nit, success, ran
+
+    @staticmethod
+    def scipy(objective, x0, maxiter):
+        import scipy.optimize
+
+        points = []
+
+        def recorded(x):
+            points.append(x.copy())
+            return objective(x)
+
+        result = scipy.optimize.minimize(recorded, np.array(x0, dtype=float), method="Nelder-Mead",
+                                         options={"maxiter": maxiter, "xatol": 1e-6, "fatol": 1e-9})
+        return np.array(points), result.nit, result.success
+
+    def test_same_points_as_scipy(self):
+        ran_all = set()
+        outcomes = []
+        for name, (objective, x0, maxiter) in self.CASES.items():
+            points, nit, success, ran = self.port(objective, x0, maxiter)
+            want_points, want_nit, want_success = self.scipy(objective, x0, maxiter)
+            assert points.tobytes() == want_points.tobytes(), name
+            assert (nit, success) == (want_nit, want_success), name
+            ran_all |= ran
+            values = [objective(x) for x in points]
+            outcomes.append((math.inf in values, len(set(values)) < len(values), success))
+        for step in self.STEPS:
+            assert any(line.startswith(step) for line in ran_all), step
+        assert any(inf for inf, _, _ in outcomes)
+        assert any(tied for _, tied, _ in outcomes)
+        assert not all(success for _, _, success in outcomes)  # a maxiter stop
 
 
 class TestOneDomain:

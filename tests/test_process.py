@@ -178,6 +178,9 @@ class TestTimeTransform:
     def test_underflowing_transform(self):
         with pytest.raises(errors.InvalidParameter):
             stable_time_transform(make_grid([1.0, 2.0]), beta=1000.0)
+        # beta*t_n = 1e310 overflows before the exponential underflows.
+        with pytest.raises(errors.InvalidParameter):
+            stable_time_transform(make_grid([1.0, 1e10]), beta=1e300)
 
 
 class TestAudit:

@@ -14,6 +14,7 @@ from stablekern import (
     closed_form_inverse,
     errors,
     gram,
+    kernel_eval,
     log_det,
     make_grid,
     oracle,
@@ -260,6 +261,45 @@ class TestErrors:
         np.testing.assert_allclose(root.inv_diag * factor.diag, 1.0, rtol=4 * U, atol=0.0)
         with pytest.raises(errors.SingularGram, match="Gram entry"):
             gram(spec, g)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("function", [log_det, gram, sqrt_factor, closed_form_inverse, kernel_eval])
+    def test_ss1_log_clock_beyond_the_float_range(self, function):
+        # beta*t_n = 1e310: the log clock -beta*t_n is not a float.
+        spec = KernelSpec(family=SS1, c=1.0, beta=1e300)
+        with pytest.raises(errors.SingularGram, match="log clock"):
+            if function is kernel_eval:
+                kernel_eval(spec, 1.0, 1e10)
+            else:
+                function(spec, make_grid([1.0, 1e10]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_ss1_log_det_sum_beyond_the_float_range(self):
+        # Each -beta*t is a float, but their sum -2.5e308 is not.
+        with pytest.raises(errors.SingularGram, match="sum of their logs"):
+            log_det(KernelSpec(family=SS1, c=1.0, beta=1e300), make_grid([1e8, 1.5e8]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_ss1_subnormal_step_is_singular(self):
+        # beta*dt = 1e-320 is subnormal, and so is -expm1(-beta*dt): with about
+        # three digits left, the first square-root scale read 9.99994e-161
+        # against the exact 1e-160.
+        spec = KernelSpec(family=SS1, c=1.0, beta=1e-320)
+        g = uniform_grid(3, 1.0, 1.0)
+        for function in (sqrt_factor, log_det, gram, closed_form_inverse, precision_factor):
+            with pytest.raises(errors.SingularGram, match="relative step"):
+                function(spec, g)
+        # kernel_eval reads no step: exp(-2e-320) rounds to 1.
+        assert kernel_eval(spec, 1.0, 2.0) == 1.0
+        # At the smallest normal beta*dt every scale keeps full precision.
+        beta = float(np.finfo(float).tiny)
+        root = sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=beta), g)
+        with mpmath.workdps(60):
+            b = mpmath.mpf(beta)
+            clock = [mpmath.exp(-b * t) for t in (1, 2, 3)]
+            steps = [clock[0] * -mpmath.expm1(-b), clock[1] * -mpmath.expm1(-b), clock[2]]
+            for got, step in zip(root.inv_diag, steps):
+                assert abs(mpmath.mpf(got) - mpmath.sqrt(step)) <= 2 * U * mpmath.sqrt(step)
 
     @pytest.mark.filterwarnings("error")
     def test_ss1_inverse_near_the_float_range(self):
