@@ -5,11 +5,19 @@ Exit codes: 0 on success, 1 on a domain error (one line
 plain text with full decimal precision (17 significant digits) and are
 byte-stable for fixed inputs and seed; '#' lines carry metadata such as
 seeds and algorithm identifiers.
+
+CSV bodies are written and read one row at a time.  A row is formatted
+by one ``%`` call, which is byte-identical to formatting each value on
+its own: ``"%.17g" % x == format(x, ".17g")`` for every float, NaN,
+infinities and signed zeros included (both run CPython's
+``PyOS_double_to_string``).  A cell read back is any Python float
+literal (surrounding blanks allowed); empty or blank cells are skipped.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -66,7 +74,15 @@ def _meta_dict(command: str, spec: Optional[KernelSpec] = None, grid: Optional[S
 
 
 def _rows_csv(rows: Iterable[Iterable[float]], meta: List[str]) -> str:
-    body = [",".join(_fmt(x) for x in row) for row in rows]
+    # One format string per row width: the inverse writes rows of n and n - 1 values.
+    formats = {}
+    body = []
+    for row in rows:
+        values = np.asarray(row, dtype=float).tolist()
+        fmt = formats.get(len(values))
+        if fmt is None:
+            fmt = formats[len(values)] = ",".join(["%.17g"] * len(values))
+        body.append(fmt % tuple(values))
     return "\n".join(meta + body) + "\n"
 
 
@@ -78,10 +94,15 @@ def _read_numeric_rows(path: str) -> List[List[float]]:
     rows: List[List[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, text in _data_lines(fh):
+            cells = text.split(",")
             try:
-                rows.append([float(x) for x in text.split(",") if x.strip() != ""])
+                rows.append(list(map(float, cells)))
             except ValueError:
-                raise InvalidParameter(f"{path}: line {lineno} is not numeric CSV") from None
+                # A blank cell fails float() above; it is skipped, any other failure is an error.
+                try:
+                    rows.append([float(x) for x in cells if x.strip() != ""])
+                except ValueError:
+                    raise InvalidParameter(f"{path}: line {lineno} is not numeric CSV") from None
     return rows
 
 
@@ -326,10 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state from call to call."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     package_logger = logging.getLogger("stablekern")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive, _check_seed
 from .grid import SamplingGrid, make_grid
-from .kernels import SS1, WIENER, KernelSpec, _Chain, _json_fields
+from .kernels import SS1, WIENER, KernelSpec, _Chain, _json_fields, _regular
 
 __all__ = [
     "NOISE_ALGORITHM",
@@ -188,7 +188,8 @@ def audit_constraints(ps: PathSet, spec: KernelSpec) -> ConstraintAuditReport:
     c*delta_i.  A check is flagged when the sample mean or sample
     variance sits more than 5 standard errors from its target.
     Non-finite paths, or paths so large that an increment variance
-    leaves the float range, raise InvalidParameter.
+    leaves the float range, raise InvalidParameter; a target c*delta_i
+    beyond the float range raises SingularGram.
     """
     p = ps.p
     if p < 100:
@@ -202,7 +203,10 @@ def audit_constraints(ps: PathSet, spec: KernelSpec) -> ConstraintAuditReport:
     # statistic gives NaN z-scores, which no threshold flags.
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
         raise InvalidParameter("paths must be finite, with increment variances in the float range")
-    targets = spec.c * chain.steps()
+    with np.errstate(over="ignore"):
+        targets = spec.c * chain.steps()
+    _regular(targets, -math.inf, "an increment variance target c*delta leaves the float range "
+                                 "(Wiener needs c*(t_i - t_{i-1}) < 1.8e308)")
     mean_se = np.sqrt(targets / p)
     var_se = targets * math.sqrt(2.0 / (p - 1))
     checks: List[IncrementCheck] = []

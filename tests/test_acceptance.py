@@ -200,12 +200,18 @@ def test_criterion_08_structured_performance():
         single = min(block_time(*cases[1_000_000]) for _ in range(3))
         assert single < 0.5
 
-        # Round-robin over the sizes, so machine drift hits each one alike.
+        # Round-robin over the sizes, so machine drift hits each one alike,
+        # and judge each size by its fastest round, since load on a shared
+        # host only adds time.  One untimed round first: the gate above
+        # leaves the n = 10^6 arrays in a large last-level cache, so a round
+        # timed straight after it reads that size fast.
+        for n in sizes:
+            apply_precision(*cases[n])
         samples = {n: [] for n in sizes}
-        for _ in range(15):
+        for _ in range(40):
             for n in sizes:
-                samples[n].append(block_time(*cases[n], block=3, samples=1))
-        timings = {n: median(samples[n]) for n in sizes}
+                samples[n].append(block_time(*cases[n], samples=1))
+        timings = {n: min(samples[n]) for n in sizes}
         for n in sizes[:-1]:
             ratio = timings[2 * n] / timings[n]
             assert 1.5 <= ratio <= 3.0, f"doubling ratio at n={n}: {ratio:.2f}"

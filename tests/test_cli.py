@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -9,8 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablekern
+from stablekern import cli
 from stablekern import (
     NOISE_ALGORITHM,
     SS1,
@@ -33,6 +37,8 @@ from stablekern import (
     uniform_grid,
 )
 from stablekern.cli import run
+from stablekern.errors import InvalidParameter
+from stablekern.grid import _data_lines
 
 LN2 = math.log(2.0)
 
@@ -811,3 +817,192 @@ class TestGoldenBytes:
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", line)
+
+
+# The per-value CSV writer and reader the CLI used before it formatted and
+# parsed one row at a time, kept verbatim as reference oracles.
+def _fmt_per_value(x):
+    return format(float(x), ".17g")
+
+
+def rows_csv_per_value(rows, meta):
+    body = [",".join(_fmt_per_value(x) for x in row) for row in rows]
+    return "\n".join(meta + body) + "\n"
+
+
+def read_numeric_rows_per_value(path):
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, text in _data_lines(fh):
+            try:
+                rows.append([float(x) for x in text.split(",") if x.strip() != ""])
+            except ValueError:
+                raise InvalidParameter(f"{path}: line {lineno} is not numeric CSV") from None
+    return rows
+
+
+# Any float64 bit pattern, and half the time a subnormal one of either sign.
+BITS = st.one_of(st.integers(0, 2**64 - 1),
+                 st.builds(lambda sign, mantissa: sign << 63 | mantissa, st.integers(0, 1), st.integers(1, 2**52 - 1)))
+
+
+def float_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestCsvRows:
+    """The row-at-a-time writer and reader against the per-value oracles."""
+
+    SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1e16, 1e17, 1e-4, 1e-5, 123456789012345678.0]
+    META = ["# stablekern test", "# layout: one row per line"]
+
+    def outcome(self, read, path):
+        try:
+            return "rows", read(path)
+        except InvalidParameter as exc:
+            return type(exc), str(exc)
+
+    def test_special_values(self):
+        specials = np.array(self.SPECIALS)
+        rows = [specials, -specials, specials[::-1]]
+        text = cli._rows_csv(rows, self.META)
+        assert text == rows_csv_per_value(rows, self.META)
+        assert text.splitlines()[2].split(",")[:6] == ["nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324"]
+        for x in self.SPECIALS + [-x for x in self.SPECIALS]:
+            assert "%.17g" % x == format(x, ".17g")
+
+    def test_row_shapes(self):
+        for rows in ([[1.0, 2.0, 3.0], [0.5, 0.25]],
+                     [[0.5], []],
+                     [[], [], [1.5]],
+                     [[1, 2], [3]],
+                     np.arange(12.0).reshape(3, 4),
+                     np.empty((2, 0)),
+                     []):
+            assert cli._rows_csv(rows, self.META) == rows_csv_per_value(rows, self.META)
+            assert cli._rows_csv(rows, []) == rows_csv_per_value(rows, [])
+
+    def test_inverse_with_one_point_writes_an_empty_row(self, ss1_kernel, capsys):
+        assert run(["inverse", "--kernel", ss1_kernel, "--uniform", "1,1,1"]) == 0
+        out = capsys.readouterr().out
+        tri = closed_form_inverse(KernelSpec(SS1, 1.0, LN2), uniform_grid(1, 1, 1))
+        meta = meta_lines(out)
+        assert out == rows_csv_per_value([tri.diag, tri.offdiag], meta)
+        assert out.endswith("\n\n")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.lists(BITS, max_size=12), max_size=5))
+    def test_any_float64_bits(self, bit_rows):
+        rows = [float_bits(bits) for bits in bit_rows]
+        assert cli._rows_csv(rows, self.META) == rows_csv_per_value(rows, self.META)
+
+    @pytest.mark.parametrize("text", [
+        "1,2,3\n4,5,6\n",
+        "1,,2\n,3,\n",
+        "1, ,2\n\t,4\n",
+        " 1 ,\t2 , 3\n4 ,5, 6 \n",
+        "1_0,2\n",
+        "nan,inf,-inf,+inf,NaN,Infinity,-0,1e400\n",
+        "# header\n1,2\n\n3,4 # trailing comment\n",
+        ",,\n1\n",
+        "1,2,\n",
+        "1,abc,3\n",
+        "# one\n1,2\n# two\n3,4 5\n",
+        "1,2\n0x10,1\n",
+        "1,2,3\n4,5\n",
+        "",
+    ], ids=["plain", "empty cells", "blank cells", "padded cells", "underscore", "nan and inf literals",
+            "comments", "all-blank row", "trailing comma", "non-numeric cell", "line number after comments",
+            "hex literal", "ragged rows", "empty file"])
+    def test_reader_inputs(self, tmp_path, text):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        new = self.outcome(cli._read_numeric_rows, str(path))
+        old = self.outcome(read_numeric_rows_per_value, str(path))
+        assert repr(new) == repr(old)  # repr: NaN cells compare equal as text
+
+    def test_reader_error_names_the_line(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("# one\n1,2\n# two\n3, x\n")
+        with pytest.raises(InvalidParameter, match=r"rows\.csv: line 4 is not numeric CSV$"):
+            cli._read_numeric_rows(str(path))
+
+    def test_ragged_rows_are_not_rectangular(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("1,2,3\n4,,5\n6,7\n")
+        assert cli._read_numeric_rows(str(path)) == [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+        with pytest.raises(InvalidParameter, match="rows have inconsistent lengths"):
+            cli._read_rectangular(str(path))
+
+    CELLS = ["", " ", "\t", "1", " 2 ", "-0", "1e5", "1_0", "nan", "-inf", "x", "1 2", "0x1", ".5", "5."]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(CELLS), min_size=1, max_size=6), max_size=4))
+    def test_reader_agrees_on_any_cells(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("cells") / "rows.csv"
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        new = self.outcome(cli._read_numeric_rows, str(path))
+        old = self.outcome(read_numeric_rows_per_value, str(path))
+        assert repr(new) == repr(old)
+
+    def test_round_trip_of_sampled_paths(self, tmp_path):
+        paths = sample_ss1(uniform_grid(50, 0.5, 0.5), 1.3, 0.2, 11, 40).paths
+        path = tmp_path / "paths.csv"
+        path.write_text(cli._rows_csv(paths, self.META))
+        assert bitwise_equal(cli._read_rectangular(str(path)), paths)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(BITS, min_size=width, max_size=width), min_size=1, max_size=6)))
+    def test_round_trip_of_any_non_nan_bits(self, tmp_path_factory, bit_rows):
+        values = float_bits(bit_rows)
+        values[np.isnan(values)] = 0.0  # a NaN reads back as the one NaN float() makes
+        path = tmp_path_factory.mktemp("bits") / "rows.csv"
+        path.write_text(cli._rows_csv(values, self.META))
+        assert bitwise_equal(cli._read_rectangular(str(path)), values)
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, ss1_kernel, wiener_kernel, capsys):
+        band = tmp_path / "band.csv"
+        band.write_text("0.5,0.25,0.125\n0.25,0.125\n")
+        calls = [
+            ["--quiet", "logdet", "--kernel", ss1_kernel, "--uniform", "3,1,1"],
+            ["gram", "--kernel", wiener_kernel, "--uniform", "2,1,1"],
+            ["inverse", "--kernel", ss1_kernel, "--uniform", "3,1,1", "--quiet"],
+            ["gram", "--kernel", ss1_kernel],
+            ["factor", "--which", "sqrt", "--kernel", wiener_kernel, "--uniform", "3,0.5,0.5"],
+            ["--quiet", "frobnicate"],
+            ["logdet", "--kernel", wiener_kernel, "--uniform", "3,1,1"],
+            ["--quiet", "extend", "--band", str(band)],
+            ["extend", "--band", str(band)],
+            ["--help"],
+            ["sample", "--kernel", ss1_kernel, "--uniform", "3,1,1", "--paths", "2", "--seed", "3", "--quiet"],
+        ]
+        logger = logging.getLogger("stablekern")
+
+        def outcomes(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = run(argv)
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err, logger.level))
+            return got
+
+        fresh = outcomes(fresh=True)
+        parser = cli._parser()
+        reused = outcomes(fresh=False)
+        assert cli._parser() is parser
+        assert reused == fresh
+        assert [code for code, *_ in fresh] == [0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+        # A usage error sets no level; every parsed call sets its own.
+        quiet, loud = logging.ERROR, logging.INFO
+        assert [level for *_, level in fresh] == [quiet, loud, quiet, quiet, loud, loud, loud, quiet, loud,
+                                                  loud, quiet]

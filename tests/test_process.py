@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ class TestAudit:
         ps.paths[17, 1] = bad
         with pytest.raises(errors.InvalidParameter, match="finite"):
             audit_constraints(ps, KernelSpec(family=WIENER, c=1.0))
+
+    def test_target_beyond_the_float_range(self):
+        # c*delta = 1e300 * 1e10 overflows, with finite, small paths; it
+        # printed numpy's overflow warning before.  Warnings are errors here
+        # under any runner.
+        ps = PathSet(grid=make_grid([1e10, 2e10]), paths=np.ones((200, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.SingularGram, match="variance target c\\*delta leaves the float range"):
+                audit_constraints(ps, KernelSpec(family=WIENER, c=1e300))
+            report = audit_constraints(ps, KernelSpec(family=WIENER, c=1.7e298))
+        assert [c.variance_target for c in report.checks] == [1.7e308, 1.7e308]
 
     def test_report_to_dict(self):
         ps = sample_wiener(GRID, c=1.0, seed=0, p=200)
