@@ -347,6 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A log handler on whatever ``sys.stderr`` is when a record is emitted, not when it was added."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)  # StreamHandler.__init__ would assign the stream
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser: parse_args keeps no state from call to call."""
@@ -360,7 +371,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     package_logger = logging.getLogger("stablekern")
     if not package_logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(message)s"))
         package_logger.addHandler(handler)
     package_logger.setLevel(logging.ERROR if args.quiet else logging.INFO)

@@ -54,9 +54,11 @@ class InvalidParameter(StableKernError):
 class SingularGram(StableKernError):
     """The Gram matrix is singular (Wiener kernel with t1 = 0), an entry leaves
     the float range (Wiener kernel with c*t_n above 1.8e308), or a closed form
-    does: the inverse and precision factor need c*exp(-beta*t_n) above 1.1e-308
-    for SS-1, and the square root needs exp(-beta*t_n/2) and every column
-    scale to be normal floats, at least 2.2e-308 (beta*t_n up to ~1416.8).
+    does: the inverse needs every increment c*delta to be at least 1.1e-308
+    (SS-1 c*exp(-beta*t_n)), and both factors, the square root and its
+    inverse the precision factor, need every column scale (the chain's
+    roots) and, for SS-1, exp(-beta*t_n/2) to be normal floats, at least
+    2.2e-308 (beta*t_n up to ~1416.8).
     Every SS-1 computation needs beta*t_n below 1.8e308 and each
     beta*(t_{i+1} - t_i) at least 2.2e-308, where its steps keep full
     precision."""

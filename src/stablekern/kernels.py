@@ -136,8 +136,14 @@ class _Chain:
     float range, and its rel where an entry is below the normal floats
     (beta*(t_{i+1} - t_i) < 2.2e-308, where it loses digits).
     ``order`` lists the grid from the vanishing end; ``rising`` is true
-    when that end is t = 0.  Methods allocate at most one n-array each:
-    the closed forms run at n = 10^6.
+    when that end is t = 0.  Methods allocate at most one n-array each,
+    ``roots`` two: the closed forms run at n = 10^6.
+
+    Read backward, from the last grid point down, the chain is one
+    conditional law: point i given point i+1 is rho_i times it plus
+    an independent N(0, roots_i^2), and point n is N(0, roots_n^2).  Both
+    factors of the Gram matrix are that law, read two ways: the square
+    root U = W diag(roots) and the precision factor F = U^{-1}.
     """
 
     def __init__(self, spec: KernelSpec, times: np.ndarray) -> None:
@@ -190,6 +196,51 @@ class _Chain:
             cd *= self.c
         return _regular(cd, _MIN_STEP, "a chain increment c*delta is zero, too small to invert or "
                                        "too large (Wiener needs t1 > 0, SS-1 needs c*exp(-beta*t_n) > 1e-308)")
+
+    @property
+    def rho(self):
+        """Backward regression coefficients min(phi_i, phi_{i+1}) / phi_{i+1}: t_i / t_{i+1}, SS-1 1.0."""
+        return self.clock[:-1] / self.clock[1:] if self.rising else 1.0
+
+    def roots(self) -> np.ndarray:
+        """The backward law's standard deviations sqrt(c * rho_j * |phi_{j+1} - phi_j|), sqrt(c * phi_n).
+
+        Each is a product of square roots, with no reciprocal: SS-1
+        exp(-beta*t_j / 2) * sqrt(c) * sqrt(rel_j), Wiener (sqrt(t_j) /
+        sqrt(t_{j+1})) * sqrt(rel_{j+1}) * sqrt(c) and sqrt(t_n) * sqrt(c).
+        Each product starts from a normal float (for Wiener, when every
+        time is above 1e-307), and each later factor either keeps it normal
+        or is at most 1, so a root at or above the smallest normal float
+        2.2e-308 had no subnormal intermediate and keeps full precision.
+        Raises SingularGram where a root is zero (Wiener t1 = 0), not finite
+        or below 2.2e-308, or where exp(-beta*t_n / 2) is (SS-1 beta*t_n
+        above about 1416.8, whatever c).
+        """
+        message = ("a square-root column scale is zero, subnormal or not finite (Wiener needs t1 > 0, "
+                   "SS-1 needs exp(-beta*t_n/2) and sqrt(c*delta_j) >= 2.2e-308)")
+        with np.errstate(over="ignore"):
+            if self.rising:
+                root = np.sqrt(self.clock)
+                root[:-1] /= root[1:]
+                root[:-1] *= np.sqrt(self.rel[1:])
+                root *= math.sqrt(self.c)
+            else:
+                root = self.log_scale * 0.5
+                np.exp(root, out=root)
+                _regular(root[-1:], _MIN_SCALE, message)  # the smallest: every root of the clock is normal
+                root *= math.sqrt(self.c)
+                root *= np.sqrt(self.rel)
+        return _regular(root, _MIN_SCALE, message)
+
+    def unit_triangle(self) -> np.ndarray:
+        """W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for Wiener, exactly 1 for SS-1.
+
+        Taken as such, with no division by a clock that may underflow.
+        It depends on neither c nor beta.
+        """
+        if self.rising:
+            return np.triu(self.clock[:, None] / self.clock)
+        return np.triu(np.ones((self.times.size, self.times.size)))
 
     def scaled(self, phi):
         """c * phi for clock values phi, the Gram entries: Wiener c * t can overflow where each c * delta does not."""

@@ -23,14 +23,14 @@ implementation must instead derive the generator for path k from
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive, _check_seed
 from .grid import SamplingGrid, make_grid
-from .kernels import SS1, WIENER, KernelSpec, _Chain, _json_fields, _regular
+from .kernels import SS1, WIENER, KernelSpec, _Chain, _regular
 
 __all__ = [
     "NOISE_ALGORITHM",
@@ -169,7 +169,8 @@ class ConstraintAuditReport:
     ok: bool
 
     def to_dict(self) -> dict:
-        return asdict(self, dict_factory=_json_fields)
+        """The report as JSON reads it back: the checks a list of dicts, each field in order."""
+        return {**vars(self), "checks": [dict(vars(check)) for check in self.checks]}
 
 
 def _z_score(deviation: float, se: float) -> float:

@@ -2,26 +2,28 @@
 
 Both Gram matrices are the Markov chain c * min(phi_i, phi_j) of
 :mod:`stablekern.kernels`, so everything here follows, with no
-elimination, from the chain's independent increments c * delta_k: a
-tridiagonal inverse, the log-determinant sum of ln(c * delta_k), an
-upper bidiagonal factor F with F.T @ F == inverse(P) (so applying the
-precision is two O(n) sweeps) and a closed-form upper-triangular square
-root U with U @ U.T == P.
+elimination, from the chain.  Its independent increments c * delta_k
+give the tridiagonal inverse and the log-determinant sum of
+ln(c * delta_k).  Its backward conditional law, point i given point
+i+1, gives both factors, from one factorization: the closed-form
+upper-triangular square root U with U @ U.T == P, and its exact inverse,
+the upper bidiagonal F = U^{-1} with F.T @ F == inverse(P) (so applying
+the precision is two O(n) sweeps).  The factors exist on one domain,
+where the chain's roots are normal floats.
 
-Everything here is exact algebra on the increments; there is no
-iteration and no tolerance.
+Everything here is exact algebra on the chain; there is no iteration
+and no tolerance.  The kernel family is read only by the chain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 from .grid import SamplingGrid
-from .kernels import _MIN_SCALE, KernelSpec, _Chain, _regular
+from .kernels import KernelSpec, _Chain
 
 __all__ = [
     "TridiagonalMatrix",
@@ -89,10 +91,10 @@ class StructuredSqrt:
     """Upper-triangular square root of a Gram matrix, stored implicitly.
 
     Only the n column scales are kept: inv_diag[j] = sqrt(c * rho_j *
-    |phi_{j+1} - phi_j|) and inv_diag[n] = sqrt(c * phi_n), the standard
-    deviations of the precision factor's rows (so they equal
-    1 / precision_factor(...).diag up to rounding, but are formed with no
-    reciprocal).
+    |phi_{j+1} - phi_j|) and inv_diag[n] = sqrt(c * phi_n), the chain's
+    roots, the standard deviations of its backward law.  The precision
+    factor is the inverse of this U: its diagonal is 1 / inv_diag, bit
+    for bit.
     The dense triangle is materialized on demand as
     U[i, j] = (min(phi_i, phi_j) / phi_j) * inv_diag[j] for i <= j, which
     is constant down each SS-1 column.
@@ -110,15 +112,10 @@ class StructuredSqrt:
         """The unit upper triangle W with U = W diag(inv_diag).
 
         W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for
-        Wiener, exactly 1 for SS-1, taken as such, with no division by a
-        clock that may underflow.  It depends on neither c nor beta, so
+        Wiener, exactly 1 for SS-1.  It depends on neither c nor beta, so
         those move only the column scales inv_diag.
         """
-        chain = _Chain(self.spec, self.grid.times)
-        if not chain.rising:
-            return np.triu(np.ones((self.n, self.n)))
-        t = chain.clock
-        return np.triu(t[:, None] / t)
+        return _Chain(self.spec, self.grid.times).unit_triangle()
 
     def to_dense(self) -> np.ndarray:
         return self.unit_triangle() * self.inv_diag
@@ -157,71 +154,55 @@ def log_det(spec: KernelSpec, grid: SamplingGrid) -> float:
 
 
 def precision_factor(spec: KernelSpec, grid: SamplingGrid) -> UpperBidiagonal:
-    """Upper bidiagonal F with F.T @ F equal to the Gram inverse.
+    """Upper bidiagonal F with F.T @ F equal to the Gram inverse: the exact inverse of :func:`sqrt_factor`.
 
     Row i < n is the law of point i given point i+1: mean rho_i times
     that point, rho_i = min(phi_i, phi_{i+1}) / phi_{i+1} (1 for SS-1,
-    t_i / t_{i+1} for Wiener), variance rho_i * c * |phi_{i+1} - phi_i|;
-    row n is the marginal law, variance c * phi_n.  So F(i, i) =
-    1/sqrt(variance_i) > 0, which fixes F, and F(i, i+1) = -rho_i * F(i, i).
+    t_i / t_{i+1} for Wiener), standard deviation root_i; row n is the
+    marginal law, standard deviation root_n = sqrt(c * phi_n).  So
+    F(i, i) = 1 / root_i > 0, which fixes F, and F(i, i+1) = -rho_i * F(i, i)
+    (exactly -F(i, i) for SS-1).  The roots are the square root's column
+    scales, so F exists exactly where U does, raising the same
+    SingularGram elsewhere; a root is at least 2.2e-308, so F's entries
+    are at most 4.5e307.
     """
     chain = _Chain(spec, grid.times)
-    phi = chain.clock
-    rho = phi[:-1] / phi[1:] if chain.rising else 1.0
-    diag = np.empty(grid.n)
-    head = diag[:-1]  # 1 / sqrt(rho * c * |phi_{i+1} - phi_i|), formed in place
-    # c * |phi_{i+1} - phi_i| is every scaled step but the one at the vanishing end.
-    np.multiply(chain.scaled_steps()[chain.order][1:][chain.order], rho, out=head)
-    np.sqrt(head, out=head)
-    np.divide(1.0, head, out=head)
-    # c * phi_n can overflow (Wiener c * t_n) where its reciprocal root does not.
-    last = spec.c * float(phi[-1])
-    diag[-1] = 1.0 / (math.sqrt(last) if last < math.inf else math.sqrt(spec.c) * math.sqrt(phi[-1]))
-    sup = rho * head
-    np.negative(sup, out=sup)
-    return UpperBidiagonal(diag=diag, super=sup)
+    diag = chain.roots()
+    np.divide(1.0, diag, out=diag)
+    return UpperBidiagonal(diag=diag, super=-chain.rho * diag[:-1])
 
 
 def sqrt_factor(spec: KernelSpec, grid: SamplingGrid) -> StructuredSqrt:
     """Closed-form upper-triangular U with U @ U.T equal to the Gram matrix.
 
-    Each column scale sqrt(c * rho_j * |phi_{j+1} - phi_j|) is a product
-    of square roots, with no reciprocal: SS-1 exp(-beta*t_j / 2) *
-    sqrt(c) * sqrt(rel_j), Wiener (sqrt(t_j) / sqrt(t_{j+1})) *
-    sqrt(rel_{j+1}) * sqrt(c) and sqrt(t_n) * sqrt(c).  Each product
-    starts from a normal float (for Wiener, when every time is above
-    1e-307), and each later factor either keeps it normal or is at most 1,
-    so a scale at or above the smallest normal float 2.2e-308 had no
-    subnormal intermediate and keeps full precision.  Raises SingularGram
+    U = W diag(inv_diag): W is the chain's unit triangle, and the column
+    scales are its roots, the standard deviations of its backward law,
+    each a product of square roots with no reciprocal (see
+    ``_Chain.roots`` in :mod:`stablekern.kernels`).  Raises SingularGram
     where a scale is zero (Wiener t1 = 0), not finite or below 2.2e-308,
     or where exp(-beta*t_n / 2) is (SS-1 beta*t_n above about 1416.8,
-    twice the precision factor's reach, whatever c).
+    whatever c).
     """
-    chain = _Chain(spec, grid.times)
-    message = ("a square-root column scale is zero, subnormal or not finite (Wiener needs t1 > 0, "
-               "SS-1 needs exp(-beta*t_n/2) and sqrt(c*delta_j) >= 2.2e-308)")
-    with np.errstate(over="ignore"):
-        if chain.rising:
-            root = np.sqrt(chain.clock)
-            root[:-1] /= root[1:]
-            root[:-1] *= np.sqrt(chain.rel[1:])
-            root *= math.sqrt(spec.c)
-        else:
-            root = chain.log_scale * 0.5
-            np.exp(root, out=root)
-            _regular(root[-1:], _MIN_SCALE, message)  # the smallest: every root of the clock is normal
-            root *= math.sqrt(spec.c)
-            root *= np.sqrt(chain.rel)
-    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_regular(root, _MIN_SCALE, message))
+    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_Chain(spec, grid.times).roots())
 
 
 def apply_precision(factor: UpperBidiagonal, v: np.ndarray) -> np.ndarray:
-    """Multiply the Gram inverse into a vector in O(n): F.T @ (F @ v)."""
+    """Multiply the Gram inverse into a vector in O(n): F.T @ (F @ v).
+
+    Raises InvalidParameter when v is not finite, or when F @ v or
+    F.T @ F @ v leaves the float range: a factor's entries reach 4.5e307.
+    """
     x = np.asarray(v, dtype=float)
     if x.shape != (factor.n,):
         raise DimensionMismatch(f"expected a vector of length {factor.n}, got shape {x.shape}")
-    u = factor.diag * x
-    u[:-1] += factor.super * x[1:]
-    out = factor.diag * u
-    out[1:] += factor.super * u[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = factor.diag * x
+        # out after u: with glibc's malloc, out first took twice the page faults
+        # per markov-1e6 benchmark op, and 10-18% more time.
+        out = np.empty(factor.n)
+        u[:-1] += np.multiply(factor.super, x[1:], out=out[:-1])
+        np.multiply(factor.diag, u, out=out)
+        out[1:] += np.multiply(factor.super, u[:-1], out=u[:-1])
+    if not np.isfinite(out).all():
+        raise InvalidParameter("apply_precision needs a finite vector v, with F'F v in the float range")
     return out

@@ -687,6 +687,11 @@ class TestGoldenBytes:
     trace values moved in the last bits, with the same hyperparameters,
     trace points and evaluation counts, and stay within a few units of
     roundoff of 60-digit arithmetic.
+    The two precision-factor digests and both ``check`` digests were
+    re-recorded when the precision factor became the exact inverse of the
+    square root, its diagonal the reciprocals of the column scales: its
+    entries and the ``precision_factor`` residuals moved in the last bits,
+    and stay within 3.4 units of roundoff of 60-digit arithmetic.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -700,21 +705,21 @@ class TestGoldenBytes:
             "sample": "12b0ae9913f263bd978200eed2e77b9119a5b1c9e94e76dd09f28bb68bca603d",
             "audit": "43804aa9b2deef7c27eb696e4d645f84ca867500c553b9875ef7d333275af7b6",
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
-            "factor": "79296d7fcb57b2f80fe3d020ff5c3d276d16a29e3dd055821bb3e0d36d926837",
+            "factor": "76fff846e05cfa3f3f114295d59f198f2354e0cbe0fac1978dc4d1842410e598",
             "sqrt": "bbaf1ad8c962917670f1a0d5724d74e2bbde1b1fa404b3ed2e30c85982ecb0f6",
             "maxent-audit": "ed7545d1d12e6a7cbb24f4c64d34d3a5c2e9fec40e42f92af65225c29f50bbdf",
-            "check": "c6a1a57442768ee938384322ed41ae39cfef9a33595b2f590e4640248cbce487",
+            "check": "e89eba4d24d8ba66c3aef7c34e01f1da464ef2f2b45f40ebb00eaae7ce0fd7c1",
         },
         "ss1": {
             "gram": "78d6f5a0dd24e59fa7c8368314a9d8eaee6b945a031e3528dc600f37aff57183",
             "inverse": "8c029880fb6fd450e9ad46638ff3005eaacd1a98fd626c417af550ffa5cf3588",
             "sample": "e1648f15fa2fe6886fc369eec6295a5ba02ea50d05b367218c9ff38658148733",
             "audit": "0016ea06d55f5ab9cd65e8519cbe22813d33626e3c72beea107ba20ec770c7a7",
-            "factor": "6837ffa8498de8d55abbf184a5483d9c78af0cc9ceb114f4c86f8802c5d72c9d",
+            "factor": "c04e907bed012ab8c0f8d70169dba475a09b864ff56dffcf4603a7db99cafc4c",
             "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
             "sqrt": "5c3ede193b6222fa5dcca29ff94cbcd3960e5f41e10a7bec13b1f3c5d82bd5fb",
             "maxent-audit": "c6aa0fa6b8835bc5d14ed87dd8e9d1409f1b3c9d2bfe87ccc7b607d5db468f00",
-            "check": "0106b361ebb8dce07115be67c91e4bf883892b0f52da1724cc17500d3d5844d1",
+            "check": "f9c71283cdce2835f3b2cce4f9decedc8538cf8b40343c16467d06f9a4d698db",
         },
         "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
@@ -965,6 +970,26 @@ class TestCsvRows:
         path = tmp_path_factory.mktemp("bits") / "rows.csv"
         path.write_text(cli._rows_csv(values, self.META))
         assert bitwise_equal(cli._read_rectangular(str(path)), values)
+
+
+class TestLogHandler:
+    def test_logs_to_the_current_stderr(self, tmp_path, ss1_kernel):
+        # The first run's stderr is closed before the second run logs.
+        script = textwrap.dedent(f"""
+            import io, sys
+            from stablekern.cli import run
+            saved, sys.stderr = sys.stderr, io.StringIO()
+            assert run(["logdet", "--kernel", {ss1_kernel!r}, "--uniform", "3,1,1"]) == 0
+            sys.stderr.close()
+            sys.stderr = saved
+            sys.exit(run(["maxent-audit", "--kernel", {ss1_kernel!r}, "--uniform", "4,1,1",
+                          "--trials", "5", "--seed", "3"]))
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                                env=source_env(), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Logging error" not in result.stderr
+        assert "completion audit: 5 candidates" in result.stderr
 
 
 class TestParserReuse:

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private module-level name is read somewhere in the package, every name a
 module exports exists, the package exports exactly the modules' names,
-and no library module reaches into numpy's private modules or names.
+no library module reaches into numpy's private modules or names, and only
+the chain core reads the chain's kernel family.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -97,6 +98,24 @@ def test_scan_finds_private_numpy():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_private_numpy(path):
     assert private_numpy_uses(path.read_text(encoding="utf-8")) == []
+
+
+def attribute_reads(source: str, attr: str):
+    """Lines on which ``attr`` is read as an attribute of anything (``x.attr``, ``x.y.attr``)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)})
+
+
+def test_scan_finds_an_attribute_read():
+    source = ("chain.rising = True\nif chain.rising:\n    x = a.b.rising.c\n"
+              "rising = 1\ny = rising, chain.risen\n")
+    assert attribute_reads(source, "rising") == [2, 3]
+
+
+def test_only_the_chain_reads_the_family():
+    # The chain core's constructor turns the kernel family into ``rising``;
+    # every other module asks the chain for what the family decides.
+    assert [p.name for p in SOURCES if attribute_reads(p.read_text(encoding="utf-8"), "rising")] == ["kernels.py"]
 
 
 def test_scan_finds_an_unused_import():

@@ -98,12 +98,16 @@ class TestAgainstDenseOracle:
             fd = f.to_dense()
             assert inf_norm(fd.T @ fd - tri) <= 1e-12 * inf_norm(tri)
             root = sqrt_factor(spec, g)
-            # Formed with no reciprocal, the column scales are F's reciprocals up to
-            # rounding: at most 5 roundings in a scale, 3.5 in F's entry, 1 in the product.
-            np.testing.assert_allclose(root.inv_diag * f.diag, 1.0, rtol=10 * U, atol=0.0)
+            # One factorization: F's diagonal is the reciprocal of U's column scales, bit for bit.
+            np.testing.assert_array_equal(f.diag, 1.0 / root.inv_diag)
+            if family == SS1:
+                np.testing.assert_array_equal(f.super, -f.diag[:-1])
             u = root.to_dense()
             assert inf_norm(u @ u.T - p) <= 1e-13 * inf_norm(p)
             assert np.array_equal(u, np.triu(u))
+            # F = U^{-1}: each entry of F U is a sum of at most two products,
+            # within 4 units of roundoff of |F| |U|.
+            assert np.all(np.abs(fd @ u - np.eye(n)) <= 4 * U * (np.abs(fd) @ np.abs(u)))
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
     @pytest.mark.parametrize("n", [1, 2])
@@ -155,8 +159,15 @@ class TestApplyPrecision:
         spec = random_spec(rng, family)
         v = rng.standard_normal(40)
         tri = closed_form_inverse(spec, g).to_dense()
-        out = apply_precision(precision_factor(spec, g), v)
+        factor = precision_factor(spec, g)
+        out = apply_precision(factor, v)
         np.testing.assert_allclose(out, tri @ v, rtol=1e-10, atol=1e-12 * inf_norm(tri))
+        # The two sweeps, each product in its own array: the same arithmetic, bit for bit.
+        u = factor.diag * v
+        u[:-1] += factor.super * v[1:]
+        expected = factor.diag * u
+        expected[1:] += factor.super * u[:-1]
+        np.testing.assert_array_equal(out, expected)
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
     def test_inverts_gram(self, family):
@@ -174,6 +185,22 @@ class TestApplyPrecision:
         with pytest.raises(errors.DimensionMismatch):
             apply_precision(f, np.ones((3, 1)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_result_beyond_the_float_range(self):
+        # F reaches exp(350) ~ 1e152 here, so F'F v ~ 1e304 * 1e5 is not a float.
+        f = precision_factor(KernelSpec(family=SS1, c=1.0, beta=1.0), uniform_grid(7, 100.0, 100.0))
+        assert np.all(np.isfinite(apply_precision(f, np.ones(7))))
+        with pytest.raises(errors.InvalidParameter, match="float range"):
+            apply_precision(f, 1e5 * np.ones(7))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector(self, bad):
+        v = np.ones(3)
+        v[1] = bad
+        with pytest.raises(errors.InvalidParameter, match="finite vector"):
+            apply_precision(precision_factor(SS1_SPEC, SS1_GRID), v)
+
 
 class TestErrors:
     def test_wiener_zero_start_singular_everywhere(self):
@@ -187,13 +214,13 @@ class TestErrors:
         # exp(-1000) underflows: the inverse would reach 1e130 and then inf.
         spec = KernelSpec(family=SS1, c=1.0, beta=1.0)
         g = uniform_grid(10, 100.0, 100.0)
-        for op in (closed_form_inverse, precision_factor):
-            with pytest.raises(errors.SingularGram):
-                op(spec, g)
+        with pytest.raises(errors.SingularGram):
+            closed_form_inverse(spec, g)
         assert math.isfinite(log_det(spec, g))
-        # The square root needs no reciprocal: its columns sqrt(delta_j) reach
-        # only exp(-500) ~ 7e-218.  U U' = P down to the float range, where
-        # P's exact entries exp(-max(t_i, t_j)) fall below it.
+        # The factors need no reciprocal of a step: U's columns sqrt(delta_j)
+        # reach only exp(-500) ~ 7e-218, and F's entries 1/sqrt(delta_j) only
+        # exp(500) ~ 1.4e217.  U U' = P down to the float range, where P's
+        # exact entries exp(-max(t_i, t_j)) fall below it.
         with mpmath.workdps(60):
             clock = [mpmath.exp(-mpmath.mpf(t)) for t in g.times]
             steps = [clock[j] - clock[j + 1] for j in range(9)] + [clock[-1]]
@@ -202,6 +229,10 @@ class TestErrors:
             assert np.array_equal(u, np.triu(u[:1].repeat(10, axis=0)))
             for got, step in zip(root.inv_diag, steps):
                 assert abs(mpmath.mpf(got) - mpmath.sqrt(step)) <= 2 * U * mpmath.sqrt(step)
+            factor = precision_factor(spec, g)
+            np.testing.assert_array_equal(factor.super, -factor.diag[:-1])
+            for got, step in zip(factor.diag, steps):
+                assert abs(mpmath.mpf(got) - 1 / mpmath.sqrt(step)) <= 3 * U / mpmath.sqrt(step)
             p = u @ u.T
             for i in range(10):
                 for j in range(10):
@@ -226,6 +257,28 @@ class TestErrors:
         # So does a normal exp(-beta*t_n / 2) whose scale sqrt(c) takes below them.
         with pytest.raises(errors.SingularGram, match="square-root column scale"):
             sqrt_factor(KernelSpec(family=SS1, c=1e-300, beta=35.4), g)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec, times, exists", [
+        # SS-1 on t = 1, ..., 40: U ends where exp(-beta*t_n / 2) leaves the normal floats.
+        (KernelSpec(family=SS1, c=1.0, beta=25.0), np.arange(1.0, 41.0), True),
+        (KernelSpec(family=SS1, c=1.0, beta=35.4), np.arange(1.0, 41.0), True),
+        (KernelSpec(family=SS1, c=1.0, beta=35.42), np.arange(1.0, 41.0), False),
+        (KernelSpec(family=SS1, c=1e300, beta=36.0), np.arange(1.0, 41.0), False),
+        (KernelSpec(family=SS1, c=1e-300, beta=35.4), np.arange(1.0, 41.0), False),
+        # Wiener: c * delta_1 = 1e-310 cannot be inverted, but its root 1e-155 can.
+        (KernelSpec(family=WIENER, c=1e-300), [1e-10, 1.0, 2.0], True),
+        (KernelSpec(family=WIENER, c=1.0), [0.0, 1.0, 2.0], False),
+    ], ids=["ss1-1000", "ss1-1416", "ss1-1416.8", "ss1-c1e300", "ss1-c1e-300", "wiener-c1e-300", "wiener-t1-0"])
+    def test_factors_share_one_domain(self, spec, times, exists):
+        # F is built from U's column scales, so it exists exactly where U does.
+        g = make_grid(times)
+        if exists:
+            np.testing.assert_array_equal(precision_factor(spec, g).diag, 1.0 / sqrt_factor(spec, g).inv_diag)
+        else:
+            for function in (sqrt_factor, precision_factor):
+                with pytest.raises(errors.SingularGram, match="square-root column scale"):
+                    function(spec, g)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", [WIENER, SS1])
