@@ -18,19 +18,32 @@ both public functions fail alike, and the mean, which needs no y'y / sigma2,
 also exists where that overflows.  No P^{-1}, Phi'y / sigma2 or N x N
 matrix is formed.
 
+The factor depends on beta and lam alone.  At a fixed lam, with
+q = y'y - lam b'M^{-1}b, the log likelihood
+-(N ln 2 pi + ln det M + N ln sigma2 + q / sigma2) / 2 peaks at
+sigma2* = q / N, where it is -(N (ln 2 pi + 1) + ln det M + N ln sigma2*) / 2.
+
 Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
 ``fit`` builds Phi once and folds the data into these statistics once,
 in O(N n^2).  Whitening costs O(n^3) once, for the part of U shared by
 every beta, and O(n^2) per beta; all of one beta's grid candidates then
-go through one batched Cholesky, O(n^3) each.  The posterior mean reuses
-the best candidate's whitened data: one more factor, then one triangular
-solve and one product with U, O(n^2).  None of it depends on N.
+go through one batched Cholesky, O(n^3) each.  A candidate is a c when
+sigma2 is fixed, and a distinct lam = c / sigma2 of the c x sigma2 grid
+when it is free: one factor per distinct lam per beta, fewer than the
+grid's pairs where quotients coincide (14 of 25 for c at the five half
+decades from 0.1 to 10 and sigma2 at the five decades from 1e-3 to 10).
+The posterior mean reuses the best candidate's whitened data: one more
+factor, then one triangular solve and one product with U, O(n^2).  None
+of it depends on N.
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional simplex refinement in
-log-space.  Tuning is deterministic given the search configuration, and
-the reported optimum is the best of every candidate evaluated, so it
-can never fall below a grid point.
+log-space.  A free sigma2 is profiled out: the search runs over
+(lam, beta), every candidate at its sigma2*, and the trace records it as
+c = lam sigma2*, beta, sigma2* and its log likelihood.  Tuning is
+deterministic given the search configuration, and the reported optimum
+is the best of every candidate evaluated, so it can never fall below a
+grid point: each grid pair's lam is scanned at its best sigma2.
 
 The module needs numpy only, so a cold ``fit`` process loads no scipy:
 Phi is a strided view of the zero-padded input, the mean's triangular
@@ -45,6 +58,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -78,6 +92,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _check_order(order, n_samples: int) -> None:
@@ -194,20 +209,19 @@ def _cholesky(stack: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky(one[None]) for one in stack])
 
 
-def _bordered(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray):
+def _bordered(stats: _DataStats, white: _Whitened, lam: np.ndarray):
     """Batched Cholesky factors of the candidates' [[M, g], [g', 2]], the exponent e, and each failure.
 
-    For candidate k, lam = c[k] / sigma2[k] and g = sqrt(lam) b / 2^e, with
-    e the integer for which y'y / 4^e lies in [1/4, 1).  The factor's
+    For candidate k, M = I + lam[k] U'Phi'Phi U and g = sqrt(lam[k]) b / 2^e,
+    with e the integer for which y'y / 4^e lies in [1/4, 1).  The factor's
     first n pivots give ln det M, and its last row r' = (L_M^{-1} g)' has
     squared norm lam b'M^{-1}b / 4^e <= y'y / 4^e < 1: the last pivot
     stays above 1, and no entry overflows for any finite y'y.  A failure is
     None or the error of a system that overflows or has no Cholesky factor.
     """
-    count, n = c.shape[0], white.gram.shape[0]
+    count, n = lam.shape[0], white.gram.shape[0]
     shift = (math.frexp(stats.yy)[1] + 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = c / sigma2
         stack = np.empty((count, n + 1, n + 1))
         np.multiply(lam[:, None, None], white.gram, out=stack[:, :n, :n])
         np.multiply(np.sqrt(lam)[:, None], np.ldexp(white.cross, -shift), out=stack[:, n, :n])
@@ -224,14 +238,23 @@ def _bordered(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.nda
     return low, shift, failures
 
 
-def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray) -> list:
-    """Log marginal likelihoods of the candidates (c[k], sigma2[k]) at one beta: each a float or an error."""
-    low, shift, failures = _bordered(stats, white, c, sigma2)
-    count, n = c.shape[0], white.gram.shape[0]
+def _log_det_and_q(stats: _DataStats, low: np.ndarray, shift: int):
+    """ln det M and q = y'y - lam b'M^{-1}b of each bordered factor of :func:`_bordered`."""
+    count, n = low.shape[0], low.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         log_det_m = 2.0 * np.log(low.reshape(count, -1)[:, : n * (n + 2) : n + 2]).sum(axis=1)
         row = low[:, n, :n]
-        quad = (stats.yy - np.ldexp((row * row).sum(axis=1), 2 * shift)) / sigma2
+        return log_det_m, stats.yy - np.ldexp((row * row).sum(axis=1), 2 * shift)
+
+
+def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray) -> list:
+    """Log marginal likelihoods of the candidates (c[k], sigma2[k]) at one beta: each a float or an error."""
+    with np.errstate(over="ignore"):
+        lam = c / sigma2
+    low, shift, failures = _bordered(stats, white, lam)
+    log_det_m, q = _log_det_and_q(stats, low, shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = q / sigma2
         values = -0.5 * (stats.n_data * _LOG_2PI + (log_det_m + stats.n_data * np.log(sigma2)) + quad)
     for k in np.flatnonzero(~np.isfinite(quad)).tolist():
         failures[k] = failures[k] or InvalidParameter(
@@ -239,18 +262,41 @@ def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndar
     return [failure or value for failure, value in zip(failures, values.tolist())]
 
 
-def _posterior_mean(stats: _DataStats, white: _Whitened, c: float, sigma2: float) -> np.ndarray:
+def _profiled_log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray) -> list:
+    """The log marginal likelihood at one beta and each lam[k] = c / sigma2, maximized over sigma2.
+
+    At a fixed lam it peaks at sigma2* = q / N, where it is
+    -(N (ln 2 pi + 1) + ln det M + N ln sigma2*) / 2, both read from one
+    bordered factor.  Each result is the triple (c, sigma2*, log_ml) with
+    c = lam sigma2*, or the candidate's error: InvalidParameter where
+    sigma2* or c is not a positive normal float (y zero or fitted exactly).
+    """
+    low, shift, failures = _bordered(stats, white, lam)
+    log_det_m, q = _log_det_and_q(stats, low, shift)
+    n_data = stats.n_data
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s2 = q / n_data
+        c = lam * s2
+        values = -0.5 * (n_data * (_LOG_2PI + 1.0) + log_det_m + n_data * np.log(s2))
+    for k in np.flatnonzero(~((s2 >= _TINY) & (c >= _TINY) & (c <= _HUGE))).tolist():
+        failures[k] = failures[k] or InvalidParameter(
+            f"at lam = c / sigma2 = {lam.tolist()[k]!r} the likelihood peaks at sigma2={s2.tolist()[k]!r}, "
+            f"c={c.tolist()[k]!r}: both must be positive normal floats (y is zero or fitted exactly)")
+    return [failure or result for failure, result in zip(failures, zip(c.tolist(), s2.tolist(), values.tolist()))]
+
+
+def _posterior_mean(stats: _DataStats, white: _Whitened, lam: float) -> np.ndarray:
     """h = lam U M^{-1} b = sqrt(lam) 2^e U L_M^{-T} r, with r' the last row of the bordered factor."""
-    low, shift, (failure,) = _bordered(stats, white, np.array([c]), np.array([sigma2]))
+    low, shift, (failure,) = _bordered(stats, white, np.array([lam]))
     if failure is not None:
         raise failure
     # LU of the triangle L_M' pivots on its diagonal and its multipliers are
     # exact zeros, so this is back substitution.
     v = np.linalg.solve(low[0, :-1, :-1].T, low[0, -1, :-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.ldexp((white.root.to_dense() @ v) * math.sqrt(c / sigma2), shift)
+        h = np.ldexp((white.root.to_dense() @ v) * math.sqrt(lam), shift)
     if not np.all(np.isfinite(h)):
-        raise InvalidParameter(f"the data are too large for sigma2={sigma2!r}: "
+        raise InvalidParameter(f"the data are too large for lam = c / sigma2 = {lam!r}: "
                                "the posterior mean leaves the float range")
     return h
 
@@ -264,7 +310,7 @@ def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSp
     """
     stats = _fold(phi, y, grid)
     _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
-    return _posterior_mean(stats, _whiten(stats, spec.family, spec.beta, grid), spec.c, float(sigma2))
+    return _posterior_mean(stats, _whiten(stats, spec.family, spec.beta, grid), spec.c / float(sigma2))
 
 
 def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSpec, grid: SamplingGrid) -> float:
@@ -287,10 +333,14 @@ class SearchConfig:
     """Candidate grids for hyperparameter tuning, plus refinement policy.
 
     ``beta_grid`` is required for the SS-1 family and ignored for
-    Wiener; ``sigma2_grid`` is used only when the problem leaves the
-    noise variance free.  Refinement runs a Nelder-Mead simplex in
-    log-parameter space from the best grid point.  Every field is checked
-    here, so :meth:`from_dict` obeys the same rules.
+    Wiener.  ``sigma2_grid`` is used only when the problem leaves the
+    noise variance free, and then only to seed the scanned values of
+    lam = c / sigma2: the distinct quotients of the c and sigma2 grids,
+    each at the sigma2 that maximizes the likelihood for it.  Refinement
+    runs a Nelder-Mead simplex in log-parameter space from the best grid
+    point, over (c, beta) with sigma2 fixed and (lam, beta) with it
+    free; Wiener drops beta.  Every field is checked here, so
+    :meth:`from_dict` obeys the same rules.
     """
 
     family: str
@@ -429,33 +479,53 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float)
 
 
 def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
-    """Best trace entry, its beta's whitened data, the trace of every candidate evaluated, and the failure count.
+    """Best trace entry, its beta's whitened data and lam, the trace of every candidate evaluated, and the failure count.
 
-    Scans (c, beta, sigma2), c slowest; a fixed ``sigma2`` is a one-value
-    axis and Wiener's beta axis is ``(None,)``.  The data are whitened
-    once per beta, and all of a beta's grid candidates are evaluated in
-    one batch; a beta whose prior has no closed-form square root fails
-    every candidate at it.  The simplex then moves only the free
-    parameters, from the best grid entry, one candidate per step.  The
-    best entry is the trace's first maximum.  When every grid candidate
-    fails, the error raised has the type of the last candidate error.
+    The bordered system depends on beta and lam = c / sigma2 alone.  A
+    fixed ``sigma2`` scans (c, beta), c slowest, and the simplex moves
+    (log c, log beta).  A free one is profiled out: the scan runs over
+    beta in grid order and, at each, the distinct lam of the c x sigma2
+    grid in ascending order, each entry at the best sigma2 for its lam;
+    the simplex moves (log lam, log beta).  Wiener's beta axis is
+    ``(None,)`` and its simplex moves the first coordinate alone.  The
+    data are whitened once per beta, and all of a beta's grid candidates
+    are evaluated in one batch; a beta whose prior has no closed-form
+    square root fails every candidate at it.  The best entry is the
+    trace's first maximum; with sigma2 free its lam is the one scanned,
+    so the mean is taken where its likelihood was.  When every grid
+    candidate fails, the error raised has the type of the last candidate
+    error.
     """
-    tune_beta, tune_sigma2 = search.family == SS1, sigma2 is None
-    axes = (search.c_grid, search.beta_grid if tune_beta else (None,),
-            search.sigma2_grid if tune_sigma2 else (sigma2,))
-    for axis, message in zip(axes, ("c grid is empty", "SS-1 tuning needs a nonempty beta grid",
-                                    "sigma2 is free but the sigma2 grid is empty")):
+    tune_beta = search.family == SS1
+    betas = search.beta_grid if tune_beta else (None,)
+    for axis, message in ((search.c_grid, "c grid is empty"), (betas, "SS-1 tuning needs a nonempty beta grid"),
+                          (search.sigma2_grid if sigma2 is None else (sigma2,),
+                           "sigma2 is free but the sigma2 grid is empty")):
         if not axis:
             raise EmptySearchSpace(message)
+    if sigma2 is None:
+        with np.errstate(over="ignore"):
+            axis = np.unique(np.divide.outer(search.c_grid, search.sigma2_grid)).tolist()
+        scale = 1.0  # the scanned values are lam itself
+
+        def evaluate(white: _Whitened, lam: list) -> list:
+            return _profiled_log_mls(stats, white, np.array(lam))
+    else:
+        axis, scale = search.c_grid, float(sigma2)
+
+        def evaluate(white: _Whitened, c: list) -> list:
+            values = _log_mls(stats, white, np.array(c), np.full(len(c), scale))
+            return [v if isinstance(v, Exception) else (ck, scale, v) for ck, v in zip(c, values)]
+
     trace: list = []
     n_failed = 0
     last_error = None
     whitened: dict = {}  # the last beta's whitened data, or the error of its square root
     summed = None
-    best: list = []  # the best entry so far and its beta's whitened data
+    best: list = []  # the best entry so far, its beta's whitened data and its c or lam
 
-    def batch(beta: Optional[float], c: tuple, s2: tuple):
-        """The whitened data at beta (or its error) and the log_ml, or error, of each candidate (c[k], s2[k])."""
+    def batch(beta: Optional[float], coords: list):
+        """The whitened data at beta (or its error) and the result, or error, at each c or lam of ``coords``."""
         nonlocal summed
         if beta not in whitened:
             whitened.clear()
@@ -466,61 +536,59 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
                 whitened[beta] = exc
         white = whitened[beta]
         if isinstance(white, Exception):
-            return white, [white] * len(c)
-        return white, _log_mls(stats, white, np.array(c), np.array(s2))
+            return white, [white] * len(coords)
+        return white, evaluate(white, coords)
 
-    def record(c: float, beta: Optional[float], s2: float, result, white) -> float:
+    def record(beta: Optional[float], coord: float, result, white) -> float:
         nonlocal n_failed, last_error
         if isinstance(result, Exception):
             n_failed += 1
             last_error = result
             return -math.inf
-        entry = {"c": float(c), "sigma2": float(s2), "log_ml": result}
+        c, s2, log_ml = result
+        entry = {"c": float(c), "sigma2": float(s2), "log_ml": log_ml}
         if beta is not None:
             entry["beta"] = float(beta)
         trace.append(entry)
-        if not best or result > best[0]["log_ml"]:
-            best[:] = [entry, white]
-        return result
+        if not best or log_ml > best[0]["log_ml"]:
+            best[:] = [entry, white, coord]
+        return log_ml
 
-    # One batch per beta, recorded back in (c, beta, sigma2) order.
-    c_axis, beta_axis, s2_axis = axes
-    cs, s2s = zip(*itertools.product(c_axis, s2_axis))
+    # One batch per beta, recorded beta slowest, or c slowest when sigma2 is fixed.
     scans = []
-    for beta in beta_axis:
-        scans.append(batch(beta, cs, s2s))
+    for beta in betas:
+        scans.append(batch(beta, axis))
         _log.debug("grid beta=%r: %d of %d candidates failed", beta,
-                   sum(isinstance(r, Exception) for r in scans[-1][1]), len(cs))
-    for (i, c), (j, beta), (k, s2) in itertools.product(*(enumerate(axis) for axis in axes)):
+                   sum(isinstance(r, Exception) for r in scans[-1][1]), len(axis))
+    cells = list(itertools.product(range(len(betas)), range(len(axis))))
+    if sigma2 is not None:
+        cells.sort(key=lambda cell: cell[1])
+    for j, i in cells:
         white, results = scans[j]
-        record(c, beta, s2, results[i * len(s2_axis) + k], white)
+        record(betas[j], axis[i], results[i], white)
     if not trace:
         raise type(last_error)("no search candidate produced a finite log marginal likelihood; "
                                f"last failure: {last_error}")
 
     if search.refine:
-        start = [best[0]["c"], best[0].get("beta"), best[0]["sigma2"]]
-        free = [i for i, tuned in enumerate((True, tune_beta, tune_sigma2)) if tuned]
-
         def objective(theta: np.ndarray) -> float:
             nonlocal n_failed
             # exp(theta) stays well inside the float range, away from overflow and from 0.
             if np.any(np.abs(theta) > 700.0):
                 n_failed += 1
                 return math.inf
-            params = list(start)
-            for i, value in zip(free, np.exp(theta).tolist()):
-                params[i] = value
-            c, beta, s2 = params
-            white, (result,) = batch(beta, (c,), (s2,))
-            return -record(c, beta, s2, result, white)
+            coord, *beta = np.exp(theta).tolist()
+            beta = beta[0] if beta else None
+            white, (result,) = batch(beta, [coord])
+            return -record(beta, coord, result, white)
 
-        nit, success = _nelder_mead(objective, np.array([math.log(start[i]) for i in free]),
+        start = [best[2], best[0]["beta"]] if tune_beta else [best[2]]
+        nit, success = _nelder_mead(objective, np.array([math.log(v) for v in start]),
                                     maxiter=search.refine_maxiter, xatol=1e-6, fatol=1e-9)
         _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", success, nit,
                    "Optimization terminated successfully." if success
                    else "Maximum number of iterations has been exceeded.")
-    return best[0], best[1], trace, n_failed
+    return best[0], best[1], best[2] / scale, trace, n_failed
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
@@ -528,17 +596,23 @@ def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) ->
 
     The data are folded and whitened as the tuner needs them; the mean
     reuses the best candidate's whitened data, so it costs one more
-    bordered Cholesky and no whitening.  ``diagnostics["trace"]`` lists
-    every candidate evaluated; ``n_failed`` counts those whose prior or
-    posterior system was numerically singular.
+    bordered Cholesky and no whitening.  With sigma2 free, the tuner
+    profiles it out (module docstring): the sigma2 grid only seeds the
+    values of lam = c / sigma2, and the result's sigma2 and c are the
+    best sigma2 for the winning lam and lam times it; the mean is taken
+    at that lam itself.  ``diagnostics["trace"]`` lists every candidate
+    evaluated; ``n_failed`` counts those whose prior or posterior system
+    was numerically singular, or whose best sigma2 was not a positive
+    normal float (y zero, or fitted exactly).  If every grid candidate
+    fails, the error of the last one is raised.
     """
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
     stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid)
-    best, white, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
+    best, white, lam, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
     spec = KernelSpec(family=search.family, c=best["c"], beta=best.get("beta"))
     return ImpulseResponseEstimate(
-        coefficients=_posterior_mean(stats, white, best["c"], best["sigma2"]),
+        coefficients=_posterior_mean(stats, white, lam),
         spec=spec,
         sigma2=best["sigma2"],
         log_ml=best["log_ml"],

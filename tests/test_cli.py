@@ -347,6 +347,19 @@ class TestFit:
         assert captured.err.startswith("ERROR SingularGram:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_output_with_free_noise_is_a_domain_error(self, tmp_path, capsys):
+        data, search_file, *_ , order = self.write_problem(tmp_path)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join([lines[0]] + [f"{line.split(',')[0]},0.0" for line in lines[1:]]) + "\n")
+        code = run(["fit", "--data", str(data), "--order", str(order),
+                    "--kernel-family", SS1, "--search", str(search_file)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR InvalidParameter:")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_sample(self, tmp_path, capsys, bad):
         data, search_file, *_ , order = self.write_problem(tmp_path)
@@ -692,6 +705,10 @@ class TestGoldenBytes:
     square root, its diagonal the reciprocals of the column scales: its
     entries and the ``precision_factor`` residuals moved in the last bits,
     and stay within 3.4 units of roundoff of 60-digit arithmetic.
+    The two free-sigma2 ``fit`` digests were re-recorded when the tuner
+    profiled sigma2 out, scanning lam = c / sigma2 at each sigma2's best
+    value: both optima rose (Wiener by 2.5e-7, SS-1 by 1.34), and each new
+    log_ml and mean agree with the dense oracle's within 1e-13.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -723,9 +740,9 @@ class TestGoldenBytes:
         },
         "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
-            "wiener": {"free": "53da81fac0165504fa90be9a9c46adaf97813ac29be0005d7f0075d8ea8b8f5f",
+            "wiener": {"free": "6acc4eb0dc35e7811f12700406e82bb9d62556df16b5f5bf083373d021285089",
                        "fixed": "9fa692d0916431be126c754a08aeeacf95d51414be8b4b588730fb3dc0816db6"},
-            "ss1": {"free": "9d8a64e352cce9e7aa2f5b9571556f7310bf14bb570b8782435433cc8d172e33",
+            "ss1": {"free": "64529a6a71f9d8afb5b5dc5229c3721778ba6c20cd274b12e6d800355c3e4f3b",
                     "fixed": "0a84344a762af21b5f9b27d70dc2875d9fac221a24afce8119e01283a39172fa"},
         },
     }

@@ -456,6 +456,31 @@ class TestFit:
         est = fit(problem, grid, search)
         np.testing.assert_array_equal(est.coefficients, np.zeros(6))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_zero_output_with_free_noise_is_a_domain_error(self, family):
+        # y = 0: the likelihood peaks at sigma2 = 0 for every lam, so every candidate fails.
+        rng = np.random.default_rng(12)
+        problem = EstimationProblem(u=rng.standard_normal(50), y=np.zeros(50), order=6)
+        search = SearchConfig(family=family, c_grid=(0.5, 2.0), sigma2_grid=(0.1, 1.0),
+                              beta_grid=(0.3,) if family == SS1 else None)
+        with pytest.raises(errors.InvalidParameter, match="peaks at sigma2=0.0"):
+            fit(problem, uniform_grid(6, 1.0, 1.0), search)
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_fit_is_a_failed_candidate_or_a_normal_noise_variance(self):
+        # N = order and Phi = I: at lam = 1e100 the data are fitted to the
+        # last bit, and the best sigma2 rounds to about 0.
+        u = np.zeros(5)
+        u[0] = 1.0
+        problem = EstimationProblem(u=u, y=np.array([1.0, 0.5, 0.25, 0.125, 0.0625]), order=5)
+        search = SearchConfig(family=WIENER, c_grid=(1.0,), sigma2_grid=(1e-100, 1e-16, 1.0), refine=False)
+        est = fit(problem, uniform_grid(5, 1.0, 1.0), search)
+        trace = est.diagnostics["trace"]
+        assert len(trace) + est.diagnostics["n_failed"] == 3
+        assert all(e["sigma2"] >= sys.float_info.min and e["c"] >= sys.float_info.min for e in trace)
+        assert np.all(np.isfinite(est.coefficients))
+
     def test_impulse_input_recovers_data(self):
         n_data, order = 60, 20
         u = np.zeros(n_data)
@@ -519,7 +544,13 @@ class TestFit:
 
 
 class TestSingleEvaluationPath:
-    """fit folds the data once, and the tuner evaluates exactly the public functions."""
+    """fit folds the data once, and the tuner evaluates the public functions.
+
+    With sigma2 fixed it evaluates them exactly.  With sigma2 free each
+    entry holds the profiled value at lam = c / sigma2 and the mean comes
+    from that lam, so they agree with the public functions at the entry's
+    (c, sigma2), whose quotient is lam to the last bit or so.
+    """
 
     def test_fit_builds_the_regressor_once(self, monkeypatch):
         problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
@@ -554,9 +585,17 @@ class TestSingleEvaluationPath:
         phi = toeplitz_regressor(problem.u, problem.order)
         for entry in trace:
             spec = KernelSpec(family=family, c=entry["c"], beta=entry.get("beta"))
-            assert entry["log_ml"] == log_marginal_likelihood(phi, problem.y, entry["sigma2"], spec, grid)
+            value = log_marginal_likelihood(phi, problem.y, entry["sigma2"], spec, grid)
+            if fixed_sigma2:
+                assert entry["log_ml"] == value
+            else:
+                assert entry["log_ml"] == pytest.approx(value, rel=1e-13)
         coefficients = posterior_mean(phi, problem.y, est.sigma2, est.spec, grid)
-        np.testing.assert_array_equal(coefficients, est.coefficients)
+        if fixed_sigma2:
+            np.testing.assert_array_equal(coefficients, est.coefficients)
+        else:
+            np.testing.assert_allclose(coefficients, est.coefficients, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(coefficients)))
 
 
 def refined_problem(family, fixed_sigma2, seed):
@@ -595,6 +634,26 @@ class TestWhitenedLogMarginalLikelihood:
             spec = KernelSpec(family=family, c=entry["c"], beta=entry.get("beta"))
             ref = dense_log_marginal_likelihood(phi, problem.y, sigma2, spec, grid)
             assert entry["log_ml"] == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_profiled_trace_matches_dense_oracle(self, family, seed):
+        # Each entry is the likelihood at its own (c, beta, sigma2), and its
+        # sigma2 is the best one for its lam = c / sigma2.
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(seed=seed, order=6, n_data=40)
+        search = SearchConfig(family=family, c_grid=(0.5 * c, 2 * c), sigma2_grid=(0.5 * sigma2, 2 * sigma2),
+                              beta_grid=(beta, 2 * beta) if family == SS1 else None, refine_maxiter=20)
+        est = fit(problem, grid, search)
+        phi = toeplitz_regressor(problem.u, 6)
+        trace = est.diagnostics["trace"]
+        assert len(trace) > 8
+        for entry in trace:
+            spec = KernelSpec(family=family, c=entry["c"], beta=entry.get("beta"))
+            ref = dense_log_marginal_likelihood(phi, problem.y, entry["sigma2"], spec, grid)
+            assert entry["log_ml"] == pytest.approx(ref, rel=1e-8)
+            for step in (0.99, 1.01):
+                moved = KernelSpec(family=family, c=step * entry["c"], beta=entry.get("beta"))
+                assert dense_log_marginal_likelihood(phi, problem.y, step * entry["sigma2"], moved, grid) < ref
 
     def test_steep_ss1_prior(self):
         # beta * t_n = 50: the prior's precision reaches e^50 ~ 5e21.
@@ -705,7 +764,33 @@ class TestBatchedEvaluation:
                               sigma2_grid=(sigma2, 4 * sigma2), refine=False)
         est = fit(problem, grid, search)
         assert calls == list(betas)
-        assert est.diagnostics["n_evaluations"] == 18
+        # Scaling by 4 is exact, so 4c / 4sigma2 == c / sigma2: five distinct lam at each beta.
+        assert est.diagnostics["n_evaluations"] == 3 * 5
+
+    def test_grid_scan_factors_once_per_distinct_lam(self, monkeypatch):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        calls = []
+        bordered = stablekern.estimator._bordered
+
+        def counting(stats, white, lam):
+            calls.append(lam.tolist())
+            return bordered(stats, white, lam)
+
+        monkeypatch.setattr(stablekern.estimator, "_bordered", counting)
+        betas = (0.5 * beta, beta, 2 * beta)
+        # c x sigma2 has six pairs but four quotients: 2c / 2sigma2 == c / sigma2 and 4c / 2sigma2 == 2c / sigma2.
+        search = SearchConfig(family=SS1, c_grid=(c, 2 * c, 4 * c), beta_grid=betas,
+                              sigma2_grid=(sigma2, 2 * sigma2), refine=False)
+        est = fit(problem, grid, search)
+        lams = [c / (2 * sigma2), c / sigma2, 2 * c / sigma2, 4 * c / sigma2]
+        assert lams == sorted(set(x / s for x in (c, 2 * c, 4 * c) for s in (sigma2, 2 * sigma2)))
+        # One batch of one system per distinct lam at each beta, then the mean's single system.
+        assert calls[:3] == [lams] * 3
+        assert len(calls) == 4 and len(calls[3]) == 1
+        trace = est.diagnostics["trace"]
+        assert [e["beta"] for e in trace] == [b for b in betas for _ in lams]
+        for entry, lam in zip(trace, lams * 3):
+            assert entry["c"] / entry["sigma2"] == pytest.approx(lam, rel=1e-15)
 
     def test_wiener_fit_whitens_once_in_all(self, monkeypatch):
         problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
@@ -724,10 +809,13 @@ class TestBatchedEvaluation:
         search = SearchConfig(family=SS1, c_grid=(0.5, 1.0, 2.0), beta_grid=(0.1, 50.0, 0.2),
                               sigma2_grid=(0.01, 0.1), refine=False)
         est = fit(EstimationProblem(u=u, y=y, order=40), grid, search)
-        assert est.diagnostics["n_failed"] == 6
+        lams = sorted(c / s for c in (0.5, 1.0, 2.0) for s in (0.01, 0.1))
+        assert len(set(lams)) == 6
+        assert est.diagnostics["n_failed"] == 6  # each lam = c / sigma2 at beta = 50
         trace = est.diagnostics["trace"]
-        order = [(e["c"], e["beta"], e["sigma2"]) for e in trace]
-        assert order == [(c, b, s) for c in (0.5, 1.0, 2.0) for b in (0.1, 0.2) for s in (0.01, 0.1)]
+        assert [e["beta"] for e in trace] == [0.1] * 6 + [0.2] * 6
+        for entry, lam in zip(trace, lams * 2):
+            assert entry["c"] / entry["sigma2"] == pytest.approx(lam, rel=1e-15)
 
 
 class TestTunerLog:
@@ -900,11 +988,29 @@ class TestOneDomain:
         assert est.diagnostics["n_failed"] == 0
         assert np.all(np.isfinite(est.coefficients))
         phi = toeplitz_regressor(u, 40)
-        np.testing.assert_array_equal(est.coefficients, posterior_mean(phi, y, 0.1, est.spec, grid))
+        # The mean is taken at the grid's lam = 1e-3 / 0.1, which the grid's own (c, sigma2) reproduce.
+        assert est.spec.beta == 17.7
+        grid_spec = KernelSpec(family=SS1, c=1e-3, beta=17.7)
+        np.testing.assert_array_equal(est.coefficients, posterior_mean(phi, y, 0.1, grid_spec, grid))
+
+
+def fir_tune_problem(family, seed):
+    """A free-sigma2 problem shaped like the fir-tune benchmark: SS-1 truth, N = 1000, order 50, its 5 x 5 x 5 grid."""
+    rng = np.random.default_rng(seed)
+    grid = uniform_grid(50, 1.0, 1.0)
+    h0 = sample_ss1(grid, c=2.0, beta=0.3, seed=seed, p=1).paths[0]
+    u = rng.standard_normal(1000)
+    clean = toeplitz_regressor(u, 50) @ h0
+    sigma2 = float(np.var(clean) / 10.0)
+    y = clean + math.sqrt(sigma2) * rng.standard_normal(1000)
+    search = SearchConfig(family=family, c_grid=np.geomspace(0.1, 10.0, 5),
+                          beta_grid=np.geomspace(0.05, 1.0, 5) if family == SS1 else None,
+                          sigma2_grid=np.geomspace(1e-3, 10.0, 5))
+    return EstimationProblem(u=u, y=y, order=50), grid, search
 
 
 class TestRefinedFits:
-    """Refined fits on a committed set of problems reach at least the optimum the dense-inverse tuner found."""
+    """Refined fits on committed sets of problems reach at least the optima earlier tuners found."""
 
     # fit(...).log_ml of each problem, recorded with the tuner that formed
     # the dense prior inverse and a Cholesky factor per candidate.
@@ -923,4 +1029,18 @@ class TestRefinedFits:
     def test_optimum_no_lower_than_recorded(self, family, fixed_sigma2, seed):
         problem, grid, search = refined_problem(family, fixed_sigma2, seed)
         recorded = self.RECORDED[(family, fixed_sigma2, seed)]
+        assert fit(problem, grid, search).log_ml >= recorded - 1e-9 * abs(recorded)
+
+    # fit(...).log_ml of each fir-tune-shaped problem, recorded with the
+    # tuner whose simplex moved c, beta and sigma2 as three coordinates.
+    RECORDED_THREE_COORDINATES = {
+        (WIENER, 0): -1055.1068060470036, (WIENER, 1): -674.4918414358217, (WIENER, 2): -950.678610433371,
+        (SS1, 0): -989.5431171967351, (SS1, 1): -586.8431894643609, (SS1, 2): -874.5431396543725,
+    }
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_profiled_optimum_no_lower_than_three_coordinates(self, family, seed):
+        problem, grid, search = fir_tune_problem(family, seed)
+        recorded = self.RECORDED_THREE_COORDINATES[(family, seed)]
         assert fit(problem, grid, search).log_ml >= recorded - 1e-9 * abs(recorded)

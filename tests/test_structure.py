@@ -85,6 +85,31 @@ class TestAgainstDenseOracle:
             assert abs(ld - oracle.dense_logdet(p)) <= 1e-10 * max(1.0, abs(ld))
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_inverse_is_the_sum_of_reciprocal_steps(self, family):
+        # The steps formed apart, each in its own array: the same arithmetic, bit for bit.
+        rng = np.random.default_rng(102)
+        for n in (1, 2, 7, 40):
+            g = random_grid(rng, n)
+            spec = random_spec(rng, family)
+            t = g.times
+            if family == WIENER:
+                delta = np.diff(t, prepend=0.0)
+            else:
+                delta = np.exp(-spec.beta * t) * np.append(-np.expm1(np.diff(t) * -spec.beta), 1.0)
+            r = 1.0 / (delta * spec.c)
+            diag = r.copy()
+            # Each diagonal entry adds the reciprocal of the step toward the end where the clock vanishes.
+            if family == WIENER:
+                diag[:-1] += r[1:]
+                offdiag = -r[1:]
+            else:
+                diag[1:] += r[:-1]
+                offdiag = -r[:-1]
+            tri = closed_form_inverse(spec, g)
+            np.testing.assert_array_equal(tri.diag, diag)
+            np.testing.assert_array_equal(tri.offdiag, offdiag)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
     def test_factor_identities(self, family):
         rng = np.random.default_rng(202)
         for _ in range(20):
