@@ -388,6 +388,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"ERROR IO: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy refuses an array larger than memory with a MemoryError subclass.
+        print(f"ERROR Memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

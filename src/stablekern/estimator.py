@@ -27,23 +27,25 @@ Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
 ``fit`` builds Phi once and folds the data into these statistics once,
 in O(N n^2).  Whitening costs O(n^3) once, for the part of U shared by
 every beta, and O(n^2) per beta; all of one beta's grid candidates then
-go through one batched Cholesky, O(n^3) each.  A candidate is a c when
-sigma2 is fixed, and a distinct lam = c / sigma2 of the c x sigma2 grid
-when it is free: one factor per distinct lam per beta, fewer than the
-grid's pairs where quotients coincide (14 of 25 for c at the five half
-decades from 0.1 to 10 and sigma2 at the five decades from 1e-3 to 10).
+go through one batched Cholesky, O(n^3) each.  A candidate is a distinct
+lam = c / sigma2 of the c grid and the fixed sigma2, or of the c x sigma2
+grid when sigma2 is free: one factor per distinct lam per beta, fewer
+than the grid's values where quotients coincide (14 of 25 pairs for c at
+the five half decades from 0.1 to 10 and sigma2 at the five decades from
+1e-3 to 10).
 The posterior mean reuses the best candidate's whitened data: one more
 factor, then one triangular solve and one product with U, O(n^2).  None
 of it depends on N.
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional simplex refinement in
-log-space.  A free sigma2 is profiled out: the search runs over
-(lam, beta), every candidate at its sigma2*, and the trace records it as
-c = lam sigma2*, beta, sigma2* and its log likelihood.  Tuning is
-deterministic given the search configuration, and the reported optimum
-is the best of every candidate evaluated, so it can never fall below a
-grid point: each grid pair's lam is scanned at its best sigma2.
+log-space.  The search runs over (lam, beta) with sigma2 pinned when it
+is fixed and profiled out when it is free, every candidate then at its
+sigma2*; the trace records each as c = lam sigma2, beta, sigma2 and its
+log likelihood.  Tuning is deterministic given the search configuration,
+and the reported optimum is the best of every candidate evaluated, so it
+can never fall below a grid point: each grid pair's lam is scanned, at
+its best sigma2 when that is free.
 
 The module needs numpy only, so a cold ``fit`` process loads no scipy:
 Phi is a strided view of the zero-padded input, the mean's triangular
@@ -55,7 +57,6 @@ for bit.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import sys
@@ -93,6 +94,7 @@ _log = logging.getLogger(__name__)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_UNIT = sys.float_info.epsilon / 2  # unit roundoff u = 2^-53
 
 
 def _check_order(order, n_samples: int) -> None:
@@ -238,51 +240,56 @@ def _bordered(stats: _DataStats, white: _Whitened, lam: np.ndarray):
     return low, shift, failures
 
 
-def _log_det_and_q(stats: _DataStats, low: np.ndarray, shift: int):
-    """ln det M and q = y'y - lam b'M^{-1}b of each bordered factor of :func:`_bordered`."""
-    count, n = low.shape[0], low.shape[1] - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_det_m = 2.0 * np.log(low.reshape(count, -1)[:, : n * (n + 2) : n + 2]).sum(axis=1)
-        row = low[:, n, :n]
-        return log_det_m, stats.yy - np.ldexp((row * row).sum(axis=1), 2 * shift)
+def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optional[float] = None) -> list:
+    """Each candidate's (c, sigma2, log_ml) at one beta and lam[k] = c / sigma2, or its error.
 
+    One bordered factor gives ln det M and q = y'y - lam b'M^{-1}b.  A
+    fixed ``sigma2`` is used as given; a free one (None) is profiled out at
+    sigma2* = q / N, where the likelihood is
+    -(N (ln 2 pi + 1) + ln det M + N ln sigma2*) / 2.  Either way c =
+    lam sigma2.  A candidate fails with InvalidParameter where c is not a
+    positive normal float, where y'y / sigma2 overflows, or where the
+    profiled sigma2* is not a normal float above its rounding-error bound.
 
-def _log_mls(stats: _DataStats, white: _Whitened, c: np.ndarray, sigma2: np.ndarray) -> list:
-    """Log marginal likelihoods of the candidates (c[k], sigma2[k]) at one beta: each a float or an error."""
-    with np.errstate(over="ignore"):
-        lam = c / sigma2
-    low, shift, failures = _bordered(stats, white, lam)
-    log_det_m, q = _log_det_and_q(stats, low, shift)
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = q / sigma2
-        values = -0.5 * (stats.n_data * _LOG_2PI + (log_det_m + stats.n_data * np.log(sigma2)) + quad)
-    for k in np.flatnonzero(~np.isfinite(quad)).tolist():
-        failures[k] = failures[k] or InvalidParameter(
-            f"the data are too large for sigma2={sigma2.tolist()[k]!r}: y'y / sigma2 overflows the float range")
-    return [failure or value for failure, value in zip(failures, values.tolist())]
-
-
-def _profiled_log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray) -> list:
-    """The log marginal likelihood at one beta and each lam[k] = c / sigma2, maximized over sigma2.
-
-    At a fixed lam it peaks at sigma2* = q / N, where it is
-    -(N (ln 2 pi + 1) + ln det M + N ln sigma2*) / 2, both read from one
-    bordered factor.  Each result is the triple (c, sigma2*, log_ml) with
-    c = lam sigma2*, or the candidate's error: InvalidParameter where
-    sigma2* or c is not a positive normal float (y zero or fitted exactly).
+    That bound: q is the difference of two sums of squares, y'y of N terms
+    and ldexp(|r|^2, 2e) = lam b'M^{-1}b <= y'y of n.  Summing m
+    nonnegative terms errs by at most m u times the sum (u = 2^-53, to
+    first order), so forming both sums and subtracting errs by up to
+    (N + n + 1) u y'y, even from an exact factor.  A q at or below that
+    carries no significant digit, and neither does ln sigma2*; the error
+    of the factor itself comes on top.  With sigma2 fixed the same error
+    moves q / sigma2 by no more than the rounding of y'y / sigma2, so it
+    needs no check.
     """
     low, shift, failures = _bordered(stats, white, lam)
-    log_det_m, q = _log_det_and_q(stats, low, shift)
+    count, n = low.shape[0], low.shape[1] - 1
     n_data = stats.n_data
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s2 = q / n_data
+        log_det_m = 2.0 * np.log(low.reshape(count, -1)[:, : n * (n + 2) : n + 2]).sum(axis=1)
+        row = low[:, n, :n]
+        q = stats.yy - np.ldexp((row * row).sum(axis=1), 2 * shift)
+        if sigma2 is None:
+            floor = (n_data + n + 1) * _UNIT * stats.yy / n_data
+            s2 = q / n_data
+            values = -0.5 * (n_data * (_LOG_2PI + 1.0) + log_det_m + n_data * np.log(s2))
+            ok = (s2 > floor) & (s2 >= _TINY)
+        else:
+            s2 = np.full(count, sigma2)
+            values = -0.5 * (n_data * _LOG_2PI + (log_det_m + n_data * np.log(s2)) + q / s2)
+            ok = np.isfinite(values)
         c = lam * s2
-        values = -0.5 * (n_data * (_LOG_2PI + 1.0) + log_det_m + n_data * np.log(s2))
-    for k in np.flatnonzero(~((s2 >= _TINY) & (c >= _TINY) & (c <= _HUGE))).tolist():
-        failures[k] = failures[k] or InvalidParameter(
-            f"at lam = c / sigma2 = {lam.tolist()[k]!r} the likelihood peaks at sigma2={s2.tolist()[k]!r}, "
-            f"c={c.tolist()[k]!r}: both must be positive normal floats (y is zero or fitted exactly)")
-    return [failure or result for failure, result in zip(failures, zip(c.tolist(), s2.tolist(), values.tolist()))]
+    ok &= (c >= _TINY) & (c <= _HUGE)
+    lam, c, s2, values = lam.tolist(), c.tolist(), s2.tolist(), values.tolist()
+    for k in np.flatnonzero(~ok).tolist():
+        if sigma2 is None:
+            why = (f"the likelihood peaks at sigma2={s2[k]!r}, c={c[k]!r}: sigma2 must be a normal float above "
+                   f"its rounding-error bound {floor!r}, and c a positive normal float (y zero or fitted to rounding)")
+        elif not math.isfinite(values[k]):
+            why = f"the data are too large for sigma2={sigma2!r}: y'y / sigma2 overflows the float range"
+        else:
+            why = f"c = lam sigma2 = {c[k]!r} is not a positive normal float"
+        failures[k] = failures[k] or InvalidParameter(f"at lam = c / sigma2 = {lam[k]!r} {why}")
+    return [failure or result for failure, result in zip(failures, zip(c, s2, values))]
 
 
 def _posterior_mean(stats: _DataStats, white: _Whitened, lam: float) -> np.ndarray:
@@ -321,11 +328,11 @@ def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec:
     """
     stats = _fold(phi, y, grid)
     _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
-    (value,) = _log_mls(stats, _whiten(stats, spec.family, spec.beta, grid),
-                        np.array([spec.c]), np.array([float(sigma2)]))
-    if isinstance(value, StableKernError):
-        raise value
-    return value
+    (result,) = _log_mls(stats, _whiten(stats, spec.family, spec.beta, grid),
+                         np.array([spec.c / float(sigma2)]), float(sigma2))
+    if isinstance(result, StableKernError):
+        raise result
+    return result[2]
 
 
 @dataclass(frozen=True)
@@ -333,14 +340,13 @@ class SearchConfig:
     """Candidate grids for hyperparameter tuning, plus refinement policy.
 
     ``beta_grid`` is required for the SS-1 family and ignored for
-    Wiener.  ``sigma2_grid`` is used only when the problem leaves the
-    noise variance free, and then only to seed the scanned values of
-    lam = c / sigma2: the distinct quotients of the c and sigma2 grids,
-    each at the sigma2 that maximizes the likelihood for it.  Refinement
-    runs a Nelder-Mead simplex in log-parameter space from the best grid
-    point, over (c, beta) with sigma2 fixed and (lam, beta) with it
-    free; Wiener drops beta.  Every field is checked here, so
-    :meth:`from_dict` obeys the same rules.
+    Wiener.  The tuner scans the distinct values of lam = c / sigma2:
+    the quotients of ``c_grid`` by a fixed noise variance, or, when the
+    problem leaves it free, by ``sigma2_grid`` (used only then), each lam
+    at the sigma2 that maximizes the likelihood for it.  Refinement runs a
+    Nelder-Mead simplex in log-parameter space from the best grid point,
+    over (lam, beta) either way; Wiener drops beta.  Every field is
+    checked here, so :meth:`from_dict` obeys the same rules.
     """
 
     family: str
@@ -481,52 +487,39 @@ def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float)
 def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
     """Best trace entry, its beta's whitened data and lam, the trace of every candidate evaluated, and the failure count.
 
-    The bordered system depends on beta and lam = c / sigma2 alone.  A
-    fixed ``sigma2`` scans (c, beta), c slowest, and the simplex moves
-    (log c, log beta).  A free one is profiled out: the scan runs over
-    beta in grid order and, at each, the distinct lam of the c x sigma2
-    grid in ascending order, each entry at the best sigma2 for its lam;
-    the simplex moves (log lam, log beta).  Wiener's beta axis is
-    ``(None,)`` and its simplex moves the first coordinate alone.  The
-    data are whitened once per beta, and all of a beta's grid candidates
-    are evaluated in one batch; a beta whose prior has no closed-form
-    square root fails every candidate at it.  The best entry is the
-    trace's first maximum; with sigma2 free its lam is the one scanned,
-    so the mean is taken where its likelihood was.  When every grid
-    candidate fails, the error raised has the type of the last candidate
-    error.
+    The bordered system depends on beta and lam = c / sigma2 alone, so
+    there is one scan: beta in grid order and, at each, the distinct lam
+    of the c grid over the fixed ``sigma2`` (pinned) or over the sigma2
+    grid (None: each entry at the best sigma2 for its lam), in ascending
+    order; the simplex moves (log lam, log beta).  Wiener's beta axis is
+    ``(None,)`` and its simplex moves log lam alone.  The data are
+    whitened once per beta, and all of a beta's grid candidates are
+    evaluated in one batch; a beta whose prior has no closed-form square
+    root fails every candidate at it.  The best entry is the trace's
+    first maximum, and its lam is the one evaluated, so the mean is taken
+    where its likelihood was.  When every grid candidate fails, the error
+    raised has the type of the last candidate error.
     """
     tune_beta = search.family == SS1
     betas = search.beta_grid if tune_beta else (None,)
+    sigma2_axis = search.sigma2_grid if sigma2 is None else (sigma2,)
     for axis, message in ((search.c_grid, "c grid is empty"), (betas, "SS-1 tuning needs a nonempty beta grid"),
-                          (search.sigma2_grid if sigma2 is None else (sigma2,),
-                           "sigma2 is free but the sigma2 grid is empty")):
+                          (sigma2_axis, "sigma2 is free but the sigma2 grid is empty")):
         if not axis:
             raise EmptySearchSpace(message)
-    if sigma2 is None:
-        with np.errstate(over="ignore"):
-            axis = np.unique(np.divide.outer(search.c_grid, search.sigma2_grid)).tolist()
-        scale = 1.0  # the scanned values are lam itself
-
-        def evaluate(white: _Whitened, lam: list) -> list:
-            return _profiled_log_mls(stats, white, np.array(lam))
-    else:
-        axis, scale = search.c_grid, float(sigma2)
-
-        def evaluate(white: _Whitened, c: list) -> list:
-            values = _log_mls(stats, white, np.array(c), np.full(len(c), scale))
-            return [v if isinstance(v, Exception) else (ck, scale, v) for ck, v in zip(c, values)]
+    with np.errstate(over="ignore"):
+        lams = np.unique(np.divide.outer(search.c_grid, sigma2_axis)).tolist()
 
     trace: list = []
     n_failed = 0
     last_error = None
     whitened: dict = {}  # the last beta's whitened data, or the error of its square root
     summed = None
-    best: list = []  # the best entry so far, its beta's whitened data and its c or lam
+    best: list = []  # the best entry so far, its beta's whitened data and its lam
 
-    def batch(beta: Optional[float], coords: list):
-        """The whitened data at beta (or its error) and the result, or error, at each c or lam of ``coords``."""
-        nonlocal summed
+    def batch(beta: Optional[float], lam: list) -> list:
+        """Evaluate and record the candidates at beta and each lam; their log_ml, -inf where one fails."""
+        nonlocal summed, n_failed, last_error
         if beta not in whitened:
             whitened.clear()
             try:
@@ -535,37 +528,27 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             except SingularGram as exc:
                 whitened[beta] = exc
         white = whitened[beta]
-        if isinstance(white, Exception):
-            return white, [white] * len(coords)
-        return white, evaluate(white, coords)
+        results = [white] * len(lam) if isinstance(white, Exception) else _log_mls(stats, white, np.array(lam), sigma2)
+        values = []
+        for lam_k, result in zip(lam, results):
+            if isinstance(result, Exception):
+                n_failed += 1
+                last_error = result
+                values.append(-math.inf)
+                continue
+            c, s2, log_ml = result
+            entry = {"c": c, "sigma2": s2, "log_ml": log_ml}
+            if beta is not None:
+                entry["beta"] = float(beta)
+            trace.append(entry)
+            if not best or log_ml > best[0]["log_ml"]:
+                best[:] = [entry, white, lam_k]
+            values.append(log_ml)
+        return values
 
-    def record(beta: Optional[float], coord: float, result, white) -> float:
-        nonlocal n_failed, last_error
-        if isinstance(result, Exception):
-            n_failed += 1
-            last_error = result
-            return -math.inf
-        c, s2, log_ml = result
-        entry = {"c": float(c), "sigma2": float(s2), "log_ml": log_ml}
-        if beta is not None:
-            entry["beta"] = float(beta)
-        trace.append(entry)
-        if not best or log_ml > best[0]["log_ml"]:
-            best[:] = [entry, white, coord]
-        return log_ml
-
-    # One batch per beta, recorded beta slowest, or c slowest when sigma2 is fixed.
-    scans = []
     for beta in betas:
-        scans.append(batch(beta, axis))
-        _log.debug("grid beta=%r: %d of %d candidates failed", beta,
-                   sum(isinstance(r, Exception) for r in scans[-1][1]), len(axis))
-    cells = list(itertools.product(range(len(betas)), range(len(axis))))
-    if sigma2 is not None:
-        cells.sort(key=lambda cell: cell[1])
-    for j, i in cells:
-        white, results = scans[j]
-        record(betas[j], axis[i], results[i], white)
+        failed = batch(beta, lams).count(-math.inf)
+        _log.debug("grid beta=%r: %d of %d candidates failed", beta, failed, len(lams))
     if not trace:
         raise type(last_error)("no search candidate produced a finite log marginal likelihood; "
                                f"last failure: {last_error}")
@@ -577,10 +560,8 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             if np.any(np.abs(theta) > 700.0):
                 n_failed += 1
                 return math.inf
-            coord, *beta = np.exp(theta).tolist()
-            beta = beta[0] if beta else None
-            white, (result,) = batch(beta, [coord])
-            return -record(beta, coord, result, white)
+            lam, *beta = np.exp(theta).tolist()
+            return -batch(beta[0] if beta else None, [lam])[0]
 
         start = [best[2], best[0]["beta"]] if tune_beta else [best[2]]
         nit, success = _nelder_mead(objective, np.array([math.log(v) for v in start]),
@@ -588,7 +569,7 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
         _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", success, nit,
                    "Optimization terminated successfully." if success
                    else "Maximum number of iterations has been exceeded.")
-    return best[0], best[1], best[2] / scale, trace, n_failed
+    return best[0], best[1], best[2], trace, n_failed
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
@@ -596,15 +577,18 @@ def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) ->
 
     The data are folded and whitened as the tuner needs them; the mean
     reuses the best candidate's whitened data, so it costs one more
-    bordered Cholesky and no whitening.  With sigma2 free, the tuner
-    profiles it out (module docstring): the sigma2 grid only seeds the
-    values of lam = c / sigma2, and the result's sigma2 and c are the
-    best sigma2 for the winning lam and lam times it; the mean is taken
-    at that lam itself.  ``diagnostics["trace"]`` lists every candidate
-    evaluated; ``n_failed`` counts those whose prior or posterior system
-    was numerically singular, or whose best sigma2 was not a positive
-    normal float (y zero, or fitted exactly).  If every grid candidate
-    fails, the error of the last one is raised.
+    bordered Cholesky and no whitening.  The tuner searches
+    lam = c / sigma2 (module docstring) with sigma2 pinned when the
+    problem fixes it and profiled out when not, where the sigma2 grid
+    only seeds the values of lam.  The result's sigma2 is the fixed one or
+    the best one for the winning lam, its c is lam times that (the grid's
+    c to the last bit or so), and the mean is taken at that lam itself.
+    ``diagnostics["trace"]`` lists every candidate evaluated; ``n_failed``
+    counts those whose prior or posterior system was numerically
+    singular, whose c was not a positive normal float, or whose best
+    sigma2 was not a normal float above its rounding-error bound (y zero,
+    or fitted to rounding).  If every grid candidate fails, the error of
+    the last one is raised.
     """
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")

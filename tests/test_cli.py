@@ -500,6 +500,25 @@ class TestErrorsAndUsage:
         assert captured.out == ""
         assert captured.err == "ERROR NegativeTime: grid times must be nonnegative, got t2=-1.0\n"
 
+    # 10^17 float64 values are 8e17 bytes, far above 2^48: numpy refuses them
+    # before touching memory, whatever the host's overcommit setting.
+    @pytest.mark.parametrize("argv", [["logdet", "--uniform", "100000000000000000,1,1"],
+                                      ["sample", "--uniform", "3,1,1", "--paths", "100000000000000000"],
+                                      ["fit", "--data", "uy.csv", "--order", "2", "--kernel-family", WIENER,
+                                       "--search", "search.json"]],
+                             ids=["logdet_grid", "sample_paths", "fit_search_axis"])
+    def test_request_beyond_memory_is_one_error_line(self, tmp_path, monkeypatch, ss1_kernel, argv, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "uy.csv").write_text("u,y\n1,2\n0.5,1\n0.25,0.5\n")
+        (tmp_path / "search.json").write_text(json.dumps({"c": {"min": 0.1, "max": 10, "num": 10 ** 17}}))
+        if argv[0] != "fit":
+            argv = argv + ["--kernel", ss1_kernel]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR Memory: Unable to allocate")
+        assert captured.err.count("\n") == 1
+
 
 class TestInstalledEntryPoint:
     def test_console_script(self, tmp_path):
@@ -709,6 +728,12 @@ class TestGoldenBytes:
     profiled sigma2 out, scanning lam = c / sigma2 at each sigma2's best
     value: both optima rose (Wiener by 2.5e-7, SS-1 by 1.34), and each new
     log_ml and mean agree with the dense oracle's within 1e-13.
+    The two fixed-sigma2 ``fit`` digests were re-recorded when a fixed
+    sigma2 joined that lam scan, pinned instead of profiled, with its
+    simplex over (log lam, log beta) instead of (log c, log beta), and
+    each entry's c = lam sigma2: both optima rose (Wiener by 1.3e-13,
+    SS-1 by 5.8e-4), and each new log_ml and mean agree with the dense
+    oracle's within 1e-13.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -741,9 +766,9 @@ class TestGoldenBytes:
         "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
             "wiener": {"free": "6acc4eb0dc35e7811f12700406e82bb9d62556df16b5f5bf083373d021285089",
-                       "fixed": "9fa692d0916431be126c754a08aeeacf95d51414be8b4b588730fb3dc0816db6"},
+                       "fixed": "5d8cbc4baa0fde7a9ab0e44703dc62c7aca784c040de916e9be1e09b74362d10"},
             "ss1": {"free": "64529a6a71f9d8afb5b5dc5229c3721778ba6c20cd274b12e6d800355c3e4f3b",
-                    "fixed": "0a84344a762af21b5f9b27d70dc2875d9fac221a24afce8119e01283a39172fa"},
+                    "fixed": "581cd44c9fddd22b392a9732e0c382bf740a1e0a410759ddb784a2a6c1d3ef3e"},
         },
     }
     # u in {-5/4, ..., 5/4}, y = sum_j 2^-j u[k-j] plus a dyadic disturbance:

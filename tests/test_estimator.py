@@ -481,6 +481,40 @@ class TestFit:
         assert all(e["sigma2"] >= sys.float_info.min and e["c"] >= sys.float_info.min for e in trace)
         assert np.all(np.isfinite(est.coefficients))
 
+    @pytest.mark.filterwarnings("error")
+    def test_profiled_noise_variance_within_rounding_fails(self):
+        # Phi = I, so q = y'(I + lam P)^{-1} y falls like 1/lam: from lam ~ 1e16 on
+        # it is below the rounding of y'y, and the computed one is an ulp pattern.
+        import mpmath
+
+        u = np.zeros(5)
+        u[0] = 1.0
+        phi, y, grid = toeplitz_regressor(u, 5), np.array([1.0, -2.0, 3.0, 0.5, 1.5]), uniform_grid(5, 1.0, 1.0)
+        stats = stablekern.estimator._fold(phi, y, grid)
+        lams = [10.0 ** k for k in range(0, 32, 2)]
+        results = stablekern.estimator._log_mls(stats, stablekern.estimator._whiten(stats, WIENER, None, grid),
+                                                np.array(lams))
+        bound = (5 + 5 + 1) * 2.0 ** -53 * float(y @ y)  # (N + n + 1) u y'y
+        for lam, result in zip(lams, results):
+            # 60-digit q and profiled log_ml from the likelihoods at sigma2 = 1 and 2, both at lam.
+            l1, _ = mp_regression(phi, y, 1.0, KernelSpec(family=WIENER, c=lam), grid, 60)
+            l2, _ = mp_regression(phi, y, 2.0, KernelSpec(family=WIENER, c=2 * lam), grid, 60)
+            q = 4 * (l2 - l1) + 10 * mpmath.log(2)
+            if lam >= 1e16:
+                assert q < bound
+                assert isinstance(result, errors.InvalidParameter)
+                assert "rounding-error bound" in str(result)
+                continue
+            c, s2, log_ml = result
+            assert c == lam * s2
+            assert abs(5 * s2 - float(q)) <= bound
+            profiled = l1 + (q - 5 - 5 * mpmath.log(q / 5)) / 2
+            assert abs(log_ml - float(profiled)) <= 2.5 * bound / float(q - bound) + 1e-13
+        search = SearchConfig(family=WIENER, c_grid=(1.0,), sigma2_grid=(1e-30, 1e-16, 1e-2, 1.0), refine=False)
+        est = fit(EstimationProblem(u=u, y=y, order=5), grid, search)
+        assert [e["c"] / e["sigma2"] for e in est.diagnostics["trace"]] == pytest.approx([1.0, 100.0], rel=1e-15)
+        assert est.diagnostics["n_failed"] == 2
+
     def test_impulse_input_recovers_data(self):
         n_data, order = 60, 20
         u = np.zeros(n_data)
@@ -546,10 +580,10 @@ class TestFit:
 class TestSingleEvaluationPath:
     """fit folds the data once, and the tuner evaluates the public functions.
 
-    With sigma2 fixed it evaluates them exactly.  With sigma2 free each
-    entry holds the profiled value at lam = c / sigma2 and the mean comes
-    from that lam, so they agree with the public functions at the entry's
-    (c, sigma2), whose quotient is lam to the last bit or so.
+    Each entry holds the value at its lam, with sigma2 fixed or profiled,
+    and records c = lam sigma2; the mean comes from that lam.  So they
+    agree with the public functions at the entry's (c, sigma2), whose
+    quotient is lam to the last bit or so.
     """
 
     def test_fit_builds_the_regressor_once(self, monkeypatch):
@@ -586,16 +620,11 @@ class TestSingleEvaluationPath:
         for entry in trace:
             spec = KernelSpec(family=family, c=entry["c"], beta=entry.get("beta"))
             value = log_marginal_likelihood(phi, problem.y, entry["sigma2"], spec, grid)
+            assert entry["log_ml"] == pytest.approx(value, rel=1e-13)
             if fixed_sigma2:
-                assert entry["log_ml"] == value
-            else:
-                assert entry["log_ml"] == pytest.approx(value, rel=1e-13)
+                assert entry["sigma2"] == sigma2
         coefficients = posterior_mean(phi, problem.y, est.sigma2, est.spec, grid)
-        if fixed_sigma2:
-            np.testing.assert_array_equal(coefficients, est.coefficients)
-        else:
-            np.testing.assert_allclose(coefficients, est.coefficients, rtol=0,
-                                       atol=1e-13 * np.max(np.abs(coefficients)))
+        np.testing.assert_allclose(coefficients, est.coefficients, rtol=0, atol=1e-13 * np.max(np.abs(coefficients)))
 
 
 def refined_problem(family, fixed_sigma2, seed):
@@ -703,18 +732,19 @@ class TestBatchedEvaluation:
             stats = stablekern.estimator._fold(phi, y, grid)
             white = stablekern.estimator._whiten(stats, family, spec.beta, grid)
             # The last candidate's system overflows: it fails alone, in the batch or not.
-            c = np.array([0.1, 1.0, 10.0, 3.0, 1e300])
-            s2 = np.array([0.5, 0.01, 2.0, 0.2, 1e-10])
-            batch = stablekern.estimator._log_mls(stats, white, c, s2)
-            single = [stablekern.estimator._log_mls(stats, white, c[k:k + 1], s2[k:k + 1])[0] for k in range(5)]
-            assert batch[:4] == single[:4]
-            assert all(isinstance(v, float) for v in batch[:4])
-            for value in (batch[4], single[4]):
-                assert isinstance(value, errors.NotPositiveDefinite)
-                assert str(value) == "posterior system overflows the float range"
-            for k in range(4):
+            c = np.array([0.1, 1.0, 10.0, 3.0])
+            lam = np.append(c / 0.2, math.inf)
+            for sigma2 in (None, 0.2):
+                batch = stablekern.estimator._log_mls(stats, white, lam, sigma2)
+                single = [stablekern.estimator._log_mls(stats, white, lam[k:k + 1], sigma2)[0] for k in range(5)]
+                assert batch[:4] == single[:4]
+                assert all(isinstance(v, tuple) and all(isinstance(x, float) for x in v) for v in batch[:4])
+                for value in (batch[4], single[4]):
+                    assert isinstance(value, errors.NotPositiveDefinite)
+                    assert str(value) == "posterior system overflows the float range"
+            for k in range(4):  # the fixed sigma2 = 0.2 batch
                 spec_k = KernelSpec(family=family, c=float(c[k]), beta=spec.beta)
-                assert batch[k] == log_marginal_likelihood(phi, y, float(s2[k]), spec_k, grid)
+                assert batch[k][2] == log_marginal_likelihood(phi, y, 0.2, spec_k, grid)
 
     def test_a_factor_that_fails_is_its_candidate_alone(self):
         stack = np.stack([np.eye(3) * 4.0, -np.eye(3), np.diag([9.0, 1.0, 4.0])])
@@ -778,19 +808,28 @@ class TestBatchedEvaluation:
 
         monkeypatch.setattr(stablekern.estimator, "_bordered", counting)
         betas = (0.5 * beta, beta, 2 * beta)
-        # c x sigma2 has six pairs but four quotients: 2c / 2sigma2 == c / sigma2 and 4c / 2sigma2 == 2c / sigma2.
-        search = SearchConfig(family=SS1, c_grid=(c, 2 * c, 4 * c), beta_grid=betas,
-                              sigma2_grid=(sigma2, 2 * sigma2), refine=False)
-        est = fit(problem, grid, search)
-        lams = [c / (2 * sigma2), c / sigma2, 2 * c / sigma2, 4 * c / sigma2]
-        assert lams == sorted(set(x / s for x in (c, 2 * c, 4 * c) for s in (sigma2, 2 * sigma2)))
-        # One batch of one system per distinct lam at each beta, then the mean's single system.
-        assert calls[:3] == [lams] * 3
-        assert len(calls) == 4 and len(calls[3]) == 1
-        trace = est.diagnostics["trace"]
-        assert [e["beta"] for e in trace] == [b for b in betas for _ in lams]
-        for entry, lam in zip(trace, lams * 3):
-            assert entry["c"] / entry["sigma2"] == pytest.approx(lam, rel=1e-15)
+        fixed = EstimationProblem(u=problem.u, y=problem.y, order=8, sigma2=sigma2)
+        cases = [
+            # c x sigma2 has six pairs but four quotients: 2c / 2sigma2 == c / sigma2 and 4c / 2sigma2 == 2c / sigma2.
+            (problem, (c, 2 * c, 4 * c), (sigma2, 2 * sigma2),
+             [c / (2 * sigma2), c / sigma2, 2 * c / sigma2, 4 * c / sigma2]),
+            # sigma2 fixed: a duplicate c gives one lam, three distinct c / sigma2 from four grid values.
+            (fixed, (c, 2 * c, 2 * c, 4 * c), (sigma2,), [c / sigma2, 2 * c / sigma2, 4 * c / sigma2]),
+        ]
+        for prob, c_grid, sigma2_axis, lams in cases:
+            calls.clear()
+            search = SearchConfig(family=SS1, c_grid=c_grid, beta_grid=betas, sigma2_grid=(sigma2, 2 * sigma2),
+                                  refine=False)
+            est = fit(prob, grid, search)
+            assert lams == sorted(set(x / s for x in c_grid for s in sigma2_axis))
+            # One batch of one system per distinct lam at each beta, then the mean's single system.
+            assert calls[:3] == [lams] * 3
+            assert len(calls) == 4 and len(calls[3]) == 1
+            trace = est.diagnostics["trace"]
+            assert [e["beta"] for e in trace] == [b for b in betas for _ in lams]
+            for entry, lam in zip(trace, lams * 3):
+                assert entry["c"] / entry["sigma2"] == pytest.approx(lam, rel=1e-15)
+                assert prob.sigma2 is None or entry["sigma2"] == sigma2
 
     def test_wiener_fit_whitens_once_in_all(self, monkeypatch):
         problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
@@ -994,8 +1033,11 @@ class TestOneDomain:
         np.testing.assert_array_equal(est.coefficients, posterior_mean(phi, y, 0.1, grid_spec, grid))
 
 
-def fir_tune_problem(family, seed):
-    """A free-sigma2 problem shaped like the fir-tune benchmark: SS-1 truth, N = 1000, order 50, its 5 x 5 x 5 grid."""
+def fir_tune_problem(family, seed, fixed_sigma2=False):
+    """A problem shaped like the fir-tune benchmark: SS-1 truth, N = 1000, order 50, its 5 x 5 x 5 grid.
+
+    sigma2 is free, or fixed at the variance of the noise drawn.
+    """
     rng = np.random.default_rng(seed)
     grid = uniform_grid(50, 1.0, 1.0)
     h0 = sample_ss1(grid, c=2.0, beta=0.3, seed=seed, p=1).paths[0]
@@ -1006,7 +1048,7 @@ def fir_tune_problem(family, seed):
     search = SearchConfig(family=family, c_grid=np.geomspace(0.1, 10.0, 5),
                           beta_grid=np.geomspace(0.05, 1.0, 5) if family == SS1 else None,
                           sigma2_grid=np.geomspace(1e-3, 10.0, 5))
-    return EstimationProblem(u=u, y=y, order=50), grid, search
+    return EstimationProblem(u=u, y=y, order=50, sigma2=sigma2 if fixed_sigma2 else None), grid, search
 
 
 class TestRefinedFits:
@@ -1043,4 +1085,18 @@ class TestRefinedFits:
     def test_profiled_optimum_no_lower_than_three_coordinates(self, family, seed):
         problem, grid, search = fir_tune_problem(family, seed)
         recorded = self.RECORDED_THREE_COORDINATES[(family, seed)]
+        assert fit(problem, grid, search).log_ml >= recorded - 1e-9 * abs(recorded)
+
+    # fit(...).log_ml of each fir-tune-shaped problem with sigma2 fixed,
+    # recorded with the tuner whose fixed-sigma2 simplex moved (log c, log beta).
+    RECORDED_FIXED_SIGMA2 = {
+        (WIENER, 0): -1055.3968382508147, (WIENER, 1): -675.3754655138501, (WIENER, 2): -951.0655313310488,
+        (SS1, 0): -990.1318179872978, (SS1, 1): -587.5820135379372, (SS1, 2): -874.8264315995391,
+    }
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fixed_sigma2_optimum_no_lower_than_c_coordinates(self, family, seed):
+        problem, grid, search = fir_tune_problem(family, seed, fixed_sigma2=True)
+        recorded = self.RECORDED_FIXED_SIGMA2[(family, seed)]
         assert fit(problem, grid, search).log_ml >= recorded - 1e-9 * abs(recorded)

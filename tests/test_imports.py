@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private module-level name is read somewhere in the package, every name a
 module exports exists, the package exports exactly the modules' names,
-no library module reaches into numpy's private modules or names, and only
-the chain core reads the chain's kernel family.
+no library module reaches into numpy's private modules or names, only
+the chain core reads the chain's kernel family, and only the likelihood
+evaluator and the posterior mean factor the estimator's bordered system.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -117,6 +118,43 @@ def test_only_the_chain_reads_the_family():
     # every other module asks the chain for what the family decides.
     assert [p.name for p in SOURCES if attribute_reads(p.read_text(encoding="utf-8"), "rising")] == ["kernels.py"]
 
+
+def readers(source: str, name: str):
+    """Names of the functions that read ``name`` (``name``, ``name(...)``, ``x.name``); ``<module>`` outside any.
+
+    A read belongs to the innermost function around it.
+    """
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == name and isinstance(child.ctx, ast.Load))):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_the_readers_of_a_name():
+    source = ("def _bordered():\n    pass\n"
+              "def a():\n    return _bordered()\n"
+              "def b():\n    def inner():\n        return m._bordered(1)\n    return inner\n"
+              "def c():\n    f = _bordered\n    return f\n"
+              "def d():\n    _bordered = 1\n    m._bordered = 2\n"
+              "x = _bordered\n")
+    assert readers(source, "_bordered") == ["<module>", "a", "c", "inner"]
+
+
+def test_only_the_evaluators_factor_the_bordered_system():
+    # The tuner's fixed and free noise variance share one evaluator; a second
+    # caller of the bordered factor would be a second path.
+    found = {p.name: readers(p.read_text(encoding="utf-8"), "_bordered") for p in SOURCES}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {"estimator.py": ["_log_mls", "_posterior_mean"]}
 
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Optional\nx: List[int] = []\n") == [
