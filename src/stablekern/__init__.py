@@ -5,9 +5,9 @@ inverses, determinants and factorizations, maximum-entropy audits,
 exact process samplers, and a kernel-regularized FIR estimator whose
 linear algebra runs at the FIR order rather than the data length.
 
-Importing the package loads numpy only.  scipy is imported on first use,
-and only by the samplers' inverse normal CDF; the estimator runs on numpy
-alone.
+The package needs numpy and nothing else at runtime: the samplers draw
+their normals with numpy's generator, and the estimator's linear algebra
+and simplex are numpy too.
 
 Each module's ``__all__`` is the one declaration of its public names;
 the package exports them all, in module order.

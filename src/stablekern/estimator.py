@@ -47,10 +47,10 @@ and the reported optimum is the best of every candidate evaluated, so it
 can never fall below a grid point: each grid pair's lam is scanned, at
 its best sigma2 when that is free.
 
-The module needs numpy only, so a cold ``fit`` process loads no scipy:
-Phi is a strided view of the zero-padded input, the mean's triangular
-solve is numpy's LU of a triangle (no pivoting, exact zero multipliers),
-and the simplex, :func:`_nelder_mead`, is a port of scipy's
+Like the rest of the package, the module needs numpy only: Phi is a
+strided view of the zero-padded input, the mean's triangular solve is
+numpy's LU of a triangle (no pivoting, exact zero multipliers), and the
+simplex, :func:`_nelder_mead`, is a port of scipy's
 ``minimize(method="Nelder-Mead")`` that evaluates the same points bit
 for bit.
 """

@@ -1,8 +1,11 @@
 """Shared generators and norms for the test suite."""
 
+import math
+
 import numpy as np
 
-from stablekern import SS1, WIENER, KernelSpec, SamplingGrid, make_grid
+from stablekern import SS1, WIENER, KernelSpec, PathSet, SamplingGrid, make_grid
+from stablekern.kernels import _Chain
 
 
 def random_grid(rng: np.random.Generator, n: int, inc_low: float = 0.1, inc_high: float = 2.0) -> SamplingGrid:
@@ -15,6 +18,26 @@ def random_spec(rng: np.random.Generator, family: str) -> KernelSpec:
     if family == WIENER:
         return KernelSpec(family=WIENER, c=c)
     return KernelSpec(family=SS1, c=c, beta=float(rng.uniform(0.05, 2.0)))
+
+
+def inverse_cdf_paths(spec: KernelSpec, grid: SamplingGrid, seed: int, p: int) -> PathSet:
+    """The paths ``sample`` drew while its normals were the inverse normal CDF of PCG64 uniforms.
+
+    Bit for bit the sampler of algorithm ``pcg64-inverse-cdf``: uniforms
+    from ``default_rng(seed).random``, an exact 0.0 moved to the smallest
+    subnormal, ``scipy.special.ndtri``, then the chain's increments summed
+    from the end where its clock vanishes.  Problems built on those draws
+    keep their data, and the optima recorded on them, after the sampler
+    moved to numpy's normal generator.
+    """
+    from scipy.special import ndtri
+
+    u = np.random.default_rng(seed).random((p, grid.n))
+    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    chain = _Chain(spec, grid.times)
+    w = math.sqrt(spec.c) * ndtri(u)
+    w *= np.sqrt(chain.steps())
+    return PathSet(grid=grid, paths=np.cumsum(w[:, chain.order], axis=1)[:, chain.order])
 
 
 def inf_norm(m: np.ndarray) -> float:

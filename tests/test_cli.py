@@ -39,6 +39,7 @@ from stablekern import (
 from stablekern.cli import run
 from stablekern.errors import InvalidParameter
 from stablekern.grid import _data_lines
+from stablekern.kernels import _Chain
 
 LN2 = math.log(2.0)
 
@@ -595,15 +596,19 @@ class TestInstalledEntryPoint:
         assert "Traceback" not in result.stderr
 
 
-# Runs in a fresh interpreter: argv[1] is a JSON list of CLI argument lists.
-# Prints one JSON line: per command, its exit code and the scipy modules
-# loaded once it has run; "import" holds those loaded by the imports alone.
+# Runs in a fresh interpreter: argv[1] is a JSON list of CLI argument lists,
+# and argv[2] is "blocked" where importing scipy must fail.  Prints one JSON
+# line: per command, its exit code and the scipy modules loaded once it has
+# run; "import" holds those loaded by the imports alone.
 _IMPORT_PROBE = textwrap.dedent("""
     import json, sys
+    if sys.argv[2] == "blocked":
+        sys.modules["scipy"] = None
     import stablekern, stablekern.cli
 
     def loaded():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        return sorted(m for m, module in sys.modules.items()
+                      if module is not None and (m == "scipy" or m.startswith("scipy.")))
 
     steps = [{"argv": ["import"], "code": 0, "scipy": loaded()}]
     for argv in json.loads(sys.argv[1]):
@@ -612,23 +617,25 @@ _IMPORT_PROBE = textwrap.dedent("""
 """)
 
 
-def _probe(commands):
+def _probe(commands, scipy="importable"):
     result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands), scipy],
         capture_output=True, text=True, timeout=120, env=source_env(),
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-class TestScipyImportedOnUse:
-    def test_structured_commands_load_no_scipy(self, tmp_path, ss1_kernel):
+class TestRuntimeLoadsNoScipy:
+    @pytest.mark.parametrize("scipy", ["importable", "blocked"])
+    def test_no_command_loads_scipy(self, tmp_path, ss1_kernel, scipy):
+        # Every command, sample included, exits 0 and loads no scipy, whether
+        # scipy is installed or cannot be imported at all.
         band = tmp_path / "band.csv"
         band.write_text("0.5,0.25,0.125\n0.25,0.125\n")
         paths_file = tmp_path / "paths.csv"
-        ps = sample_ss1(uniform_grid(4, 1.0, 1.0), c=1.0, beta=LN2, seed=0, p=200)
-        np.savetxt(paths_file, ps.paths, fmt="%.17g", delimiter=",")
-        data, search_file, search, _, _, order = TestFit().write_problem(tmp_path, n_data=60, order=6)
+        fit_file = tmp_path / "fit.json"
+        data, search_file, search, u, y, order = TestFit().write_problem(tmp_path, n_data=60, order=6)
         search["refine"] = True
         search_file.write_text(json.dumps(search))
         common = ["--kernel", ss1_kernel, "--uniform", "4,1,1", "--quiet"]
@@ -639,42 +646,22 @@ class TestScipyImportedOnUse:
             ["factor", *common, "--out", str(tmp_path / "factor.csv")],
             ["factor", *common, "--which", "sqrt", "--out", str(tmp_path / "sqrt.csv")],
             ["extend", "--band", str(band), "--out", str(tmp_path / "extend.csv")],
+            ["sample", *common, "--paths", "200", "--seed", "7", "--out", str(paths_file)],
             ["audit", "--paths", str(paths_file), *common, "--out", str(tmp_path / "audit.json")],
             ["check", *common, "--out", str(tmp_path / "check.json")],
             ["maxent-audit", *common, "--trials", "20", "--out", str(tmp_path / "maxent.json")],
             ["fit", "--data", str(data), "--order", str(order), "--kernel-family", SS1,
-             "--search", str(search_file), "--quiet", "--out", str(tmp_path / "fit.json")],
+             "--search", str(search_file), "--quiet", "--out", str(fit_file)],
         ]
-        steps = _probe(commands)
+        steps = _probe(commands, scipy)
+        assert sorted({step["argv"][0] for step in steps[1:]}) == sorted(c[0] for c in cli._COMMANDS)
         for step in steps:
             assert step["code"] == 0, step["argv"]
             assert step["scipy"] == [], step["argv"]
 
-    def test_only_sampling_imports_scipy(self, tmp_path, ss1_kernel):
-        paths_file = tmp_path / "paths.csv"
-        audit_file = tmp_path / "audit.json"
-        fit_file = tmp_path / "fit.json"
-        data, search_file, search, u, y, order = TestFit().write_problem(tmp_path, n_data=60, order=6)
-        search["refine"] = True
-        search_file.write_text(json.dumps(search))
-        commands = [
-            ["sample", "--kernel", ss1_kernel, "--uniform", "5,0.5,0.5", "--paths", "200",
-             "--seed", "7", "--out", str(paths_file)],
-            ["audit", "--paths", str(paths_file), "--kernel", ss1_kernel, "--uniform", "5,0.5,0.5",
-             "--out", str(audit_file)],
-            ["fit", "--data", str(data), "--order", str(order), "--kernel-family", SS1,
-             "--search", str(search_file), "--quiet", "--out", str(fit_file)],
-        ]
-        steps = _probe(commands)
-        assert [step["code"] for step in steps] == [0, 0, 0, 0]
-        assert steps[0]["scipy"] == []
-        assert "scipy.special" in steps[1]["scipy"]
-        assert steps[2]["scipy"] == steps[1]["scipy"]  # the audit imports nothing more
-        assert steps[3]["scipy"] == steps[1]["scipy"]  # nor does fit, with refinement on
-
-        ps = sample_ss1(uniform_grid(5, 0.5, 0.5), c=1.0, beta=LN2, seed=7, p=200)
+        ps = sample_ss1(uniform_grid(4, 1.0, 1.0), c=1.0, beta=LN2, seed=7, p=200)
         np.testing.assert_array_equal(parse_csv(paths_file.read_text()), ps.paths)
-        assert json.loads(audit_file.read_text())["n_paths"] == 200
+        assert json.loads((tmp_path / "audit.json").read_text())["n_paths"] == 200
         payload = json.loads(fit_file.read_text())
         est = fit(EstimationProblem(u=u, y=y, order=order), uniform_grid(order, 1.0, 1.0),
                   SearchConfig.from_dict(search, SS1))
@@ -734,6 +721,12 @@ class TestGoldenBytes:
     each entry's c = lam sigma2: both optima rose (Wiener by 1.3e-13,
     SS-1 by 5.8e-4), and each new log_ml and mean agree with the dense
     oracle's within 1e-13.
+    The ``sample`` and ``audit`` digests of both families were re-recorded
+    when the samplers' normals moved from the inverse normal CDF of PCG64
+    uniforms (``pcg64-inverse-cdf``, scipy's ``ndtri``) to numpy's ziggurat
+    ``standard_normal`` (``pcg64-ziggurat``): the paths and the noise-algorithm
+    line changed, and ``test_sample_and_audit_recomputed`` checks the new
+    bytes from outside the library.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -744,8 +737,8 @@ class TestGoldenBytes:
         "wiener": {
             "gram": "ad1360c22bd305d2264a64e615576786be6ec9f6ed579d1a0414176e0b747086",
             "inverse": "a99c41291efd873ec240716b2bc2ba38e7a0f3eeeb781ae142d7ac1d5d585244",
-            "sample": "12b0ae9913f263bd978200eed2e77b9119a5b1c9e94e76dd09f28bb68bca603d",
-            "audit": "43804aa9b2deef7c27eb696e4d645f84ca867500c553b9875ef7d333275af7b6",
+            "sample": "73b87efa5f287839e25f7779ab03024a07c286ad15cdb4e73c284d1440718926",
+            "audit": "78ef6356a48bdd9bff289fd34f16613d19eb66323a11c7e38245baf701d0d0a4",
             "logdet": "4e43e2af8577612f226e6aa986cddc3d1f4821b8d525ec1cdb4a9b67d18ba9ba",
             "factor": "76fff846e05cfa3f3f114295d59f198f2354e0cbe0fac1978dc4d1842410e598",
             "sqrt": "bbaf1ad8c962917670f1a0d5724d74e2bbde1b1fa404b3ed2e30c85982ecb0f6",
@@ -755,8 +748,8 @@ class TestGoldenBytes:
         "ss1": {
             "gram": "78d6f5a0dd24e59fa7c8368314a9d8eaee6b945a031e3528dc600f37aff57183",
             "inverse": "8c029880fb6fd450e9ad46638ff3005eaacd1a98fd626c417af550ffa5cf3588",
-            "sample": "e1648f15fa2fe6886fc369eec6295a5ba02ea50d05b367218c9ff38658148733",
-            "audit": "0016ea06d55f5ab9cd65e8519cbe22813d33626e3c72beea107ba20ec770c7a7",
+            "sample": "46908414e00ac6de08c22c11495c92f8b79dcbc70ef2604d5c097cf66bff0b30",
+            "audit": "39fbe48bc427416aab85e5536d68a72eba520b37f0eef43d5f65fd175043c2ac",
             "factor": "c04e907bed012ab8c0f8d70169dba475a09b864ff56dffcf4603a7db99cafc4c",
             "logdet": "281944b0f909055661b03c59090ca23665ceaa3dd7eb7850e35f4d834b4db524",
             "sqrt": "5c3ede193b6222fa5dcca29ff94cbcd3960e5f41e10a7bec13b1f3c5d82bd5fb",
@@ -815,6 +808,37 @@ class TestGoldenBytes:
             _, got[name] = self.stdout_digest(argv + base, capsys)
         assert got == self.DIGESTS[family]
 
+    @pytest.mark.parametrize("family", ["wiener", "ss1"])
+    def test_sample_and_audit_recomputed(self, workdir, family, capsys):
+        # The paths are sqrt(c) times default_rng(seed).standard_normal, scaled
+        # by the chain's steps and summed from the end where its clock vanishes;
+        # the audit's max |z| is the benchmark judge's formula on those paths.
+        base = ["--kernel", f"{family}.json", "--grid", "g.txt"]
+        out, _ = self.stdout_digest(["sample", "--paths", "120", "--seed", "7"] + base, capsys)
+        paths = np.array(parse_csv(out))
+        spec = KernelSpec.from_dict(self.KERNELS[family])
+        times = np.array([float(t) for t in self.GRID.split()])
+        chain = _Chain(spec, times)
+        w = math.sqrt(spec.c) * np.random.default_rng(7).standard_normal((120, times.size))
+        w *= np.sqrt(chain.steps())
+        np.testing.assert_array_equal(paths, np.cumsum(w[:, chain.order], axis=1)[:, chain.order])
+
+        (workdir / "paths.csv").write_text(out)
+        report = json.loads(self.stdout_digest(["audit", "--paths", "paths.csv"] + base, capsys)[0])
+        if family == SS1:
+            e = np.exp(-spec.beta * times)
+            target = spec.c * np.append(e[:-1] - e[1:], e[-1])
+            inc = np.append(paths[:, :-1] - paths[:, 1:], paths[:, -1:], axis=1)
+        else:
+            target = spec.c * np.diff(times, prepend=0.0)
+            inc = np.diff(paths, axis=1, prepend=0.0)
+        p = paths.shape[0]
+        mean_z = inc.mean(axis=0) / np.sqrt(target / p)
+        var_z = (inc.var(axis=0, ddof=1) - target) / (target * math.sqrt(2.0 / (p - 1)))
+        max_z = float(max(np.max(np.abs(mean_z)), np.max(np.abs(var_z))))
+        assert abs(report["max_abs_z"] - max_z) <= 1e-9 * max_z
+        assert report["ok"] is (max_z <= 5.0)
+
     def test_extend(self, workdir, capsys):
         _, digest = self.stdout_digest(["extend", "--band", "band.csv"], capsys)
         assert digest == self.DIGESTS["extend"]
@@ -829,19 +853,43 @@ class TestGoldenBytes:
                for name, extra in (("free", []), ("fixed", ["--sigma2", "0.02"]))}
         assert got == self.DIGESTS["fit"][family]
 
+    # Runs in a fresh interpreter in which importing scipy fails: argv[1] is a
+    # JSON list of (CLI arguments, file to copy stdout to or null); prints the
+    # sha256 of each command's stdout.
+    NO_SCIPY = textwrap.dedent("""
+        import contextlib, hashlib, io, json, sys
+        sys.modules["scipy"] = None
+        import stablekern.cli
+
+        digests = []
+        for argv, copy in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert stablekern.cli.run(argv) == 0, argv
+            if copy:
+                with open(copy, "w", encoding="utf-8") as fh:
+                    fh.write(out.getvalue())
+            digests.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+        print(json.dumps(digests))
+    """)
+
     def test_fit_runs_without_scipy(self, workdir):
-        # A fresh interpreter in which importing scipy fails: fit, refinement
-        # on, prints the pinned bytes.
+        # sample, the audit of its paths and fit with refinement on print the
+        # pinned bytes where scipy cannot be imported.
         (workdir / "uy.csv").write_text(self.UY)
         (workdir / "search.json").write_text(json.dumps(self.SEARCH))
-        argv = ["fit", "--data", "uy.csv", "--order", "8", "--kernel-family", "ss1",
-                "--search", "search.json", "--grid", "g.txt"]
-        script = ("import sys; sys.modules['scipy'] = None; import stablekern.cli; "
-                  "sys.exit(stablekern.cli.run(sys.argv[1:]))")
-        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, timeout=120,
-                                env=source_env(), cwd=workdir)
+        base = ["--kernel", "ss1.json", "--grid", "g.txt"]
+        commands = [
+            (["sample", "--paths", "120", "--seed", "7", *base], "paths.csv"),
+            (["audit", "--paths", "paths.csv", *base], None),
+            (["fit", "--data", "uy.csv", "--order", "8", "--kernel-family", "ss1",
+              "--search", "search.json", "--grid", "g.txt"], None),
+        ]
+        result = subprocess.run([sys.executable, "-c", self.NO_SCIPY, json.dumps(commands)],
+                                capture_output=True, text=True, timeout=120, env=source_env(), cwd=workdir)
         assert result.returncode == 0, result.stderr
-        assert hashlib.sha256(result.stdout).hexdigest() == self.DIGESTS["fit"]["ss1"]["free"]
+        want = [self.DIGESTS["ss1"]["sample"], self.DIGESTS["ss1"]["audit"], self.DIGESTS["fit"]["ss1"]["free"]]
+        assert json.loads(result.stdout.strip().splitlines()[-1]) == want
 
     ERROR_LINES = {
         "malformed band": (["extend", "--band", "bad_band.csv"],

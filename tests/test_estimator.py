@@ -21,13 +21,12 @@ from stablekern import (
     make_grid,
     oracle,
     posterior_mean,
-    sample_ss1,
     sqrt_factor,
     toeplitz_regressor,
     uniform_grid,
 )
 
-from helpers import inf_norm, mp_regression, random_grid, random_spec
+from helpers import inf_norm, inverse_cdf_paths, mp_regression, random_grid, random_spec
 
 
 def make_instance(rng, family, n_data, order):
@@ -353,7 +352,7 @@ class TestTune:
     def make_ss1_problem(self, seed=11, n_data=500, order=30, beta=0.4, c=2.0):
         rng = np.random.default_rng(seed)
         grid = uniform_grid(order, 1.0, 1.0)
-        h0 = sample_ss1(grid, c=c, beta=beta, seed=seed, p=1).paths[0]
+        h0 = inverse_cdf_paths(KernelSpec(family=SS1, c=c, beta=beta), grid, seed, 1).paths[0]
         u = rng.standard_normal(n_data)
         phi = toeplitz_regressor(u, order)
         clean = phi @ h0
@@ -499,7 +498,9 @@ class TestFit:
             # 60-digit q and profiled log_ml from the likelihoods at sigma2 = 1 and 2, both at lam.
             l1, _ = mp_regression(phi, y, 1.0, KernelSpec(family=WIENER, c=lam), grid, 60)
             l2, _ = mp_regression(phi, y, 2.0, KernelSpec(family=WIENER, c=2 * lam), grid, 60)
-            q = 4 * (l2 - l1) + 10 * mpmath.log(2)
+            with mpmath.workdps(60):
+                q = 4 * (l2 - l1) + 10 * mpmath.log(2)
+                profiled = l1 + (q - 5 - 5 * mpmath.log(q / 5)) / 2
             if lam >= 1e16:
                 assert q < bound
                 assert isinstance(result, errors.InvalidParameter)
@@ -508,7 +509,6 @@ class TestFit:
             c, s2, log_ml = result
             assert c == lam * s2
             assert abs(5 * s2 - float(q)) <= bound
-            profiled = l1 + (q - 5 - 5 * mpmath.log(q / 5)) / 2
             assert abs(log_ml - float(profiled)) <= 2.5 * bound / float(q - bound) + 1e-13
         search = SearchConfig(family=WIENER, c_grid=(1.0,), sigma2_grid=(1e-30, 1e-16, 1e-2, 1.0), refine=False)
         est = fit(EstimationProblem(u=u, y=y, order=5), grid, search)
@@ -1040,7 +1040,7 @@ def fir_tune_problem(family, seed, fixed_sigma2=False):
     """
     rng = np.random.default_rng(seed)
     grid = uniform_grid(50, 1.0, 1.0)
-    h0 = sample_ss1(grid, c=2.0, beta=0.3, seed=seed, p=1).paths[0]
+    h0 = inverse_cdf_paths(KernelSpec(family=SS1, c=2.0, beta=0.3), grid, seed, 1).paths[0]
     u = rng.standard_normal(1000)
     clean = toeplitz_regressor(u, 50) @ h0
     sigma2 = float(np.var(clean) / 10.0)

@@ -35,7 +35,12 @@ from stablekern import (
 
 from helpers import mp_regression, random_grid, random_spec
 
-mpmath.mp.dps = 60
+
+@pytest.fixture(autouse=True)
+def sixty_digits():
+    """Each test runs at 60 digits, and leaves mpmath's global precision as it found it."""
+    with mpmath.workdps(60):
+        yield
 
 
 def mp_increments(times, beta):

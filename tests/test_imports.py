@@ -1,9 +1,10 @@
 """Every name a library module imports is used in that module, every
 private module-level name is read somewhere in the package, every name a
 module exports exists, the package exports exactly the modules' names,
-no library module reaches into numpy's private modules or names, only
-the chain core reads the chain's kernel family, and only the likelihood
-evaluator and the posterior mean factor the estimator's bordered system.
+no library module reaches into numpy's private modules or names or
+imports scipy, only the chain core reads the chain's kernel family, and
+only the likelihood evaluator and the posterior mean factor the
+estimator's bordered system.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -99,6 +100,29 @@ def test_scan_finds_private_numpy():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_private_numpy(path):
     assert private_numpy_uses(path.read_text(encoding="utf-8")) == []
+
+
+def imports_of(source: str, package: str):
+    """Lines of the ``import`` statements, at any depth, that name ``package`` or a submodule of it."""
+    def named(dotted):
+        return dotted == package or dotted.startswith(package + ".")
+
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Import) and any(named(alias.name) for alias in node.names))
+                   or (isinstance(node, ast.ImportFrom) and node.level == 0 and named(node.module))})
+
+
+def test_scan_finds_a_scipy_import():
+    source = ("import scipy\nimport numpy, scipy.special as sp\nfrom scipy.special import ndtri\n"
+              "def f():\n    from scipy import linalg\n    return linalg\n"
+              "import scipyx\nfrom .scipy import y\nz = 'scipy'\n")
+    assert imports_of(source, "scipy") == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_scipy_import(path):
+    # The runtime needs numpy only; scipy is a test extra.
+    assert imports_of(path.read_text(encoding="utf-8"), "scipy") == []
 
 
 def attribute_reads(source: str, attr: str):
