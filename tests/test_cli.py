@@ -626,11 +626,11 @@ def _probe(commands, scipy="importable"):
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-class TestRuntimeLoadsNoScipy:
-    @pytest.mark.parametrize("scipy", ["importable", "blocked"])
-    def test_no_command_loads_scipy(self, tmp_path, ss1_kernel, scipy):
-        # Every command, sample included, exits 0 and loads no scipy, whether
-        # scipy is installed or cannot be imported at all.
+class TestScipyImportedOnUse:
+    def test_structured_commands_load_no_scipy(self, tmp_path, ss1_kernel):
+        # Every command, sample included, exits 0 in a fresh interpreter and
+        # loads no scipy, both where scipy is installed and where it cannot be
+        # imported at all.
         band = tmp_path / "band.csv"
         band.write_text("0.5,0.25,0.125\n0.25,0.125\n")
         paths_file = tmp_path / "paths.csv"
@@ -653,21 +653,22 @@ class TestRuntimeLoadsNoScipy:
             ["fit", "--data", str(data), "--order", str(order), "--kernel-family", SS1,
              "--search", str(search_file), "--quiet", "--out", str(fit_file)],
         ]
-        steps = _probe(commands, scipy)
-        assert sorted({step["argv"][0] for step in steps[1:]}) == sorted(c[0] for c in cli._COMMANDS)
-        for step in steps:
-            assert step["code"] == 0, step["argv"]
-            assert step["scipy"] == [], step["argv"]
-
+        assert sorted({argv[0] for argv in commands}) == sorted(c[0] for c in cli._COMMANDS)
         ps = sample_ss1(uniform_grid(4, 1.0, 1.0), c=1.0, beta=LN2, seed=7, p=200)
-        np.testing.assert_array_equal(parse_csv(paths_file.read_text()), ps.paths)
-        assert json.loads((tmp_path / "audit.json").read_text())["n_paths"] == 200
-        payload = json.loads(fit_file.read_text())
         est = fit(EstimationProblem(u=u, y=y, order=order), uniform_grid(order, 1.0, 1.0),
                   SearchConfig.from_dict(search, SS1))
         assert est.diagnostics["n_evaluations"] > 8  # the simplex refinement ran
-        np.testing.assert_array_equal(payload["coefficients"], est.coefficients)
-        assert payload["log_ml"] == est.log_ml
+
+        for scipy in ("importable", "blocked"):
+            steps = _probe(commands, scipy)
+            for step in steps:
+                assert step["code"] == 0, (scipy, step["argv"])
+                assert step["scipy"] == [], (scipy, step["argv"])
+            np.testing.assert_array_equal(parse_csv(paths_file.read_text()), ps.paths)
+            assert json.loads((tmp_path / "audit.json").read_text())["n_paths"] == 200
+            payload = json.loads(fit_file.read_text())
+            np.testing.assert_array_equal(payload["coefficients"], est.coefficients)
+            assert payload["log_ml"] == est.log_ml
 
 
 class TestGoldenBytes:
