@@ -7,7 +7,7 @@ linear algebra runs at the FIR order rather than the data length.
 
 The package needs numpy and nothing else at runtime: the samplers draw
 their normals with numpy's generator, and the estimator's linear algebra
-and simplex are numpy too.
+and quasi-Newton refinement are numpy too.
 
 Each module's ``__all__`` is the one declaration of its public names;
 the package exports them all, in module order.

@@ -8,6 +8,8 @@ a class here is a breaking interface change.
 import math
 import numbers
 
+import numpy as np
+
 __all__ = [
     "StableKernError",
     "Empty",
@@ -126,6 +128,22 @@ def _check_positive(value, message: str) -> None:
     """Raise InvalidParameter(message.format(value)) unless value is a finite real > 0."""
     if not (_is_finite_real(value) and value > 0):
         raise InvalidParameter(message.format(value))
+
+
+def _real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array, converted once: a float64 array passes through, not copied.
+
+    Raises InvalidParameter unless every entry is a real number: a string
+    (even one that parses as one), a complex number, None or a ragged
+    nesting is not.  Integer and bool arrays convert as numpy converts them.
+    """
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "biuf" or array.dtype.kind == "O" and all(map(_is_real, array.flat)):
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameter(f"{what} must be real numbers")
 
 
 def _check_count(value, message: str) -> None:

@@ -38,21 +38,32 @@ factor, then one triangular solve and one product with U, O(n^2).  None
 of it depends on N.
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
-over a log-spaced grid followed by an optional simplex refinement in
-log-space.  The search runs over (lam, beta) with sigma2 pinned when it
-is fixed and profiled out when it is free, every candidate then at its
-sigma2*; the trace records each as c = lam sigma2, beta, sigma2 and its
-log likelihood.  Tuning is deterministic given the search configuration,
-and the reported optimum is the best of every candidate evaluated, so it
-can never fall below a grid point: each grid pair's lam is scanned, at
-its best sigma2 when that is free.
+over a log-spaced grid followed by an optional quasi-Newton refinement
+in log-space, whose gradient comes from the same factor (Chen & Ljung,
+Automatica 49(7), 2013): with w = 1 / sigma2, N / q when sigma2 is
+profiled (by the envelope theorem), and s the square root's column
+scales, U = W diag(s) with W free of beta,
+
+    d ln det M / d ln lam = n - tr M^{-1},
+    d (lam b'M^{-1}b) / d ln lam = lam x'x,       x = M^{-1}b,
+    d ln det M / d ln beta = 2 beta sum_j a_j (1 - (M^{-1})_jj),
+    d (lam b'M^{-1}b) / d ln beta = 2 lam beta sum_j a_j x_j^2,
+
+where a_j = d ln s_j / d beta, and the log likelihood moves by minus
+half the first of each pair plus w / 2 times the second.  The search
+runs over (lam, beta) with sigma2 pinned when it is fixed and profiled
+out when it is free, every candidate then at its sigma2*; the trace
+records each as c = lam sigma2, beta, sigma2 and its log likelihood.
+Tuning is deterministic given the search configuration, and the
+reported optimum is the best of every candidate evaluated, so it can
+never fall below a grid point: each grid pair's lam is scanned, at its
+best sigma2 when that is free.
 
 Like the rest of the package, the module needs numpy only: Phi is a
 strided view of the zero-padded input, the mean's triangular solve is
-numpy's LU of a triangle (no pivoting, exact zero multipliers), and the
-simplex, :func:`_nelder_mead`, is a port of scipy's
-``minimize(method="Nelder-Mead")`` that evaluates the same points bit
-for bit.
+numpy's LU of a triangle (no pivoting, exact zero multipliers), as is
+the gradient's inverse of the factor, and the refinement is BFGS,
+:func:`_bfgs`.
 """
 
 from __future__ import annotations
@@ -75,9 +86,10 @@ from .errors import (
     StableKernError,
     _check_count,
     _check_positive,
+    _real_array,
 )
 from .grid import SamplingGrid
-from .kernels import SS1, WIENER, KernelSpec
+from .kernels import SS1, WIENER, KernelSpec, _Chain
 from .structure import StructuredSqrt, sqrt_factor
 
 __all__ = [
@@ -95,6 +107,7 @@ _log = logging.getLogger(__name__)
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _UNIT = sys.float_info.epsilon / 2  # unit roundoff u = 2^-53
+_FTOL, _XTOL = 1e-10, 1e-9  # refinement stops: a promised gain in log_ml, a step in (ln lam, ln beta)
 
 
 def _check_order(order, n_samples: int) -> None:
@@ -113,8 +126,8 @@ class EstimationProblem:
     sigma2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float).reshape(-1)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
+        u = _real_array(self.u, "u").reshape(-1)
+        y = _real_array(self.y, "y").reshape(-1)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
         if u.shape != y.shape:
@@ -132,7 +145,7 @@ class EstimationProblem:
 
 def toeplitz_regressor(u: np.ndarray, order: int) -> np.ndarray:
     """N x n Toeplitz matrix with Phi[k, j] = u[k - j], zero above the diagonal."""
-    uu = np.asarray(u, dtype=float).reshape(-1)
+    uu = _real_array(u, "u").reshape(-1)
     _check_order(order, uu.shape[0])
     padded = np.concatenate([np.zeros(order - 1), uu])
     return np.lib.stride_tricks.sliding_window_view(padded, order)[:, ::-1].copy()
@@ -150,8 +163,8 @@ class _DataStats:
 
 def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
     """Check the regression shapes, then form Phi'Phi, Phi'y and y'y: O(N n^2)."""
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    phi = _real_array(phi, "the regressor")
+    y = _real_array(y, "y").reshape(-1)
     if phi.ndim != 2:
         raise DimensionMismatch(f"regressor must be 2-D, got shape {phi.shape}")
     if y.shape != (phi.shape[0],):
@@ -240,7 +253,8 @@ def _bordered(stats: _DataStats, white: _Whitened, lam: np.ndarray):
     return low, shift, failures
 
 
-def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optional[float] = None) -> list:
+def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optional[float] = None,
+             gradient: bool = False) -> list:
     """Each candidate's (c, sigma2, log_ml) at one beta and lam[k] = c / sigma2, or its error.
 
     One bordered factor gives ln det M and q = y'y - lam b'M^{-1}b.  A
@@ -260,6 +274,15 @@ def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optio
     of the factor itself comes on top.  With sigma2 fixed the same error
     moves q / sigma2 by no more than the rounding of y'y / sigma2, so it
     needs no check.
+
+    With ``gradient``, each result ends with the gradient of log_ml in
+    (ln lam, ln beta), ln lam alone for Wiener: with x = M^{-1}b, w = 1 /
+    sigma2 (N / q when profiled, by the envelope theorem) and a_j = d ln
+    s_j / d beta for the square root's column scales s_j,
+    d/d ln lam = -(n - tr M^{-1} - w lam x'x) / 2 and
+    d/d ln beta = -beta sum_j a_j (1 - (M^{-1})_jj - w lam x_j^2).
+    Both need only L_M^{-1}: diag M^{-1} sums its columns' squares, and
+    x = 2^e L_M^{-T} r / sqrt(lam).
     """
     low, shift, failures = _bordered(stats, white, lam)
     count, n = low.shape[0], low.shape[1] - 1
@@ -278,6 +301,19 @@ def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optio
             values = -0.5 * (n_data * _LOG_2PI + (log_det_m + n_data * np.log(s2)) + q / s2)
             ok = np.isfinite(values)
         c = lam * s2
+        if gradient:
+            # An LU of the upper triangle L_M' is back substitution; a failed factor is replaced.
+            upper = np.swapaxes(low[:, :n, :n], 1, 2)
+            upper[np.isnan(upper[:, 0, 0])] = np.eye(n)
+            z = np.linalg.inv(upper)  # L_M^{-T}
+            keep = 1.0 - (z * z).sum(axis=2)  # 1 - diag M^{-1}
+            v = (z @ row[:, :, None])[:, :, 0]
+            keep -= np.ldexp(v * v, 2 * shift) / s2[:, None]  # minus w lam x_j^2
+            weights = [np.ones(n)]
+            if white.root.spec.beta is not None:
+                chain = _Chain(white.root.spec, white.root.grid.times)
+                weights.append(2.0 * chain.beta * chain.root_slopes())
+            grads = -0.5 * keep @ np.array(weights).T
     ok &= (c >= _TINY) & (c <= _HUGE)
     lam, c, s2, values = lam.tolist(), c.tolist(), s2.tolist(), values.tolist()
     for k in np.flatnonzero(~ok).tolist():
@@ -289,7 +325,8 @@ def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optio
         else:
             why = f"c = lam sigma2 = {c[k]!r} is not a positive normal float"
         failures[k] = failures[k] or InvalidParameter(f"at lam = c / sigma2 = {lam[k]!r} {why}")
-    return [failure or result for failure, result in zip(failures, zip(c, s2, values))]
+    results = zip(c, s2, values, grads) if gradient else zip(c, s2, values)
+    return [failure or result for failure, result in zip(failures, results)]
 
 
 def _posterior_mean(stats: _DataStats, white: _Whitened, lam: float) -> np.ndarray:
@@ -343,10 +380,12 @@ class SearchConfig:
     Wiener.  The tuner scans the distinct values of lam = c / sigma2:
     the quotients of ``c_grid`` by a fixed noise variance, or, when the
     problem leaves it free, by ``sigma2_grid`` (used only then), each lam
-    at the sigma2 that maximizes the likelihood for it.  Refinement runs a
-    Nelder-Mead simplex in log-parameter space from the best grid point,
-    over (lam, beta) either way; Wiener drops beta.  Every field is
-    checked here, so :meth:`from_dict` obeys the same rules.
+    at the sigma2 that maximizes the likelihood for it.  Refinement runs
+    BFGS on the likelihood's exact gradient in log-parameter space from
+    the best grid point, over (lam, beta) either way; Wiener drops beta.
+    ``refine_maxiter`` caps its iterations, each of which evaluates one
+    candidate per step its line search tries.  Every field is checked
+    here, so :meth:`from_dict` obeys the same rules.
     """
 
     family: str
@@ -426,62 +465,41 @@ class ImpulseResponseEstimate:
         }
 
 
-def _nelder_mead(func, x0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> Tuple[int, bool]:
-    """Minimize func from x0 by the Nelder-Mead simplex; return the iteration count and whether it converged.
+def _bfgs(func, x: np.ndarray, maxiter: int) -> Tuple[int, bool, np.ndarray]:
+    """Minimize func from x by BFGS; return the iteration count, whether it converged, and the last gradient.
 
-    Step for step and expression for expression this is scipy's
-    ``minimize(method="Nelder-Mead")`` without bounds, adaptive parameters
-    or an evaluation limit, so it visits the same points bit for bit:
-    reflection 1, expansion 2, contraction and shrink 1/2, an initial
-    simplex that moves one coordinate of x0 by 5% (to 0.00025 where it is
-    0), and a stop once every vertex lies within xatol and every value
-    within fatol of the best, or at ``maxiter`` iterations (counted from 1).
-    The best point is not returned: the caller records what it evaluates.
+    func(x) is the value and its gradient, +inf and NaN where it fails.
+    Each iteration searches along the quasi-Newton direction p, from a
+    first step that moves no coordinate by more than 1, halving until the
+    value drops by at least 1e-4 of the decrease the gradient promises
+    (Armijo).  The inverse Hessian starts as the identity, is updated only
+    where s'y > 0, and the first iteration's update rescales it to
+    s'y / y'y first.
+    It converges where the decrease the quadratic model promises, -g'p,
+    is at most _FTOL, or where no step above _XTOL lowers the value; it
+    stops unconverged after ``maxiter`` iterations.  The best point is not
+    returned: the caller records what it evaluates.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n = x0.shape[0]
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x) for x in sim], dtype=float)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts twice before the first step
-    nit = 1
-    while nit < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = func(xc)
-                shrink = not fxc <= fxr
-            else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = func(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-        nit += 1
-        sim, fsim = ordered(sim, fsim)
-    return nit, nit < maxiter
+    value, grad = func(x)
+    inv_hess = np.eye(x.size)
+    for nit in range(maxiter + 1):
+        step = -inv_hess @ grad
+        converged = not -(grad @ step) > _FTOL
+        if converged or nit == maxiter:
+            return nit, converged, grad
+        t = 1.0 / max(1.0, np.abs(step).max())
+        while not (trial := func(x + t * step))[0] <= value + 1e-4 * t * (grad @ step):
+            t *= 0.5
+            if not t * np.abs(step).max() > _XTOL:
+                return nit, True, grad
+        s, y = t * step, trial[1] - grad
+        sy = s @ y
+        if sy > 0.0:
+            if nit == 0:
+                inv_hess *= sy / (y @ y)
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            inv_hess = v @ inv_hess @ v.T + np.outer(s, s) / sy
+        x, (value, grad) = x + s, trial
 
 
 def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
@@ -491,8 +509,9 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     there is one scan: beta in grid order and, at each, the distinct lam
     of the c grid over the fixed ``sigma2`` (pinned) or over the sigma2
     grid (None: each entry at the best sigma2 for its lam), in ascending
-    order; the simplex moves (log lam, log beta).  Wiener's beta axis is
-    ``(None,)`` and its simplex moves log lam alone.  The data are
+    order; refinement then moves (log lam, log beta) by :func:`_bfgs`,
+    each candidate with its gradient.  Wiener's beta axis is ``(None,)``
+    and its refinement moves log lam alone.  The data are
     whitened once per beta, and all of a beta's grid candidates are
     evaluated in one batch; a beta whose prior has no closed-form square
     root fails every candidate at it.  The best entry is the trace's
@@ -517,8 +536,8 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     summed = None
     best: list = []  # the best entry so far, its beta's whitened data and its lam
 
-    def batch(beta: Optional[float], lam: list) -> list:
-        """Evaluate and record the candidates at beta and each lam; their log_ml, -inf where one fails."""
+    def batch(beta: Optional[float], lam: list, gradient: bool = False) -> list:
+        """Evaluate and record the candidates at beta and each lam; their results or errors."""
         nonlocal summed, n_failed, last_error
         if beta not in whitened:
             whitened.clear()
@@ -528,47 +547,44 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             except SingularGram as exc:
                 whitened[beta] = exc
         white = whitened[beta]
-        results = [white] * len(lam) if isinstance(white, Exception) else _log_mls(stats, white, np.array(lam), sigma2)
-        values = []
+        results = ([white] * len(lam) if isinstance(white, Exception)
+                   else _log_mls(stats, white, np.array(lam), sigma2, gradient))
         for lam_k, result in zip(lam, results):
             if isinstance(result, Exception):
                 n_failed += 1
                 last_error = result
-                values.append(-math.inf)
                 continue
-            c, s2, log_ml = result
+            c, s2, log_ml = result[:3]
             entry = {"c": c, "sigma2": s2, "log_ml": log_ml}
             if beta is not None:
                 entry["beta"] = float(beta)
             trace.append(entry)
             if not best or log_ml > best[0]["log_ml"]:
                 best[:] = [entry, white, lam_k]
-            values.append(log_ml)
-        return values
+        return results
 
     for beta in betas:
-        failed = batch(beta, lams).count(-math.inf)
+        failed = sum(isinstance(result, Exception) for result in batch(beta, lams))
         _log.debug("grid beta=%r: %d of %d candidates failed", beta, failed, len(lams))
     if not trace:
         raise type(last_error)("no search candidate produced a finite log marginal likelihood; "
                                f"last failure: {last_error}")
 
     if search.refine:
-        def objective(theta: np.ndarray) -> float:
+        def func(theta: np.ndarray):
             nonlocal n_failed
             # exp(theta) stays well inside the float range, away from overflow and from 0.
-            if np.any(np.abs(theta) > 700.0):
+            if not np.abs(theta).max() <= 700.0:
                 n_failed += 1
-                return math.inf
+                return math.inf, math.nan
             lam, *beta = np.exp(theta).tolist()
-            return -batch(beta[0] if beta else None, [lam])[0]
+            (result,) = batch(beta[0] if beta else None, [lam], gradient=True)
+            return (-result[2], -result[3]) if isinstance(result, tuple) else (math.inf, math.nan)
 
         start = [best[2], best[0]["beta"]] if tune_beta else [best[2]]
-        nit, success = _nelder_mead(objective, np.array([math.log(v) for v in start]),
-                                    maxiter=search.refine_maxiter, xatol=1e-6, fatol=1e-9)
-        _log.debug("Nelder-Mead: success=%s, nit=%d, message=%s", success, nit,
-                   "Optimization terminated successfully." if success
-                   else "Maximum number of iterations has been exceeded.")
+        nit, converged, grad = _bfgs(func, np.log(start), search.refine_maxiter)
+        _log.debug("refinement: %s after %d iterations, max |gradient| %.3g",
+                   "converged" if converged else "stopped at the iteration cap", nit, np.abs(grad).max())
     return best[0], best[1], best[2], trace, n_failed
 
 
@@ -583,6 +599,8 @@ def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) ->
     only seeds the values of lam.  The result's sigma2 is the fixed one or
     the best one for the winning lam, its c is lam times that (the grid's
     c to the last bit or so), and the mean is taken at that lam itself.
+    With ``search.refine`` the grid's best point is refined by BFGS steps
+    on the likelihood's exact gradient (:func:`_tune`).
     ``diagnostics["trace"]`` lists every candidate evaluated; ``n_failed``
     counts those whose prior or posterior system was numerically
     singular, whose c was not a positive normal float, or whose best

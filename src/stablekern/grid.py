@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing, _check_count, _is_real
+from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing, _check_count, _is_real, _real_array
 
 __all__ = ["SamplingGrid", "make_grid", "uniform_grid", "read_grid_file", "parse_grid_lines"]
 
@@ -47,7 +47,8 @@ def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
     Empty
         If ``times`` contains no entries.
     InvalidParameter
-        If any entry is NaN or infinite.
+        If any entry is not a real number (a string, a complex number),
+        or is NaN or infinite.
     NegativeTime
         If any entry is negative.
     NonIncreasing
@@ -55,7 +56,7 @@ def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
         rejected by exact comparison; near-duplicates are the caller's
         responsibility.
     """
-    t = np.asarray(times, dtype=float).reshape(-1)
+    t = _real_array(times, "grid times").reshape(-1)
     if t.size == 0:
         raise Empty("grid contains no time instants")
     if not np.all(np.isfinite(t)):

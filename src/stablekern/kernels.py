@@ -232,6 +232,17 @@ class _Chain:
                 root *= np.sqrt(self.rel)
         return _regular(root, _MIN_SCALE, message)
 
+    def root_slopes(self) -> np.ndarray:
+        """An SS-1 chain's d ln roots_j / d beta: -t_j/2 + dt_j / (2 expm1(beta*dt_j)), and -t_n/2.
+
+        Past beta*dt_j ~ 709.8 expm1 overflows and the second term is 0,
+        below half a unit in the last place of t_j / 2.  A Wiener chain's
+        roots do not depend on beta.
+        """
+        dt = np.diff(self.times)
+        with np.errstate(over="ignore"):
+            return np.append(dt / (2.0 * np.expm1(self.beta * dt)), 0.0) - 0.5 * self.times
+
     def unit_triangle(self) -> np.ndarray:
         """W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for Wiener, exactly 1 for SS-1.
 

@@ -47,6 +47,7 @@ from .errors import (
     NotSymmetric,
     _check_count,
     _check_seed,
+    _real_array,
 )
 from .grid import SamplingGrid
 from .kernels import KernelSpec, _json_fields, gram
@@ -118,7 +119,7 @@ def band_project(m: np.ndarray) -> TridiagonalMatrix:
     Symmetry is checked by exact comparison: the intended inputs are
     Gram matrices, which this package assembles bit-exact symmetric.
     """
-    a = np.asarray(m, dtype=float)
+    a = _real_array(m, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 3:
@@ -202,7 +203,7 @@ def _entropies(cov: np.ndarray) -> np.ndarray:
 
 def gaussian_entropy(cov: np.ndarray) -> float:
     """Differential entropy of N(0, cov) in nats: (n/2) ln(2*pi*e) + (1/2) ln det."""
-    a = np.asarray(cov, dtype=float)
+    a = _real_array(cov, "covariance entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, Singular
+from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, Singular, _real_array
 
 __all__ = ["dense_inverse", "dense_logdet", "dense_chol", "matmul"]
 
@@ -25,7 +25,7 @@ _PIVOT_FLOOR = 1e-300
 
 
 def _checked_square(m: np.ndarray) -> np.ndarray:
-    a = np.array(m, dtype=float)
+    a = _real_array(m, "matrix entries").copy()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -102,8 +102,8 @@ def dense_chol(m: np.ndarray) -> np.ndarray:
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with an explicit shape check."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x = _real_array(a, "matrix entries")
+    y = _real_array(b, "matrix entries")
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
         raise DimensionMismatch(f"cannot multiply shapes {x.shape} and {y.shape}")
     return x @ y

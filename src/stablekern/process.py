@@ -29,7 +29,8 @@ from typing import List
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive, _check_seed
+from .errors import (DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive, _check_seed,
+                     _real_array)
 from .grid import SamplingGrid, make_grid
 from .kernels import SS1, WIENER, KernelSpec, _Chain, _regular
 
@@ -77,6 +78,7 @@ class PathSet:
     paths: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "paths", _real_array(self.paths, "paths"))
         if self.paths.ndim != 2 or self.paths.shape[1] != self.grid.n:
             raise DimensionMismatch(
                 f"paths must have shape (p, {self.grid.n}), got {self.paths.shape}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, _real_array
 from .grid import SamplingGrid
 from .kernels import KernelSpec, _Chain
 
@@ -37,6 +37,16 @@ __all__ = [
 ]
 
 
+def _banded(matrix, off: str) -> None:
+    """Store a band's diagonal and off-diagonal as float arrays; they must be vectors of lengths n and n-1."""
+    diag, band = _real_array(matrix.diag, "diag"), _real_array(getattr(matrix, off), off)
+    if diag.ndim != 1 or band.shape != (diag.size - 1,):
+        raise DimensionMismatch(f"diag and {off} must be vectors of lengths n and n-1, "
+                                f"got shapes {diag.shape} and {band.shape}")
+    object.__setattr__(matrix, "diag", diag)
+    object.__setattr__(matrix, off, band)
+
+
 @dataclass(frozen=True, eq=False)
 class TridiagonalMatrix:
     """Symmetric tridiagonal matrix: diagonal plus one shared off-diagonal."""
@@ -45,10 +55,7 @@ class TridiagonalMatrix:
     offdiag: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.offdiag.shape != (self.diag.shape[0] - 1,):
-            raise DimensionMismatch(
-                f"offdiag must have length n-1, got {self.offdiag.shape[0]} for n={self.diag.shape[0]}"
-            )
+        _banded(self, "offdiag")
 
     @property
     def n(self) -> int:
@@ -70,10 +77,7 @@ class UpperBidiagonal:
     super: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.super.shape != (self.diag.shape[0] - 1,):
-            raise DimensionMismatch(
-                f"super must have length n-1, got {self.super.shape[0]} for n={self.diag.shape[0]}"
-            )
+        _banded(self, "super")
 
     @property
     def n(self) -> int:
@@ -192,7 +196,7 @@ def apply_precision(factor: UpperBidiagonal, v: np.ndarray) -> np.ndarray:
     Raises InvalidParameter when v is not finite, or when F @ v or
     F.T @ F @ v leaves the float range: a factor's entries reach 4.5e307.
     """
-    x = np.asarray(v, dtype=float)
+    x = _real_array(v, "v")
     if x.shape != (factor.n,):
         raise DimensionMismatch(f"expected a vector of length {factor.n}, got shape {x.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -29,6 +29,7 @@ from stablekern import (
     gram,
     log_det,
     make_grid,
+    oracle,
     precision_factor,
     sample_ss1,
     sample_wiener,
@@ -728,6 +729,13 @@ class TestGoldenBytes:
     ``standard_normal`` (``pcg64-ziggurat``): the paths and the noise-algorithm
     line changed, and ``test_sample_and_audit_recomputed`` checks the new
     bytes from outside the library.
+    The four ``fit`` digests were re-recorded when refinement moved from a
+    Nelder-Mead simplex to BFGS steps on the likelihood's closed-form
+    gradient: the optima moved by the simplex's tolerance or less (Wiener
+    by -2.2e-11 and -3.6e-14, the last bits of the evaluation), or rose
+    where the 30-iteration simplex had stopped short (SS-1 by 2.9e-6 and
+    6.6e-5), and the traces are shorter.  ``test_fit_recomputed`` checks
+    the new bytes against the dense N x N oracle.
     Commands run from the working directory with relative file names, so
     the meta lines are fixed too.
     """
@@ -759,10 +767,10 @@ class TestGoldenBytes:
         },
         "extend": "1ff7757c2c3cd9264e1a334667696881715193989076c07c016bb69250f833ed",
         "fit": {
-            "wiener": {"free": "6acc4eb0dc35e7811f12700406e82bb9d62556df16b5f5bf083373d021285089",
-                       "fixed": "5d8cbc4baa0fde7a9ab0e44703dc62c7aca784c040de916e9be1e09b74362d10"},
-            "ss1": {"free": "64529a6a71f9d8afb5b5dc5229c3721778ba6c20cd274b12e6d800355c3e4f3b",
-                    "fixed": "581cd44c9fddd22b392a9732e0c382bf740a1e0a410759ddb784a2a6c1d3ef3e"},
+            "wiener": {"free": "f9ba2567feb4290b45b790643dafb279ad8902a274cacda2e22fbdc99379bc15",
+                       "fixed": "ccd870149d5e5d59de75dfb36aa8619c6cf16e5a82c49a16eb67f43fe08ed9ed"},
+            "ss1": {"free": "fbaf3a98b694e039885801f25ce54752bc9817cf59055e5b4af566e3c0ad6b1d",
+                    "fixed": "c068e9e8b3921a5514c394d6d48ffaa0c135d4f6404955a100531bc5d0d09d71"},
         },
     }
     # u in {-5/4, ..., 5/4}, y = sum_j 2^-j u[k-j] plus a dyadic disturbance:
@@ -846,13 +854,45 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("family", ["wiener", "ss1"])
     def test_fit(self, workdir, family, capsys):
+        got = {name: digest for name, (_, digest) in self.fit_outputs(workdir, family, capsys).items()}
+        assert got == self.DIGESTS["fit"][family]
+
+    FIT_ARGS = {"free": [], "fixed": ["--sigma2", "0.02"]}
+
+    def fit_outputs(self, workdir, family, capsys):
+        """stdout and its digest of the free- and fixed-sigma2 ``fit``."""
         (workdir / "uy.csv").write_text(self.UY)
         (workdir / "search.json").write_text(json.dumps(self.SEARCH))
         base = ["fit", "--data", "uy.csv", "--order", "8", "--kernel-family", family,
                 "--search", "search.json", "--grid", "g.txt"]
-        got = {name: self.stdout_digest(base + extra, capsys)[1]
-               for name, extra in (("free", []), ("fixed", ["--sigma2", "0.02"]))}
-        assert got == self.DIGESTS["fit"][family]
+        return {name: self.stdout_digest(base + extra, capsys) for name, extra in self.FIT_ARGS.items()}
+
+    # log_ml of each fit, printed by the tuner whose refinement was a Nelder-Mead simplex.
+    SIMPLEX_LOG_ML = {"wiener": {"free": 86.16577450631684, "fixed": 34.1040256374411},
+                      "ss1": {"free": 101.58942970679229, "fixed": 49.22666125330617}}
+
+    @pytest.mark.parametrize("family", ["wiener", "ss1"])
+    def test_fit_recomputed(self, workdir, family, capsys):
+        # Each fit's coefficients and log_ml are the dense N x N posterior mean and
+        # likelihood at its printed (c, beta, sigma2), and its log_ml is within the
+        # simplex's fatol (1e-9) of the simplex's optimum, or above it.
+        data = np.array(parse_csv(self.UY.split("\n", 1)[1]))
+        u, y = data[:, 0], data[:, 1]
+        phi = toeplitz_regressor(u, 8)
+        grid = make_grid([float(t) for t in self.GRID.split()])
+        for name, (out, _) in self.fit_outputs(workdir, family, capsys).items():
+            report = json.loads(out)
+            sigma2 = report["sigma2"]
+            if name == "fixed":
+                assert sigma2 == 0.02
+            p = gram(KernelSpec.from_dict(report["kernel"]), grid).values
+            cov_inv = oracle.dense_inverse(phi @ p @ phi.T + sigma2 * np.eye(y.size))
+            h = p @ phi.T @ cov_inv @ y
+            coefficients = np.array(report["coefficients"])
+            assert np.max(np.abs(coefficients - h)) <= 1e-8 * np.max(np.abs(h)), name
+            log_ml = -0.5 * (y.size * math.log(2.0 * math.pi) - oracle.dense_logdet(cov_inv) + y @ cov_inv @ y)
+            assert report["log_ml"] == pytest.approx(log_ml, rel=1e-12), name
+            assert report["log_ml"] >= self.SIMPLEX_LOG_ML[family][name] - 1e-9, name
 
     # Runs in a fresh interpreter in which importing scipy fails: argv[1] is a
     # JSON list of (CLI arguments, file to copy stdout to or null); prints the

@@ -4,8 +4,9 @@ The cancellation-prone quantities (tiny-beta increments, log-determinants
 whose raw determinants underflow float64) are recomputed here with mpmath
 and compared both to the frozen constants pinned elsewhere in the suite
 and to the library's float64 closed forms.  So is the band completion's
-fill-in, whose entries are products along the chain, and the estimator's
-whitened posterior system.
+fill-in, whose entries are products along the chain, the estimator's
+whitened posterior system, and the SS-1 square root's column-scale slopes
+in beta, which the tuner's gradient reads.
 """
 
 import math
@@ -32,6 +33,8 @@ from stablekern import (
     toeplitz_regressor,
     uniform_grid,
 )
+
+from stablekern.kernels import _Chain
 
 from helpers import mp_regression, random_grid, random_spec
 
@@ -193,3 +196,52 @@ class TestWhitenedPosterior:
             _, exact = mp_regression(phi, y, sigma2, spec, grid, 50)
             residuals.append(max(abs(float(e) - x) for e, x in zip(exact, h)) / np.max(np.abs(h)))
         assert max(residuals) <= 1e-13
+
+
+class TestRootSlopes:
+    """d ln root_j / d beta of the SS-1 square root's column scales, against 60-digit derivatives."""
+
+    @staticmethod
+    def mp_slopes(times, beta):
+        # ln root_j = -beta t_j / 2 + ln(-expm1(-beta (t_{j+1} - t_j))) / 2 (c = 1), differentiated
+        # in u = ln beta, so that the step scales with beta.
+        ts = [mpmath.mpf(t) for t in times]
+
+        def log_root(j):
+            def f(u):
+                b = mpmath.exp(u)
+                rel = -mpmath.expm1(-b * (ts[j + 1] - ts[j])) if j + 1 < len(ts) else mpmath.mpf(1)
+                return -b * ts[j] / 2 + mpmath.log(rel) / 2
+            return f
+
+        u = mpmath.log(mpmath.mpf(beta))
+        return [mpmath.diff(log_root(j), u) / mpmath.mpf(beta) for j in range(len(ts))]
+
+    # beta*dt from 1e-300 up, past 710 where expm1 overflows and the slope is -t_j / 2.
+    CASES = {
+        "steps of 1e-300": ([1e-300, 2e-300, 3.5e-300], 1.0),
+        "beta of 1e-300": ([1.0, 2.5, 4.0, 9.0], 1e-300),
+        "past expm1's range": ([1.0, 700.0, 1500.0, 1500.5], 1.0),
+        "near expm1's limit": ([2.0, 711.0, 1420.0], 1.0),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_sixty_digits(self, case):
+        times, beta = self.CASES[case]
+        self.check(np.array(times), beta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_random_grids(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            grid = random_grid(rng, int(rng.integers(1, 12)))
+            self.check(grid.times, float(rng.uniform(0.01, 3.0)))
+
+    def check(self, times, beta):
+        got = _Chain(KernelSpec(family=SS1, c=1.0, beta=beta), times).root_slopes()
+        want = self.mp_slopes(times, beta)
+        for j, (g, w) in enumerate(zip(got.tolist(), want)):
+            # Each slope is -t_j / 2 plus a nonnegative term: a few units of roundoff of their sum of magnitudes.
+            scale = float(mpmath.mpf(times[j]) / 2 + abs(w + mpmath.mpf(times[j]) / 2))
+            assert abs(g - float(w)) <= 4e-16 * scale, (j, g, w)

@@ -103,3 +103,23 @@ def test_sorted_unique_positive_times_always_make_a_grid(times):
     g = make_grid(sorted(times))
     assert g.n == len(times)
     assert np.all(np.diff(g.times) > 0)
+
+
+class TestNonNumericTimes:
+    """Times that are not real numbers raise InvalidParameter, not numpy's ValueError or TypeError."""
+
+    def test_string_times(self):
+        with pytest.raises(errors.InvalidParameter, match="grid times must be real numbers"):
+            make_grid(["a"])
+
+    def test_complex_times(self):
+        with pytest.raises(errors.InvalidParameter, match="grid times must be real numbers"):
+            make_grid([1j])
+
+    def test_ragged_or_missing_times(self):
+        for times in ([[1.0, 2.0], [3.0]], [1.0, None], ["1.0"], [10**400]):
+            with pytest.raises(errors.InvalidParameter):
+                make_grid(times)
+
+    def test_integer_and_object_times_convert(self):
+        assert make_grid([1, 2, 3]) == make_grid(np.array([1.0, 2.0, 3.0], dtype=object))

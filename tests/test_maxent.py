@@ -481,3 +481,25 @@ def test_completable_skeletons_extend_to_spd_with_tridiagonal_inverse(n, rho, se
     inv = oracle.dense_inverse(ext)
     beyond = np.triu(inv, k=2)
     assert np.max(np.abs(beyond)) <= 1e-8 * np.max(np.abs(inv))
+
+
+class TestNonNumericMatrices:
+    """Matrices that are not real raise InvalidParameter, not numpy's ValueError or a ComplexWarning."""
+
+    def test_string_matrix_to_band_project(self):
+        with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
+            band_project([["a"]])
+
+    def test_string_covariance_to_gaussian_entropy(self):
+        with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
+            gaussian_entropy([["a"]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_matrix_to_band_project(self):
+        # It dropped the imaginary part behind numpy's ComplexWarning.
+        with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
+            band_project(np.eye(3) * (1 + 1j))
+
+    def test_column_diagonal_band_to_band_extend(self):
+        with pytest.raises(errors.DimensionMismatch):
+            band_extend(TridiagonalMatrix(np.ones((3, 1)), np.ones(2)))

@@ -96,3 +96,18 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+class TestNonNumericInput:
+    def test_string_matrix_to_dense_logdet(self):
+        with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
+            dense_logdet([["a"]])
+
+    def test_complex_factors_to_matmul(self):
+        with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
+            matmul([[1j]], [[1.0]])
+
+    def test_list_input_is_not_modified(self):
+        m = [[4.0, 2.0], [2.0, 3.0]]
+        assert dense_logdet(m) == pytest.approx(math.log(8.0))
+        assert m == [[4.0, 2.0], [2.0, 3.0]]

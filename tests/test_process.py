@@ -271,3 +271,21 @@ class TestAudit:
         assert set(d) == {"family", "n_paths", "checks", "max_abs_z", "ok"}
         assert d["checks"][0]["index"] == 1
         assert isinstance(d["ok"], bool)
+
+
+class TestNonNumericPaths:
+    """Paths that are not real numbers raise InvalidParameter, not AttributeError or UFuncTypeError."""
+
+    def test_path_set_from_lists(self):
+        grid = make_grid([1.0, 2.0, 3.0])
+        ps = PathSet(grid, [[1.0, 2.0, 3.0]])
+        assert ps.paths.dtype == np.float64 and ps.p == 1
+
+    def test_string_paths_to_audit_constraints(self):
+        grid = make_grid([1.0, 2.0, 3.0])
+        with pytest.raises(errors.InvalidParameter, match="paths must be real numbers"):
+            audit_constraints(PathSet(grid, np.full((100, 3), "1.0")), KernelSpec(family=WIENER, c=1.0))
+
+    def test_sampled_paths_are_kept_not_copied(self):
+        ps = sample_wiener(GRID, 1.0, 3, 4)
+        assert PathSet(GRID, ps.paths).paths is ps.paths

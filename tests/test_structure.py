@@ -22,6 +22,7 @@ from stablekern import (
     sqrt_factor,
     uniform_grid,
 )
+from stablekern.structure import TridiagonalMatrix, UpperBidiagonal
 
 from helpers import inf_norm, random_grid, random_spec
 
@@ -404,3 +405,40 @@ def test_inverse_identity_property(increments, family, c, beta):
     p = gram(spec, g).values
     tri = closed_form_inverse(spec, g).to_dense()
     assert inf_norm(tri @ p - np.eye(n)) <= 1e-9 * n
+
+
+class TestNonNumericOrMisshapenBands:
+    """Band arrays that are not real vectors raise typed errors, not numpy's or Python's."""
+
+    def test_string_vector_to_apply_precision(self):
+        factor = precision_factor(W_SPEC, make_grid([1.0, 2.0, 3.0]))
+        with pytest.raises(errors.InvalidParameter, match="v must be real numbers"):
+            apply_precision(factor, ["a", "b", "c"])
+
+    def test_tridiagonal_from_lists(self):
+        # It raised AttributeError: a list has no shape.
+        band = TridiagonalMatrix([1.0, 2.0, 3.0], [0.5, 1.0])
+        assert band.diag.dtype == band.offdiag.dtype == np.float64
+        np.testing.assert_array_equal(band.to_dense(), [[1.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, 3.0]])
+
+    def test_bidiagonal_from_lists(self):
+        factor = UpperBidiagonal([1.0, 2.0], [0.5])
+        np.testing.assert_array_equal(factor.to_dense(), [[1.0, 0.5], [0.0, 2.0]])
+
+    def test_column_diagonal_is_a_dimension_mismatch(self):
+        # Accepted before, after which band_extend raised a misleading NotCompletable.
+        with pytest.raises(errors.DimensionMismatch):
+            TridiagonalMatrix(np.ones((3, 1)), np.ones(2))
+        with pytest.raises(errors.DimensionMismatch):
+            UpperBidiagonal(np.ones((2, 1)), np.ones(1))
+
+    def test_string_band(self):
+        with pytest.raises(errors.InvalidParameter, match="offdiag must be real numbers"):
+            TridiagonalMatrix(np.ones(3), ["a", "b"])
+
+    def test_float64_arrays_are_kept_not_copied(self):
+        diag, off = np.ones(4), np.full(3, 0.5)
+        band = TridiagonalMatrix(diag, off)
+        assert band.diag is diag and band.offdiag is off
+        factor = precision_factor(W_SPEC, uniform_grid(4, 1.0, 1.0))
+        assert UpperBidiagonal(factor.diag, factor.super).diag is factor.diag
