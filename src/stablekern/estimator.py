@@ -25,17 +25,20 @@ sigma2* = q / N, where it is -(N (ln 2 pi + 1) + ln det M + N ln sigma2*) / 2.
 
 Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
 ``fit`` builds Phi once and folds the data into these statistics once,
-in O(N n^2).  Whitening costs O(n^3) once, for the part of U shared by
-every beta, and O(n^2) per beta; all of one beta's grid candidates then
-go through one batched Cholesky, O(n^3) each.  A candidate is a distinct
+in O(N n^2), and moves them into the coordinates of the unit triangle
+W of U = W diag(s), which depends on the family and the grid alone:
+W'Phi'Phi W and W'Phi'y, O(n^3), once per fit.  Whitening at a beta
+scales them by that beta's column scales s, O(n^2), and keeps the chain
+that gave s, which the gradient and the mean read; all of one beta's
+grid candidates then go through one batched Cholesky, O(n^3) each.  A candidate is a distinct
 lam = c / sigma2 of the c grid and the fixed sigma2, or of the c x sigma2
 grid when sigma2 is free: one factor per distinct lam per beta, fewer
 than the grid's values where quotients coincide (14 of 25 pairs for c at
 the five half decades from 0.1 to 10 and sigma2 at the five decades from
 1e-3 to 10).
 The posterior mean reuses the best candidate's whitened data: one more
-factor, then one triangular solve and one product with U, O(n^2).  None
-of it depends on N.
+factor, then one triangular solve and one product with U = W diag(s),
+O(n^2).  None of it depends on N.
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional quasi-Newton refinement
@@ -89,8 +92,7 @@ from .errors import (
     _real_array,
 )
 from .grid import SamplingGrid
-from .kernels import SS1, WIENER, KernelSpec, _Chain
-from .structure import StructuredSqrt, sqrt_factor
+from .kernels import SS1, WIENER, KernelSpec, _Chain, _unit_triangle
 
 __all__ = [
     "EstimationProblem",
@@ -153,16 +155,28 @@ def toeplitz_regressor(u: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _DataStats:
-    """The data folded down to FIR order: all the estimator needs of Phi and y."""
+    """The data folded down to FIR order in the prior's unit-triangle coordinates: all the estimator needs.
 
-    gram: np.ndarray  # Phi'Phi
-    cross: np.ndarray  # Phi'y
+    The c = 1 prior's square root is U = W diag(s), with the unit triangle
+    W the same at every beta of the family on the grid, so W'Phi'Phi W and
+    W'Phi'y serve every beta: each scales them by its own s.
+    """
+
+    unit: np.ndarray  # W
+    gram: np.ndarray  # W'Phi'Phi W
+    cross: np.ndarray  # W'Phi'y
     yy: float  # y'y
     n_data: int
 
 
-def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
-    """Check the regression shapes, then form Phi'Phi, Phi'y and y'y: O(N n^2)."""
+def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid, family: str) -> _DataStats:
+    """Check the regression shapes, form Phi'Phi, Phi'y and y'y, O(N n^2), then W'Phi'Phi W and W'Phi'y, O(n^3).
+
+    W is the unit triangle of ``family`` on the grid.  Overflow in W'Phi'Phi W
+    or W'Phi'y, and a Wiener t1 = 0 (where W[0, 0] is NaN), are left to
+    each candidate: the first fails its system's finiteness check, the
+    second :func:`_whiten`, where that beta's square root fails.
+    """
     phi = _real_array(phi, "the regressor")
     y = _real_array(y, "y").reshape(-1)
     if phi.ndim != 2:
@@ -174,44 +188,35 @@ def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid) -> _DataStats:
     # A NaN or infinite entry, or an overflow, leaves a non-finite product:
     # one check after folding catches all three, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = _DataStats(gram=phi.T @ phi, cross=phi.T @ y, yy=float(y @ y), n_data=y.shape[0])
-    if not (np.all(np.isfinite(stats.gram)) and np.all(np.isfinite(stats.cross)) and math.isfinite(stats.yy)):
+        gram, cross, yy = phi.T @ phi, phi.T @ y, float(y @ y)
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross)) and math.isfinite(yy)):
         raise InvalidParameter("Phi'Phi, Phi'y or y'y is not finite: the regressor and y must be finite "
                                "and small enough for their products to stay in the float range")
-    return stats
+    w = _unit_triangle(family, grid.times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _DataStats(unit=w, gram=w.T @ gram @ w, cross=cross @ w, yy=yy, n_data=y.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
 class _Whitened:
-    """The folded data in the coordinates of the c = 1 prior's square root U = W diag(s).
+    """The folded data in the coordinates of the c = 1 prior's square root U = W diag(s) at one beta."""
 
-    W is the unit triangle of :meth:`StructuredSqrt.unit_triangle`, the
-    same at every beta, and s = inv_diag.  ``summed`` holds W'Phi'Phi W
-    and W'Phi'y, which a scan over beta forms once.
-    """
-
-    root: StructuredSqrt  # U
-    summed: Tuple[np.ndarray, np.ndarray]
+    chain: _Chain  # the c = 1 prior's chain, whose roots are s
+    scales: np.ndarray  # s
     gram: np.ndarray  # U'Phi'Phi U
     cross: np.ndarray  # U'Phi'y
 
 
-def _whiten(stats: _DataStats, family: str, beta: Optional[float], grid: SamplingGrid,
-            summed: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> _Whitened:
-    """Whiten the folded data by the closed-form square root of the c = 1 prior at ``beta``.
+def _whiten(stats: _DataStats, family: str, beta: Optional[float], grid: SamplingGrid) -> _Whitened:
+    """Whiten the folded data by the closed-form square root of the c = 1 prior at ``beta``: O(n^2).
 
-    O(n^2) given the ``summed`` data of any beta of the same family and
-    grid; O(n^3) without.
+    Raises SingularGram where that square root does not exist.
     """
-    root = sqrt_factor(KernelSpec(family=family, c=1.0, beta=beta), grid)
+    chain = _Chain(KernelSpec(family=family, c=1.0, beta=beta), grid.times)
+    s = chain.roots()
     # Overflow is reported per candidate, by the finiteness check of its system.
     with np.errstate(over="ignore", invalid="ignore"):
-        if summed is None:
-            w = root.unit_triangle()
-            summed = (w.T @ stats.gram @ w, stats.cross @ w)
-        gram, cross = summed
-        s = root.inv_diag
-        return _Whitened(root=root, summed=summed, gram=gram * s[:, None] * s, cross=cross * s)
+        return _Whitened(chain=chain, scales=s, gram=stats.gram * s[:, None] * s, cross=stats.cross * s)
 
 
 def _cholesky(stack: np.ndarray) -> np.ndarray:
@@ -310,9 +315,8 @@ def _log_mls(stats: _DataStats, white: _Whitened, lam: np.ndarray, sigma2: Optio
             v = (z @ row[:, :, None])[:, :, 0]
             keep -= np.ldexp(v * v, 2 * shift) / s2[:, None]  # minus w lam x_j^2
             weights = [np.ones(n)]
-            if white.root.spec.beta is not None:
-                chain = _Chain(white.root.spec, white.root.grid.times)
-                weights.append(2.0 * chain.beta * chain.root_slopes())
+            if white.chain.beta is not None:
+                weights.append(2.0 * white.chain.beta * white.chain.root_slopes())
             grads = -0.5 * keep @ np.array(weights).T
     ok &= (c >= _TINY) & (c <= _HUGE)
     lam, c, s2, values = lam.tolist(), c.tolist(), s2.tolist(), values.tolist()
@@ -338,7 +342,7 @@ def _posterior_mean(stats: _DataStats, white: _Whitened, lam: float) -> np.ndarr
     # exact zeros, so this is back substitution.
     v = np.linalg.solve(low[0, :-1, :-1].T, low[0, -1, :-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.ldexp((white.root.to_dense() @ v) * math.sqrt(lam), shift)
+        h = np.ldexp(((stats.unit * white.scales) @ v) * math.sqrt(lam), shift)
     if not np.all(np.isfinite(h)):
         raise InvalidParameter(f"the data are too large for lam = c / sigma2 = {lam!r}: "
                                "the posterior mean leaves the float range")
@@ -352,7 +356,7 @@ def posterior_mean(phi: np.ndarray, y: np.ndarray, sigma2: float, spec: KernelSp
     fails alike where that factor does; it also exists where y'y / sigma2
     overflows, and fails alone only where h leaves the float range.
     """
-    stats = _fold(phi, y, grid)
+    stats = _fold(phi, y, grid, spec.family)
     _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
     return _posterior_mean(stats, _whiten(stats, spec.family, spec.beta, grid), spec.c / float(sigma2))
 
@@ -363,7 +367,7 @@ def log_marginal_likelihood(phi: np.ndarray, y: np.ndarray, sigma2: float, spec:
     Every eigenvalue of M is at least 1, so no precision entry or
     separate ln det P enters, and no N x N matrix is ever formed.
     """
-    stats = _fold(phi, y, grid)
+    stats = _fold(phi, y, grid, spec.family)
     _check_positive(sigma2, "sigma2 must be finite and > 0, got {!r}")
     (result,) = _log_mls(stats, _whiten(stats, spec.family, spec.beta, grid),
                          np.array([spec.c / float(sigma2)]), float(sigma2))
@@ -477,28 +481,36 @@ def _bfgs(func, x: np.ndarray, maxiter: int) -> Tuple[int, bool, np.ndarray]:
     s'y / y'y first.
     It converges where the decrease the quadratic model promises, -g'p,
     is at most _FTOL, or where no step above _XTOL lowers the value; it
-    stops unconverged after ``maxiter`` iterations.  The best point is not
-    returned: the caller records what it evaluates.
+    stops unconverged after ``maxiter`` iterations, at once where the
+    start's value or gradient is not finite, and where the promised
+    decrease is not.  An update that leaves the inverse Hessian not
+    finite is skipped.  The best point is not returned: the caller
+    records what it evaluates.
     """
     value, grad = func(x)
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
+        return 0, False, grad
     inv_hess = np.eye(x.size)
     for nit in range(maxiter + 1):
-        step = -inv_hess @ grad
-        converged = not -(grad @ step) > _FTOL
-        if converged or nit == maxiter:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = -inv_hess @ grad
+            gain = -(grad @ step)
+        converged = math.isfinite(gain) and gain <= _FTOL
+        if converged or nit == maxiter or not math.isfinite(gain):
             return nit, converged, grad
         t = 1.0 / max(1.0, np.abs(step).max())
-        while not (trial := func(x + t * step))[0] <= value + 1e-4 * t * (grad @ step):
+        while not (trial := func(x + t * step))[0] <= value - 1e-4 * t * gain:
             t *= 0.5
             if not t * np.abs(step).max() > _XTOL:
                 return nit, True, grad
         s, y = t * step, trial[1] - grad
-        sy = s @ y
-        if sy > 0.0:
-            if nit == 0:
-                inv_hess *= sy / (y @ y)
-            v = np.eye(x.size) - np.outer(s, y) / sy
-            inv_hess = v @ inv_hess @ v.T + np.outer(s, s) / sy
+        with np.errstate(over="ignore", invalid="ignore"):
+            sy = s @ y
+            if sy > 0.0:
+                v = np.eye(x.size) - np.outer(s, y) / sy
+                update = v @ (inv_hess * (sy / (y @ y)) if nit == 0 else inv_hess) @ v.T + np.outer(s, s) / sy
+                if np.isfinite(update).all():
+                    inv_hess = update
         x, (value, grad) = x + s, trial
 
 
@@ -511,10 +523,11 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     grid (None: each entry at the best sigma2 for its lam), in ascending
     order; refinement then moves (log lam, log beta) by :func:`_bfgs`,
     each candidate with its gradient.  Wiener's beta axis is ``(None,)``
-    and its refinement moves log lam alone.  The data are
-    whitened once per beta, and all of a beta's grid candidates are
-    evaluated in one batch; a beta whose prior has no closed-form square
-    root fails every candidate at it.  The best entry is the trace's
+    and its refinement moves log lam alone.  ``stats`` are folded in the
+    unit triangle's coordinates once per fit; each batch whitens them at
+    its beta, O(n^2), and all of a beta's grid candidates are evaluated
+    in one batch; a beta whose prior has no closed-form square root fails
+    every candidate at it.  The best entry is the trace's
     first maximum, and its lam is the one evaluated, so the mean is taken
     where its likelihood was.  When every grid candidate fails, the error
     raised has the type of the last candidate error.
@@ -532,21 +545,15 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     trace: list = []
     n_failed = 0
     last_error = None
-    whitened: dict = {}  # the last beta's whitened data, or the error of its square root
-    summed = None
     best: list = []  # the best entry so far, its beta's whitened data and its lam
 
     def batch(beta: Optional[float], lam: list, gradient: bool = False) -> list:
         """Evaluate and record the candidates at beta and each lam; their results or errors."""
-        nonlocal summed, n_failed, last_error
-        if beta not in whitened:
-            whitened.clear()
-            try:
-                whitened[beta] = _whiten(stats, search.family, beta, grid, summed)
-                summed = whitened[beta].summed
-            except SingularGram as exc:
-                whitened[beta] = exc
-        white = whitened[beta]
+        nonlocal n_failed, last_error
+        try:
+            white = _whiten(stats, search.family, beta, grid)
+        except SingularGram as exc:
+            white = exc
         results = ([white] * len(lam) if isinstance(white, Exception)
                    else _log_mls(stats, white, np.array(lam), sigma2, gradient))
         for lam_k, result in zip(lam, results):
@@ -583,17 +590,19 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
 
         start = [best[2], best[0]["beta"]] if tune_beta else [best[2]]
         nit, converged, grad = _bfgs(func, np.log(start), search.refine_maxiter)
-        _log.debug("refinement: %s after %d iterations, max |gradient| %.3g",
-                   "converged" if converged else "stopped at the iteration cap", nit, np.abs(grad).max())
+        why = ("converged" if converged else "stopped at the iteration cap" if nit == search.refine_maxiter
+               else "stopped where a value, gradient or promised gain is not finite")
+        _log.debug("refinement: %s after %d iterations, max |gradient| %.3g", why, nit, np.abs(grad).max())
     return best[0], best[1], best[2], trace, n_failed
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
     """Tune hyperparameters, then compute the posterior-mean coefficients.
 
-    The data are folded and whitened as the tuner needs them; the mean
-    reuses the best candidate's whitened data, so it costs one more
-    bordered Cholesky and no whitening.  The tuner searches
+    The data are folded once, into the prior's unit-triangle coordinates,
+    and whitened at each beta the tuner evaluates; the mean reuses the
+    best candidate's whitened data, so it costs one more bordered
+    Cholesky and no whitening.  The tuner searches
     lam = c / sigma2 (module docstring) with sigma2 pinned when the
     problem fixes it and profiled out when not, where the sigma2 grid
     only seeds the values of lam.  The result's sigma2 is the fixed one or
@@ -610,7 +619,7 @@ def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) ->
     """
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
-    stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid)
+    stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid, search.family)
     best, white, lam, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
     spec = KernelSpec(family=search.family, c=best["c"], beta=best.get("beta"))
     return ImpulseResponseEstimate(

@@ -137,7 +137,9 @@ class _Chain:
     (beta*(t_{i+1} - t_i) < 2.2e-308, where it loses digits).
     ``order`` lists the grid from the vanishing end; ``rising`` is true
     when that end is t = 0.  Methods allocate at most one n-array each,
-    ``roots`` two: the closed forms run at n = 10^6.
+    ``roots`` two: the closed forms run at n = 10^6.  ``root_slopes``,
+    which only the estimator's gradient reads, at the FIR order, allocates
+    about eight.
 
     Read backward, from the last grid point down, the chain is one
     conditional law: point i given point i+1 is rho_i times it plus
@@ -243,16 +245,6 @@ class _Chain:
         with np.errstate(over="ignore"):
             return np.append(dt / (2.0 * np.expm1(self.beta * dt)), 0.0) - 0.5 * self.times
 
-    def unit_triangle(self) -> np.ndarray:
-        """W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for Wiener, exactly 1 for SS-1.
-
-        Taken as such, with no division by a clock that may underflow.
-        It depends on neither c nor beta.
-        """
-        if self.rising:
-            return np.triu(self.clock[:, None] / self.clock)
-        return np.triu(np.ones((self.times.size, self.times.size)))
-
     def scaled(self, phi):
         """c * phi for clock values phi, the Gram entries: Wiener c * t can overflow where each c * delta does not."""
         with np.errstate(over="ignore"):
@@ -262,14 +254,29 @@ class _Chain:
 
     def log_det(self) -> float:
         """The sum of ln(c * delta) = ln(c * rel) + log_scale, finite where delta underflows."""
-        logs = self.c * self.rel
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            logs = self.c * self.rel
             np.log(logs, out=logs)
-        logs += self.log_scale
-        with np.errstate(over="ignore"):
+            logs += self.log_scale
             total = logs.sum()
         return float(_regular(total, -math.inf, "a chain increment c*delta is zero or not finite (Wiener needs "
                                                 "t1 > 0), or the sum of their logs leaves the float range"))
+
+
+def _unit_triangle(family: str, times: np.ndarray) -> np.ndarray:
+    """The unit upper triangle W of the square root U = W diag(roots) of a kernel's Gram matrix on ``times``.
+
+    W[i, j] = min(phi_i, phi_j) / phi_j for i <= j: t_i / t_j for Wiener,
+    exactly 1 for SS-1.  It depends on neither c nor beta, so those move
+    only the column scales.  Only the ratios with i <= j are formed: one
+    below the diagonal can overflow.  At a Wiener t1 = 0, W[0, 0] is
+    0/0, NaN, with no warning; the roots fail there.
+    """
+    w = np.triu(np.ones((times.size, times.size)))
+    if family == WIENER:
+        with np.errstate(invalid="ignore"):
+            np.divide(times[:, None], times, out=w, where=w > 0.0)
+    return w
 
 
 def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:

@@ -173,7 +173,7 @@ class ConstraintAuditReport:
 
 def _z_score(deviation: float, se: float) -> float:
     if se == 0.0:
-        return 0.0 if deviation == 0.0 else math.inf
+        return 0.0 if deviation == 0.0 else math.copysign(math.inf, deviation)
     return deviation / se
 
 

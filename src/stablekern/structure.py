@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, _real_array
 from .grid import SamplingGrid
-from .kernels import KernelSpec, _Chain
+from .kernels import KernelSpec, _Chain, _unit_triangle
 
 __all__ = [
     "TridiagonalMatrix",
@@ -119,7 +119,7 @@ class StructuredSqrt:
         Wiener, exactly 1 for SS-1.  It depends on neither c nor beta, so
         those move only the column scales inv_diag.
         """
-        return _Chain(self.spec, self.grid.times).unit_triangle()
+        return _unit_triangle(self.spec.family, self.grid.times)
 
     def to_dense(self) -> np.ndarray:
         return self.unit_triangle() * self.inv_diag

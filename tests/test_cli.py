@@ -148,6 +148,25 @@ class TestStructureCommands:
         u = sqrt_factor(KernelSpec(family=SS1, c=1.0, beta=LN2), uniform_grid(4, 1.0, 1.0))
         np.testing.assert_array_equal(via_factor, u.to_dense())
 
+    @pytest.mark.filterwarnings("error")
+    def test_factor_sqrt_where_wiener_ratios_overflow_below_the_diagonal(self, tmp_path, wiener_kernel, capsys):
+        grid_file = tmp_path / "g.txt"
+        grid_file.write_text("1e-300\n1.0\n1e300\n")
+        assert run(["factor", "--kernel", wiener_kernel, "--grid", str(grid_file), "--which", "sqrt"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        np.testing.assert_array_equal(rows, sqrt_factor(KernelSpec(family=WIENER, c=1.0),
+                                                        make_grid([1e-300, 1.0, 1e300])).to_dense())
+
+    @pytest.mark.filterwarnings("error")
+    def test_logdet_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        kernel = tmp_path / "big.json"
+        kernel.write_text(json.dumps({"family": WIENER, "c": 1e300}))
+        assert run(["logdet", "--kernel", str(kernel), "--uniform", "2,1e10,1e10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR SingularGram:")
+        assert captured.err.count("\n") == 1
+
 
 class TestSample:
     def test_deterministic_and_documented(self, tmp_path, wiener_kernel):
@@ -284,6 +303,14 @@ class TestMaxentAudit:
         assert captured.err.startswith("ERROR InvalidParameter:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_grid_spanning_the_float_range(self, tmp_path, wiener_kernel, capsys):
+        grid_file = tmp_path / "g.txt"
+        grid_file.write_text("1e-300\n1.0\n1e300\n")
+        assert run(["maxent-audit", "--kernel", wiener_kernel, "--grid", str(grid_file), "--trials", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["increments"]["dominance"] is True
+
 
 class TestFit:
     def write_problem(self, tmp_path, n_data=40, order=5, seed=0):
@@ -374,6 +401,24 @@ class TestFit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ERROR InvalidParameter: u and y must be finite\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_fixed_sigma2_beyond_the_exp_range_keeps_the_grid_optimum(self, tmp_path, capsys):
+        # lam = 1 / 1e-305 has |ln lam| > 700: refinement cannot start, and the grid optimum stands.
+        rng = np.random.default_rng(0)
+        u, y = 1e-5 * rng.standard_normal(20), 1e-5 * rng.standard_normal(20)
+        data = tmp_path / "uy.csv"
+        data.write_text("u,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(u.tolist(), y.tolist())))
+        search_file = tmp_path / "search.json"
+        search_file.write_text(json.dumps({"c": {"min": 1.0, "max": 1.0, "num": 1}}))
+        code = run(["fit", "--data", str(data), "--order", "2", "--kernel-family", WIENER,
+                    "--search", str(search_file), "--sigma2", "1e-305"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        grid_only = fit(EstimationProblem(u=u, y=y, order=2, sigma2=1e-305), uniform_grid(2, 1.0, 1.0),
+                        SearchConfig(family=WIENER, c_grid=(1.0,), refine=False))
+        assert payload["log_ml"] == grid_only.log_ml
+        np.testing.assert_array_equal(payload["coefficients"], grid_only.coefficients)
 
     def test_bad_header(self, tmp_path, capsys):
         data, search_file, *_ , order = self.write_problem(tmp_path)

@@ -488,7 +488,7 @@ class TestFit:
         u = np.zeros(5)
         u[0] = 1.0
         phi, y, grid = toeplitz_regressor(u, 5), np.array([1.0, -2.0, 3.0, 0.5, 1.5]), uniform_grid(5, 1.0, 1.0)
-        stats = stablekern.estimator._fold(phi, y, grid)
+        stats = stablekern.estimator._fold(phi, y, grid, WIENER)
         lams = [10.0 ** k for k in range(0, 32, 2)]
         results = stablekern.estimator._log_mls(stats, stablekern.estimator._whiten(stats, WIENER, None, grid),
                                                 np.array(lams))
@@ -729,7 +729,7 @@ class TestBatchedEvaluation:
         rng = np.random.default_rng(25)
         for family in (WIENER, SS1):
             phi, y, _, spec, grid = make_instance(rng, family, 80, 9)
-            stats = stablekern.estimator._fold(phi, y, grid)
+            stats = stablekern.estimator._fold(phi, y, grid, family)
             white = stablekern.estimator._whiten(stats, family, spec.beta, grid)
             # The last candidate's system overflows: it fails alone, in the batch or not.
             c = np.array([0.1, 1.0, 10.0, 3.0])
@@ -753,23 +753,27 @@ class TestBatchedEvaluation:
         assert np.all(np.isnan(low[1]))
         np.testing.assert_array_equal(low[2], np.diag([3.0, 1.0, 2.0]))
 
-    def test_whitening_at_another_beta_is_bit_identical(self):
-        # W'Phi'Phi W is the same at every beta, so reusing it changes no bit.
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_whitening_at_another_beta_is_bit_identical(self, family):
+        # W'Phi'Phi W is the same at every beta: the folded data are it, bit for
+        # bit, and each beta's whitened data are them scaled by its own roots.
         rng = np.random.default_rng(26)
-        phi, y, _, _, grid = make_instance(rng, SS1, 60, 7)
-        stats = stablekern.estimator._fold(phi, y, grid)
-        summed = stablekern.estimator._whiten(stats, SS1, 0.9, grid).summed
-        for beta in (0.05, 0.3, 2.0):
-            fresh = stablekern.estimator._whiten(stats, SS1, beta, grid)
-            reused = stablekern.estimator._whiten(stats, SS1, beta, grid, summed)
-            np.testing.assert_array_equal(fresh.gram, reused.gram)
-            np.testing.assert_array_equal(fresh.cross, reused.cross)
+        phi, y, _, _, grid = make_instance(rng, family, 60, 7)
+        stats = stablekern.estimator._fold(phi, y, grid, family)
+        for beta in ((0.05, 0.3, 2.0) if family == SS1 else (None,)):
+            root = sqrt_factor(KernelSpec(family=family, c=1.0, beta=beta), grid)
+            w, s = root.unit_triangle(), root.inv_diag
+            np.testing.assert_array_equal(stats.gram, w.T @ (phi.T @ phi) @ w)
+            np.testing.assert_array_equal(stats.cross, (phi.T @ y) @ w)
+            white = stablekern.estimator._whiten(stats, family, beta, grid)
+            np.testing.assert_array_equal(white.gram, stats.gram * s[:, None] * s)
+            np.testing.assert_array_equal(white.cross, stats.cross * s)
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
     def test_whitened_gram_is_the_congruence_by_the_square_root(self, family):
         rng = np.random.default_rng(27)
         phi, y, _, spec, grid = make_instance(rng, family, 50, 8)
-        stats = stablekern.estimator._fold(phi, y, grid)
+        stats = stablekern.estimator._fold(phi, y, grid, family)
         white = stablekern.estimator._whiten(stats, family, spec.beta, grid)
         root = sqrt_factor(KernelSpec(family=family, c=1.0, beta=spec.beta), grid).to_dense()
         np.testing.assert_allclose(white.gram, root.T @ (phi.T @ phi) @ root, rtol=1e-12, atol=0.0)
@@ -779,9 +783,9 @@ class TestBatchedEvaluation:
         calls = []
         whiten = stablekern.estimator._whiten
 
-        def counting(stats, family, beta, grid, summed=None):
+        def counting(stats, family, beta, grid):
             calls.append(beta)
-            return whiten(stats, family, beta, grid, summed)
+            return whiten(stats, family, beta, grid)
 
         monkeypatch.setattr(stablekern.estimator, "_whiten", counting)
         return calls
@@ -831,13 +835,35 @@ class TestBatchedEvaluation:
                 assert entry["c"] / entry["sigma2"] == pytest.approx(lam, rel=1e-15)
                 assert prob.sigma2 is None or entry["sigma2"] == sigma2
 
-    def test_wiener_fit_whitens_once_in_all(self, monkeypatch):
+    def test_fit_folds_once_in_all(self, monkeypatch):
+        # W'Phi'Phi W is formed once per fit, refinement included: one unit triangle.
         problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
-        calls = self.count_whitenings(monkeypatch)
-        search = SearchConfig(family=WIENER, c_grid=(c, 2 * c), sigma2_grid=(sigma2, 4 * sigma2), refine=True)
-        est = fit(problem, grid, search)
-        assert est.diagnostics["n_evaluations"] > 4
-        assert calls == [None]
+        calls = []
+        unit_triangle = stablekern.estimator._unit_triangle
+
+        def counting(family, times):
+            calls.append(family)
+            return unit_triangle(family, times)
+
+        monkeypatch.setattr(stablekern.estimator, "_unit_triangle", counting)
+        for family in (WIENER, SS1):
+            calls.clear()
+            search = SearchConfig(family=family, c_grid=(c, 2 * c), beta_grid=(beta, 2 * beta),
+                                  sigma2_grid=(sigma2, 4 * sigma2), refine=True)
+            est = fit(problem, grid, search)
+            assert est.diagnostics["n_evaluations"] > 4
+            assert calls == [family]
+
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_zero_start_fails_every_candidate_silently(self):
+        # The unit triangle's W[0, 0] = 0/0 is folded in with no warning; the square root then fails.
+        rng = np.random.default_rng(5)
+        u, y, grid = rng.standard_normal(30), rng.standard_normal(30), make_grid([0.0, 1.0, 2.0])
+        with pytest.raises(errors.SingularGram):
+            log_marginal_likelihood(toeplitz_regressor(u, 3), y, 1.0, KernelSpec(family=WIENER, c=1.0), grid)
+        with pytest.raises(errors.SingularGram):
+            fit(EstimationProblem(u=u, y=y, order=3), grid, SearchConfig(family=WIENER, c_grid=(1.0,),
+                                                                      sigma2_grid=(1.0,)))
 
     def test_failed_beta_fails_each_of_its_candidates(self):
         rng = np.random.default_rng(3)
@@ -876,7 +902,7 @@ class TestLikelihoodGradient:
         for _ in range(5):
             n_data = int(rng.integers(8, 40))
             phi, y, sigma2, spec, grid = make_instance(rng, family, n_data, int(rng.integers(1, 9)))
-            stats = stablekern.estimator._fold(phi, y, grid)
+            stats = stablekern.estimator._fold(phi, y, grid, family)
             white = stablekern.estimator._whiten(stats, family, spec.beta, grid)
             (result,) = stablekern.estimator._log_mls(stats, white, np.array([spec.c / sigma2]),
                                                       sigma2 if fixed_sigma2 else None, gradient=True)
@@ -924,6 +950,60 @@ class TestTunerLog:
         fit(problem, grid, SearchConfig(family=SS1, c_grid=(c,), beta_grid=(beta,), sigma2_grid=(sigma2,),
                                         refine_maxiter=15))
         assert capsys.readouterr() == ("", "")
+
+
+class TestRefinementGuards:
+    """Refinement stops, or skips an update, where a value, gradient or update is not finite; no numpy warning."""
+
+    @staticmethod
+    def refined_and_grid_only(problem, grid, search, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="stablekern"):
+            est = fit(problem, grid, search)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refinement: ")]
+        return est, fit(problem, grid, SearchConfig(**{**vars(search), "refine": False})), line
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_start_outside_the_exp_range_keeps_the_grid_optimum(self, family, caplog):
+        # The best grid lam = 1 / 1e-305 has |ln lam| > 700: the start has no gradient.
+        rng = np.random.default_rng(0)
+        u, y = 1e-5 * rng.standard_normal(20), 1e-5 * rng.standard_normal(20)
+        search = SearchConfig(family, (1.0,), (0.5,) if family == SS1 else None)
+        problem = EstimationProblem(u=u, y=y, order=2, sigma2=1e-305)
+        est, grid_only, line = self.refined_and_grid_only(problem, uniform_grid(2, 1.0, 1.0), search, caplog)
+        assert line.startswith("refinement: stopped where a value, gradient or promised gain is not finite "
+                               "after 0 iterations")
+        assert est.log_ml == grid_only.log_ml == pytest.approx(-4.8556e295, rel=1e-4)
+        np.testing.assert_array_equal(est.coefficients, grid_only.coefficients)
+        assert est.diagnostics["trace"] == grid_only.diagnostics["trace"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    def test_overflowing_promised_gain_stops_unconverged(self, family, caplog):
+        rng = np.random.default_rng(0)
+        u, y = rng.standard_normal(20), 1e150 * rng.standard_normal(20)
+        search = SearchConfig(family, (1.0,), (1.0,) if family == SS1 else None)
+        problem = EstimationProblem(u=u, y=y, order=2, sigma2=1.0)
+        est, grid_only, line = self.refined_and_grid_only(problem, uniform_grid(2, 1.0, 1.0), search, caplog)
+        assert line.startswith("refinement: stopped where a value, gradient or promised gain is not finite "
+                               "after 0 iterations")
+        assert est.log_ml == grid_only.log_ml
+        np.testing.assert_array_equal(est.coefficients, grid_only.coefficients)
+
+    @pytest.mark.filterwarnings("error")
+    def test_update_that_is_not_finite_is_skipped(self, caplog):
+        u = np.array([5.534954039741073e125, -9.390311214896414e125, -2.1790570282463746e125,
+                      1.888101176575052e125, 6.5436304626193124e125])
+        y = np.array([3.9744599975051234e-63, -2.195164070236884e-63, 9.807737015906604e-63,
+                      -4.190904069518385e-63, -6.084682938882271e-63])
+        search = SearchConfig(SS1, c_grid=(5.366265404241184e-26, 1.00227001318658e-10),
+                              beta_grid=(36.60611934230142, 410.8410990753663),
+                              sigma2_grid=(7.707812877476542e49, 5.72254608020666e123), refine_maxiter=20)
+        est, grid_only, _ = self.refined_and_grid_only(EstimationProblem(u=u, y=y, order=2),
+                                                       make_grid([0.0, 16.456516904743648]), search, caplog)
+        assert est.log_ml >= grid_only.log_ml
+        assert np.all(np.isfinite(est.coefficients))
 
 
 class TestOneDomain:

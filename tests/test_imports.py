@@ -2,9 +2,10 @@
 private module-level name is read somewhere in the package, every name a
 module exports exists, the package exports exactly the modules' names,
 no library module reaches into numpy's private modules or names or
-imports scipy, only the chain core reads the chain's kernel family, and
+imports scipy, only the chain core reads the chain's kernel family,
 only the likelihood evaluator and the posterior mean factor the
-estimator's bordered system.
+estimator's bordered system, and the estimator imports nothing from
+``structure`` and builds a chain only in its whitening.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -103,13 +104,22 @@ def test_no_private_numpy(path):
 
 
 def imports_of(source: str, package: str):
-    """Lines of the ``import`` statements, at any depth, that name ``package`` or a submodule of it."""
+    """Lines of the ``import`` statements, at any depth, that name ``package`` or a submodule of it.
+
+    A relative import is read from inside ``stablekern``: ``from .structure
+    import x`` and ``from . import structure`` both name ``stablekern.structure``.
+    """
     def named(dotted):
         return dotted == package or dotted.startswith(package + ".")
 
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        base = ".".join(filter(None, ["stablekern" if node.level else None, node.module]))
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if (isinstance(node, ast.Import) and any(named(alias.name) for alias in node.names))
-                   or (isinstance(node, ast.ImportFrom) and node.level == 0 and named(node.module))})
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and any(map(named, modules(node)))})
 
 
 def test_scan_finds_a_scipy_import():
@@ -123,6 +133,20 @@ def test_scan_finds_a_scipy_import():
 def test_no_scipy_import(path):
     # The runtime needs numpy only; scipy is a test extra.
     assert imports_of(path.read_text(encoding="utf-8"), "scipy") == []
+
+
+def test_scan_finds_an_import_of_a_package_module():
+    source = ("from .structure import sqrt_factor\nfrom . import structure as st\nimport stablekern.structure\n"
+              "def f():\n    from stablekern.structure import StructuredSqrt\n    return StructuredSqrt\n"
+              "from stablekern import structure\nfrom .kernels import _Chain\nfrom .structures import x\n"
+              "from . import kernels\nstructure = 'structure'\n")
+    assert imports_of(source, "stablekern.structure") == [1, 2, 3, 5, 7]
+
+
+def test_estimator_does_not_import_the_structure_module():
+    # The estimator whitens by the chain itself: the square root's triangle
+    # is folded into the data once, and each beta only scales by its roots.
+    assert imports_of(pathlib.Path(estimator.__file__).read_text(encoding="utf-8"), "stablekern.structure") == []
 
 
 def attribute_reads(source: str, attr: str):
@@ -143,10 +167,10 @@ def test_only_the_chain_reads_the_family():
     assert [p.name for p in SOURCES if attribute_reads(p.read_text(encoding="utf-8"), "rising")] == ["kernels.py"]
 
 
-def readers(source: str, name: str):
-    """Names of the functions that read ``name`` (``name``, ``name(...)``, ``x.name``); ``<module>`` outside any.
+def _owners(source: str, hit):
+    """Names of the functions holding a node for which ``hit`` is true; ``<module>`` outside any.
 
-    A read belongs to the innermost function around it.
+    A node belongs to the innermost function around it.
     """
     found = set()
 
@@ -155,13 +179,28 @@ def readers(source: str, name: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if ((isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load))
-                    or (isinstance(child, ast.Attribute) and child.attr == name and isinstance(child.ctx, ast.Load))):
+            if hit(child):
                 found.add(owner)
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def _reads(node, name: str) -> bool:
+    """Whether node reads ``name`` as a bare name or an attribute."""
+    return ((isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+            ) and isinstance(node.ctx, ast.Load)
+
+
+def readers(source: str, name: str):
+    """Names of the functions that read ``name`` (``name``, ``name(...)``, ``x.name``); ``<module>`` outside any."""
+    return _owners(source, lambda node: _reads(node, name))
+
+
+def callers(source: str, name: str):
+    """Names of the functions that call ``name`` (``name(...)``, ``x.name(...)``); ``<module>`` outside any."""
+    return _owners(source, lambda node: isinstance(node, ast.Call) and _reads(node.func, name))
 
 
 def test_scan_finds_the_readers_of_a_name():
@@ -174,6 +213,21 @@ def test_scan_finds_the_readers_of_a_name():
     assert readers(source, "_bordered") == ["<module>", "a", "c", "inner"]
 
 
+def test_scan_finds_the_callers_of_a_name():
+    source = ("class _W:\n    chain: _Chain\n"
+              "def a(spec, t):\n    return _Chain(spec, t).roots()\n"
+              "def b():\n    def inner():\n        return kernels._Chain(1, 2)\n    return inner\n"
+              "def c(white: _Chain):\n    f = _Chain\n    return white.chain.roots(), f\n"
+              "x = _Chain(3, 4)\n")
+    assert callers(source, "_Chain") == ["<module>", "a", "inner"]
+
+
+def test_only_the_whitening_builds_a_chain_in_the_estimator():
+    # One chain per beta, kept with its whitened data: the gradient's slopes
+    # and the posterior mean read that chain instead of building another.
+    assert callers(pathlib.Path(estimator.__file__).read_text(encoding="utf-8"), "_Chain") == ["_whiten"]
+
+
 def test_only_the_evaluators_factor_the_bordered_system():
     # The tuner's fixed and free noise variance share one evaluator; a second
     # caller of the bordered factor would be a second path.
@@ -183,6 +237,7 @@ def test_only_the_evaluators_factor_the_bordered_system():
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Optional\nx: List[int] = []\n") == [
         (1, "os"), (2, "Optional")]
+
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

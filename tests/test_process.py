@@ -265,6 +265,16 @@ class TestAudit:
             report = audit_constraints(ps, KernelSpec(family=WIENER, c=1.7e298))
         assert [c.variance_target for c in report.checks] == [1.7e308, 1.7e308]
 
+    def test_zero_standard_error_keeps_the_sign(self):
+        # Wiener t1 = 0: the first increment's target variance, so its standard error, is 0.
+        paths = np.random.default_rng(0).standard_normal((200, 3))
+        paths[:, 0] = -1.0
+        report = audit_constraints(PathSet(grid=make_grid([0.0, 1.0, 2.0]), paths=paths),
+                                   KernelSpec(family=WIENER, c=1.0))
+        first = report.checks[0]
+        assert (first.mean, first.mean_se, first.mean_z) == (-1.0, 0.0, -math.inf)
+        assert first.flagged and report.max_abs_z == math.inf
+
     def test_report_to_dict(self):
         ps = sample_wiener(GRID, c=1.0, seed=0, p=200)
         d = audit_constraints(ps, KernelSpec(family=WIENER, c=1.0)).to_dict()

@@ -14,6 +14,7 @@ from stablekern import (
     closed_form_inverse,
     errors,
     gram,
+    increment_constrained_entropy_test,
     kernel_eval,
     log_det,
     make_grid,
@@ -234,6 +235,25 @@ class TestErrors:
         for op in (closed_form_inverse, log_det, precision_factor, sqrt_factor):
             with pytest.raises(errors.SingularGram):
                 op(W_SPEC, g)
+
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_unit_triangle_forms_only_its_upper_ratios(self):
+        # Below the diagonal t_i / t_j reaches 1e300 / 1e-300, past the float range.
+        times = [1e-300, 1.0, 1e300]
+        g = make_grid(times)
+        root = sqrt_factor(W_SPEC, g)
+        want = np.array([[times[i] / times[j] if i <= j else 0.0 for j in range(3)] for i in range(3)])
+        np.testing.assert_array_equal(root.unit_triangle(), want)
+        np.testing.assert_array_equal(root.to_dense(), want * root.inv_diag)
+        assert increment_constrained_entropy_test(W_SPEC, g, 0, 5).dominance
+
+    @pytest.mark.filterwarnings("error")
+    def test_wiener_log_det_where_c_delta_overflows(self):
+        # c * delta_1 = 1e300 * 1e10: the typed error of gram, and no numpy warning.
+        spec, g = KernelSpec(family=WIENER, c=1e300), make_grid([1e10])
+        for op in (log_det, gram):
+            with pytest.raises(errors.SingularGram):
+                op(spec, g)
 
     @pytest.mark.filterwarnings("error")
     def test_ss1_inverse_beyond_the_float_range(self):
