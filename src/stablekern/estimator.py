@@ -24,10 +24,11 @@ q = y'y - lam b'M^{-1}b, the log likelihood
 sigma2* = q / N, where it is -(N (ln 2 pi + 1) + ln det M + N ln sigma2*) / 2.
 
 Cost model: the data enter only through Phi'Phi, Phi'y, y'y and N.  A
-``fit`` builds Phi once and folds the data into these statistics once,
-in O(N n^2), and moves them into the coordinates of the unit triangle
-W of U = W diag(s), which depends on the family and the grid alone:
-W'Phi'Phi W and W'Phi'y, O(n^3), once per fit.  Whitening at a beta
+``fit`` folds the data into these statistics once, O(N n) from lag
+products of u and y; no N x n matrix (O(N + n^2) memory).  It moves them
+into the coordinates of the unit triangle W of U = W diag(s), which
+depends on the family and the grid alone: W'Phi'Phi W and W'Phi'y,
+O(n^3), once per fit.  Whitening at a beta
 scales them by that beta's column scales s, O(n^2), and keeps the chain
 that gave s, which the gradient and the mean read; all of one beta's
 grid candidates then go through one batched Cholesky, O(n^3) each.  A candidate is a distinct
@@ -38,7 +39,9 @@ the five half decades from 0.1 to 10 and sigma2 at the five decades from
 1e-3 to 10).
 The posterior mean reuses the best candidate's whitened data: one more
 factor, then one triangular solve and one product with U = W diag(s),
-O(n^2).  None of it depends on N.
+O(n^2).  None of it depends on N.  The public :func:`log_marginal_likelihood`
+and :func:`posterior_mean` take any regressor and fold it by products,
+O(N n^2).
 
 Hyperparameters are tuned by maximizing the log marginal likelihood
 over a log-spaced grid followed by an optional quasi-Newton refinement
@@ -62,8 +65,10 @@ reported optimum is the best of every candidate evaluated, so it can
 never fall below a grid point: each grid pair's lam is scanned, at its
 best sigma2 when that is free.
 
-Like the rest of the package, the module needs numpy only: Phi is a
-strided view of the zero-padded input, the mean's triangular solve is
+Like the rest of the package, the module needs numpy only: the lag
+products are one correlation and a cumulative sum,
+:func:`toeplitz_regressor` is a strided view of the zero-padded input, the
+mean's triangular solve is
 numpy's LU of a triangle (no pivoting, exact zero multipliers), as is
 the gradient's inverse of the factor, and the refinement is BFGS,
 :func:`_bfgs`.
@@ -74,6 +79,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -159,7 +165,8 @@ class _DataStats:
 
     The c = 1 prior's square root is U = W diag(s), with the unit triangle
     W the same at every beta of the family on the grid, so W'Phi'Phi W and
-    W'Phi'y serve every beta: each scales them by its own s.
+    W'Phi'y serve every beta: each scales them by its own s.  ``fit``
+    forms them in O(N n) from lag products; no N x n matrix.
     """
 
     unit: np.ndarray  # W
@@ -169,14 +176,29 @@ class _DataStats:
     n_data: int
 
 
-def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid, family: str) -> _DataStats:
-    """Check the regression shapes, form Phi'Phi, Phi'y and y'y, O(N n^2), then W'Phi'Phi W and W'Phi'y, O(n^3).
+def _in_unit_coordinates(gram: np.ndarray, cross: np.ndarray, y: np.ndarray, grid: SamplingGrid,
+                         family: str) -> _DataStats:
+    """Check that Phi'Phi, Phi'y and y'y are finite, then form W'Phi'Phi W and W'Phi'y, O(n^3).
 
     W is the unit triangle of ``family`` on the grid.  Overflow in W'Phi'Phi W
     or W'Phi'y, and a Wiener t1 = 0 (where W[0, 0] is NaN), are left to
     each candidate: the first fails its system's finiteness check, the
     second :func:`_whiten`, where that beta's square root fails.
     """
+    # A NaN or infinite entry, or an overflow, leaves a non-finite product:
+    # one check after folding catches all three, with no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        yy = float(y @ y)
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross)) and math.isfinite(yy)):
+        raise InvalidParameter("Phi'Phi, Phi'y or y'y is not finite: the regressor and y must be finite "
+                               "and small enough for their products to stay in the float range")
+    w = _unit_triangle(family, grid.times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _DataStats(unit=w, gram=w.T @ gram @ w, cross=cross @ w, yy=yy, n_data=y.shape[0])
+
+
+def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid, family: str) -> _DataStats:
+    """Check the regression shapes and fold any regressor: Phi'Phi and Phi'y by products, O(N n^2)."""
     phi = _real_array(phi, "the regressor")
     y = _real_array(y, "y").reshape(-1)
     if phi.ndim != 2:
@@ -185,16 +207,38 @@ def _fold(phi: np.ndarray, y: np.ndarray, grid: SamplingGrid, family: str) -> _D
         raise DimensionMismatch(f"y must have length {phi.shape[0]}, got shape {y.shape}")
     if grid.n != phi.shape[1]:
         raise DimensionMismatch(f"grid has {grid.n} points but regressor has {phi.shape[1]} columns")
-    # A NaN or infinite entry, or an overflow, leaves a non-finite product:
-    # one check after folding catches all three, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, cross, yy = phi.T @ phi, phi.T @ y, float(y @ y)
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(cross)) and math.isfinite(yy)):
-        raise InvalidParameter("Phi'Phi, Phi'y or y'y is not finite: the regressor and y must be finite "
-                               "and small enough for their products to stay in the float range")
-    w = _unit_triangle(family, grid.times)
+        return _in_unit_coordinates(phi.T @ phi, phi.T @ y, y, grid, family)
+
+
+def _lag_sums(u: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """Row p, column m: the sum of u_i x_{i+m} over i <= N - order + p, x zero past its end; O(N n).
+
+    Row 0 is one correlation over the first N - order + 1 inputs; each later
+    row adds the product of one more of the last order - 1 inputs.  So every
+    entry is a sum of its own terms, with no cancellation against the
+    products of a longer sum.
+    """
+    start = u.shape[0] - order + 1
+    ahead = np.lib.stride_tricks.sliding_window_view(np.concatenate([x[start:], np.zeros(order)]), order)
+    return np.cumsum(np.vstack([np.correlate(x, u[:start], "valid"), u[start:, None] * ahead[: order - 1]]), axis=0)
+
+
+def _fold_lags(u: np.ndarray, y: np.ndarray, grid: SamplingGrid, family: str) -> _DataStats:
+    """Fold an FIR problem's data, O(N n) from lag products; no N x n matrix.
+
+    With Phi the Toeplitz regressor of ``u`` at the grid's order n,
+    Phi'Phi[j, l] sums u_i u_{i+|j-l|} and Phi'y[j] sums u_i y_{i+j}, over
+    i <= N - 1 - max(j, l) and i <= N - 1 - j: rows n - 1 - max(j, l) and
+    n - 1 - j of :func:`_lag_sums`.  ``u`` and ``y`` are an
+    :class:`EstimationProblem`'s, whose shapes and order it checked.
+    """
+    n = grid.n
+    k = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _DataStats(unit=w, gram=w.T @ gram @ w, cross=cross @ w, yy=yy, n_data=y.shape[0])
+        lags, cross = _lag_sums(u, u, n), _lag_sums(u, y, n)[n - 1 - k, k]
+        gram = lags[n - 1 - np.maximum.outer(k, k), np.abs(np.subtract.outer(k, k))]
+        return _in_unit_coordinates(gram, cross, y, grid, family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,7 +559,8 @@ def _bfgs(func, x: np.ndarray, maxiter: int) -> Tuple[int, bool, np.ndarray]:
 
 
 def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: Optional[float]):
-    """Best trace entry, its beta's whitened data and lam, the trace of every candidate evaluated, and the failure count.
+    """Best trace entry, its beta's whitened data and lam, the trace of every candidate evaluated, the failure count,
+    and the ``time.perf_counter()`` reading at the end of the grid scan.
 
     The bordered system depends on beta and lam = c / sigma2 alone, so
     there is one scan: beta in grid order and, at each, the distinct lam
@@ -576,6 +621,7 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
     if not trace:
         raise type(last_error)("no search candidate produced a finite log marginal likelihood; "
                                f"last failure: {last_error}")
+    scanned = time.perf_counter()
 
     if search.refine:
         def func(theta: np.ndarray):
@@ -593,14 +639,15 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
         why = ("converged" if converged else "stopped at the iteration cap" if nit == search.refine_maxiter
                else "stopped where a value, gradient or promised gain is not finite")
         _log.debug("refinement: %s after %d iterations, max |gradient| %.3g", why, nit, np.abs(grad).max())
-    return best[0], best[1], best[2], trace, n_failed
+    return best[0], best[1], best[2], trace, n_failed, scanned
 
 
 def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) -> ImpulseResponseEstimate:
     """Tune hyperparameters, then compute the posterior-mean coefficients.
 
-    The data are folded once, into the prior's unit-triangle coordinates,
-    and whitened at each beta the tuner evaluates; the mean reuses the
+    The data are folded once, O(N n) from lag products of u and y with no
+    N x n matrix, into the prior's unit-triangle coordinates, and whitened
+    at each beta the tuner evaluates; the mean reuses the
     best candidate's whitened data, so it costs one more bordered
     Cholesky and no whitening.  The tuner searches
     lam = c / sigma2 (module docstring) with sigma2 pinned when the
@@ -615,15 +662,23 @@ def fit(problem: EstimationProblem, grid: SamplingGrid, search: SearchConfig) ->
     singular, whose c was not a positive normal float, or whose best
     sigma2 was not a normal float above its rounding-error bound (y zero,
     or fitted to rounding).  If every grid candidate fails, the error of
-    the last one is raised.
+    the last one is raised.  At DEBUG, the ``stablekern.estimator`` logger
+    gets one line with N, n and the wall time of each stage: fold, grid
+    scan, refinement and mean.
     """
     if grid.n != problem.order:
         raise DimensionMismatch(f"grid has {grid.n} points but the FIR order is {problem.order}")
-    stats = _fold(toeplitz_regressor(problem.u, problem.order), problem.y, grid, search.family)
-    best, white, lam, trace, n_failed = _tune(stats, grid, search, problem.sigma2)
+    start = time.perf_counter()
+    stats = _fold_lags(problem.u, problem.y, grid, search.family)
+    folded = time.perf_counter()
+    best, white, lam, trace, n_failed, scanned = _tune(stats, grid, search, problem.sigma2)
+    tuned = time.perf_counter()
+    coefficients = _posterior_mean(stats, white, lam)
+    _log.debug("fit N=%d n=%d: fold %.3f ms, grid scan %.3f ms, refinement %.3f ms, mean %.3f ms", stats.n_data,
+               grid.n, *1e3 * np.diff([start, folded, scanned, tuned, time.perf_counter()]))
     spec = KernelSpec(family=search.family, c=best["c"], beta=best.get("beta"))
     return ImpulseResponseEstimate(
-        coefficients=_posterior_mean(stats, white, lam),
+        coefficients=coefficients,
         spec=spec,
         sigma2=best["sigma2"],
         log_ml=best["log_ml"],

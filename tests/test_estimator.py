@@ -1,6 +1,9 @@
 import logging
 import math
+import re
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -576,6 +579,114 @@ class TestFit:
             fit(problem, grid, underflow_only)
 
 
+def lag_fold(monkeypatch, u, y, grid, family):
+    """fit's fold of (u, y): the Phi'Phi and Phi'y it forms from lag products, and its folded data."""
+    seen = []
+    in_unit_coordinates = stablekern.estimator._in_unit_coordinates
+
+    def capture(gram, cross, *rest):
+        seen.append((gram, cross))
+        return in_unit_coordinates(gram, cross, *rest)
+
+    monkeypatch.setattr(stablekern.estimator, "_in_unit_coordinates", capture)
+    stats = stablekern.estimator._fold_lags(u, y, grid, family)
+    (sums,) = seen
+    return (*sums, stats)
+
+
+def lag_fold_case(name):
+    """(u, y, order) of a named fold accuracy case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n_data, order = {"order 1": (7, 1), "order 1, one sample": (1, 1), "order equal to the data length": (30, 30),
+                     "one sample more than the order": (21, 20), "impulse": (12, 5), "zero input": (10, 4),
+                     "scaled 1e150": (60, 12), "scaled 1e-150": (60, 12), "long": (500, 50)}[name]
+    u, y = rng.standard_normal(n_data), rng.standard_normal(n_data)
+    if name == "order equal to the data length":
+        # Phi'Phi[n-1, n-1] = u_0^2 ~ 1e-16: a full-range lag sum of about 1
+        # minus the products past that entry's terms cancels to its rounding.
+        u *= np.geomspace(1e-8, 1.0, n_data)
+    elif name == "impulse":
+        u = np.eye(1, n_data)[0]
+    elif name == "zero input":
+        u = np.zeros(n_data)
+    elif name.startswith("scaled"):
+        scale = float(name.split()[1])
+        u, y = scale * u, scale * y
+    return u, y, order
+
+
+class TestLagFold:
+    """fit folds the data from lag products of u, O(N n): every entry a sum of its own terms."""
+
+    CASES = ["order 1", "order 1, one sample", "order equal to the data length", "one sample more than the order",
+             "impulse", "zero input", "scaled 1e150", "scaled 1e-150", "long"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("name", CASES)
+    def test_entries_within_rounding_of_their_exact_sums(self, monkeypatch, name, family):
+        u, y, order = lag_fold_case(name)
+        grid = uniform_grid(order, 1.0, 1.0)
+        gram, cross, stats = lag_fold(monkeypatch, u, y, grid, family)
+        phi = toeplitz_regressor(u, order)
+        unit = 2.0 ** -53
+        # Each entry against math.fsum of its own products, within 8 u times the sum of their magnitudes.
+        for got, columns in ((gram, [(phi[:, j], phi[:, l]) for j in range(order) for l in range(order)]),
+                             (cross, [(phi[:, j], y) for j in range(order)])):
+            for value, (a, b) in zip(got.reshape(-1).tolist(), columns):
+                terms = a * b
+                error, bound = abs(value - math.fsum(terms.tolist())), 8 * unit * float(np.abs(terms).sum())
+                assert error <= bound
+        assert np.array_equal(gram, gram.T)
+        w = stablekern.estimator._unit_triangle(family, grid.times)
+        assert np.array_equal(stats.unit, w)
+        assert np.array_equal(stats.gram, w.T @ gram @ w) and np.array_equal(stats.cross, cross @ w)
+        assert stats.yy == float(y @ y) and stats.n_data == u.shape[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("data", ["u_i u_j overflows", "u_i u_j overflows with both signs",
+                                      "lag sum overflows", "y'y overflows"])
+    def test_overflow_is_the_same_error_as_the_regressor_fold(self, data, family):
+        # The error, and its message, of the Phi fold that public functions use; no numpy warning.
+        rng = np.random.default_rng(12)
+        u, y = rng.standard_normal(40), rng.standard_normal(40)
+        if data == "u_i u_j overflows":
+            u[5] = 1e160
+        elif data == "u_i u_j overflows with both signs":
+            u = 1e160 * np.where(np.arange(40) % 2, 1.0, -1.0)
+        elif data == "lag sum overflows":
+            u = np.full(40, 1e154)
+        else:
+            y[30] = 1e160
+        grid = uniform_grid(6, 1.0, 1.0)
+        with pytest.raises(errors.InvalidParameter) as via_phi:
+            stablekern.estimator._fold(toeplitz_regressor(u, 6), y, grid, family)
+        with pytest.raises(errors.InvalidParameter) as via_lags:
+            stablekern.estimator._fold_lags(u, y, grid, family)
+        assert str(via_lags.value) == str(via_phi.value)
+        search = SearchConfig(family=family, c_grid=(1.0,), beta_grid=(0.5,), sigma2_grid=(0.1,))
+        with pytest.raises(errors.InvalidParameter, match="Phi'Phi, Phi'y or y'y is not finite"):
+            fit(EstimationProblem(u=u, y=y, order=6), grid, search)
+
+    def test_large_data_fit_needs_no_data_length_matrix(self):
+        # N = 2e5, n = 100: the Toeplitz regressor alone would be 153 MiB.
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal(200_000)
+        y = np.convolve(u, np.exp(-0.1 * np.arange(100)))[:200_000] + 0.1 * rng.standard_normal(200_000)
+        problem = EstimationProblem(u=u, y=y, order=100)
+        search = SearchConfig(family=SS1, c_grid=(0.5, 2.0), beta_grid=(0.05, 0.2), sigma2_grid=(0.01, 0.1),
+                              refine=False)
+        tracemalloc.start()
+        try:
+            est = fit(problem, uniform_grid(100, 1.0, 1.0), search)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.diagnostics["n_failed"] == 0
+        assert peak < 8 * 2**20, peak / 2**20
+
+
 class TestSingleEvaluationPath:
     """fit folds the data once, and the tuner evaluates the public functions.
 
@@ -585,7 +696,8 @@ class TestSingleEvaluationPath:
     quotient is lam to the last bit or so.
     """
 
-    def test_fit_builds_the_regressor_once(self, monkeypatch):
+    def test_fit_builds_no_regressor(self, monkeypatch):
+        # fit folds the data from lag products of u: no N x n Toeplitz regressor.
         problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
         calls = []
 
@@ -596,7 +708,7 @@ class TestSingleEvaluationPath:
         monkeypatch.setattr(stablekern.estimator, "toeplitz_regressor", counting)
         search = SearchConfig(family=SS1, c_grid=(c, 2 * c), beta_grid=(beta,), sigma2_grid=(sigma2,))
         fit(problem, grid, search)
-        assert calls == [8]
+        assert calls == []
 
     @pytest.mark.parametrize("family", [WIENER, SS1])
     @pytest.mark.parametrize("fixed_sigma2", [False, True])
@@ -939,11 +1051,30 @@ class TestTunerLog:
             lines = [r.getMessage() for r in caplog.records if r.name == "stablekern.estimator"]
             assert lines[:2] == [f"grid beta={beta!r}: 0 of 1 candidates failed",
                                  "grid beta=200.0: 1 of 1 candidates failed"]
-            assert len(lines) == 3
+            assert len(lines) == 4
             head, _, gradient = lines[2].partition(", max |gradient| ")
             assert head == f"refinement: {outcome}"
             # The converged run stops where the quadratic model promises a gain of at most 1e-10.
             assert (float(gradient) < 1e-6) is (maxiter == 15)
+            assert lines[3].startswith("fit N=90 n=8: fold ")
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_fit_logs_its_stage_times(self, caplog, refine):
+        problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
+        search = SearchConfig(family=SS1, c_grid=(c, 2 * c), beta_grid=(beta,), sigma2_grid=(sigma2,),
+                              refine=refine)
+        fit(problem, grid, search)
+        assert [r for r in caplog.records if r.name == "stablekern.estimator"] == []  # off by default
+        with caplog.at_level(logging.DEBUG, logger="stablekern"):
+            start = time.perf_counter()
+            fit(problem, grid, search)
+            wall = 1e3 * (time.perf_counter() - start)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit ")]
+        found = re.fullmatch(r"fit N=90 n=8: fold (\S+) ms, grid scan (\S+) ms, refinement (\S+) ms, mean (\S+) ms",
+                             line)
+        assert found, line
+        stages = [float(v) for v in found.groups()]
+        assert min(stages) >= 0.0 and sum(stages) <= wall + 0.01
 
     def test_silent_by_default(self, capsys):
         problem, grid, c, beta, sigma2 = TestTune().make_ss1_problem(order=8, n_data=90)
@@ -1079,7 +1210,15 @@ class TestOneDomain:
         # The mean is taken at the grid's lam = 1e-3 / 0.1, which the grid's own (c, sigma2) reproduce.
         assert est.spec.beta == 17.7
         grid_spec = KernelSpec(family=SS1, c=1e-3, beta=17.7)
-        np.testing.assert_array_equal(est.coefficients, posterior_mean(phi, y, 0.1, grid_spec, grid))
+        h = posterior_mean(phi, y, 0.1, grid_spec, grid)
+        # fit folds from lag products, posterior_mean from Phi: both are within
+        # rounding of the exact mean (the coefficients span 4e-8 to 1e-300), and
+        # the two folds move it by a few ulps only.
+        _, exact = mp_regression(phi, y, 0.1, grid_spec, grid, 60)
+        exact = np.array([float(v) for v in exact])
+        for got in (est.coefficients, h):
+            np.testing.assert_allclose(got, exact, rtol=2e-13, atol=0)
+        assert np.max(np.abs(est.coefficients - h) / np.spacing(np.abs(h))) <= 8
 
 
 def fir_tune_problem(family, seed, fixed_sigma2=False):

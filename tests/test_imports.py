@@ -4,8 +4,9 @@ module exports exists, the package exports exactly the modules' names,
 no library module reaches into numpy's private modules or names or
 imports scipy, only the chain core reads the chain's kernel family,
 only the likelihood evaluator and the posterior mean factor the
-estimator's bordered system, and the estimator imports nothing from
-``structure`` and builds a chain only in its whitening.
+estimator's bordered system, the estimator imports nothing from
+``structure`` and builds a chain only in its whitening, and nothing
+``fit`` reaches builds the Toeplitz regressor.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -226,6 +227,40 @@ def test_only_the_whitening_builds_a_chain_in_the_estimator():
     # One chain per beta, kept with its whitened data: the gradient's slopes
     # and the posterior mean read that chain instead of building another.
     assert callers(pathlib.Path(estimator.__file__).read_text(encoding="utf-8"), "_Chain") == ["_whiten"]
+
+
+def reachable(source: str, start: str):
+    """Names of ``start`` and of the functions defined in ``source`` that it calls, directly or through one another.
+
+    A call reaches every function of that name (``callers`` matches by name),
+    nested functions included.  A function passed as an argument is reached
+    only where a parameter of its own name is called.
+    """
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = {start}
+    while more := {name for name in defined - found if found.intersection(callers(source, name))}:
+        found |= more
+    return sorted(found)
+
+
+def test_scan_finds_the_functions_a_function_reaches():
+    source = ("def fit():\n    return _tune(lambda: _fold())\n"
+              "def _tune():\n    def batch():\n        return m._whiten()\n"
+              "    def func():\n        return batch()\n    return _bfgs(func)\n"
+              "def _bfgs(func):\n    return func()\n"
+              "def _whiten():\n    return 1\n"
+              "def _fold():\n    return 2\n"
+              "def toeplitz_regressor():\n    return _lags()\n"
+              "def _lags():\n    return 3\n"
+              "def unused():\n    return _lags\n")
+    assert reachable(source, "fit") == ["_bfgs", "_fold", "_tune", "_whiten", "batch", "fit", "func"]
+
+
+def test_fit_builds_no_regressor():
+    # fit folds the data from lag products of u: no N x n Toeplitz regressor.
+    source = pathlib.Path(estimator.__file__).read_text(encoding="utf-8")
+    assert set(reachable(source, "fit")).intersection(callers(source, "toeplitz_regressor")) == set()
 
 
 def test_only_the_evaluators_factor_the_bordered_system():
