@@ -1,6 +1,8 @@
 """Shared generators and norms for the test suite."""
 
+import functools
 import math
+import pathlib
 
 import numpy as np
 
@@ -20,22 +22,40 @@ def random_spec(rng: np.random.Generator, family: str) -> KernelSpec:
     return KernelSpec(family=SS1, c=c, beta=float(rng.uniform(0.05, 2.0)))
 
 
+@functools.cache
+def inverse_cdf_normals() -> dict:
+    """Seed -> the stored normals of that seed's ``pcg64-inverse-cdf`` stream, in draw order.
+
+    ``inverse_cdf_normals.txt`` holds one line per seed: the seed, then the
+    ``float.hex`` of ``scipy.special.ndtri(default_rng(seed).random(k))``
+    with an exact 0.0 uniform moved to the smallest subnormal first.  It
+    holds exactly the draws the suite asks for.
+    """
+    normals = {}
+    with open(pathlib.Path(__file__).with_name("inverse_cdf_normals.txt"), encoding="ascii") as fh:
+        for line in fh:
+            seed, *values = line.split()
+            normals[int(seed)] = np.array([float.fromhex(v) for v in values])
+    return normals
+
+
 def inverse_cdf_paths(spec: KernelSpec, grid: SamplingGrid, seed: int, p: int) -> PathSet:
     """The paths ``sample`` drew while its normals were the inverse normal CDF of PCG64 uniforms.
 
-    Bit for bit the sampler of algorithm ``pcg64-inverse-cdf``: uniforms
-    from ``default_rng(seed).random``, an exact 0.0 moved to the smallest
-    subnormal, ``scipy.special.ndtri``, then the chain's increments summed
-    from the end where its clock vanishes.  Problems built on those draws
-    keep their data, and the optima recorded on them, after the sampler
-    moved to numpy's normal generator.
+    Bit for bit the sampler of algorithm ``pcg64-inverse-cdf``: the first
+    p * n normals of the seed's stored stream (``random((p, n))`` is a
+    prefix of the seed's uniforms), then the chain's increments summed from
+    the end where its clock vanishes.  The committed file reproduces the
+    pinned digest of ``TestInverseCdfPaths``, so problems built on those
+    draws keep their data, and the optima recorded on them, after the
+    sampler moved to numpy's normal generator.
     """
-    from scipy.special import ndtri
-
-    u = np.random.default_rng(seed).random((p, grid.n))
-    u[u == 0.0] = np.nextafter(0.0, 1.0)
+    stream = inverse_cdf_normals().get(seed, np.empty(0))
+    if stream.size < p * grid.n:
+        raise LookupError(f"inverse_cdf_normals.txt holds {stream.size} normals of seed {seed}; "
+                          f"{p * grid.n} were asked for")
     chain = _Chain(spec, grid.times)
-    w = math.sqrt(spec.c) * ndtri(u)
+    w = math.sqrt(spec.c) * stream[:p * grid.n].reshape(p, grid.n)
     w *= np.sqrt(chain.steps())
     return PathSet(grid=grid, paths=np.cumsum(w[:, chain.order], axis=1)[:, chain.order])
 

@@ -703,7 +703,7 @@ class TestScipyImportedOnUse:
         ps = sample_ss1(uniform_grid(4, 1.0, 1.0), c=1.0, beta=LN2, seed=7, p=200)
         est = fit(EstimationProblem(u=u, y=y, order=order), uniform_grid(order, 1.0, 1.0),
                   SearchConfig.from_dict(search, SS1))
-        assert est.diagnostics["n_evaluations"] > 8  # the simplex refinement ran
+        assert est.diagnostics["n_evaluations"] > 8  # the BFGS refinement ran
 
         for scipy in ("importable", "blocked"):
             steps = _probe(commands, scipy)

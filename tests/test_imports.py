@@ -1,12 +1,12 @@
 """Every name a library module imports is used in that module, every
 private module-level name is read somewhere in the package, every name a
 module exports exists, the package exports exactly the modules' names,
-no library module reaches into numpy's private modules or names or
-imports scipy, only the chain core reads the chain's kernel family,
-only the likelihood evaluator and the posterior mean factor the
-estimator's bordered system, the estimator imports nothing from
-``structure`` and builds a chain only in its whitening, and nothing
-``fit`` reaches builds the Toeplitz regressor.
+no library module reaches into numpy's private modules or names, no
+library module or test file imports scipy, only the chain core reads the
+chain's kernel family, only the likelihood evaluator and the posterior
+mean factor the estimator's bordered system, the estimator imports
+nothing from ``structure`` and builds a chain only in its whitening, and
+nothing ``fit`` reaches builds the Toeplitz regressor.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -24,6 +24,7 @@ from stablekern import errors, estimator, grid, kernels, maxent, process, struct
 
 SOURCES = sorted(pathlib.Path(stablekern.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -130,9 +131,11 @@ def test_scan_finds_a_scipy_import():
     assert imports_of(source, "scipy") == [1, 2, 3, 5]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_scipy_import(path):
-    # The runtime needs numpy only; scipy is a test extra.
+    # Neither the runtime nor the tests need scipy: the inverse-CDF draws the
+    # committed test problems were built on are stored in inverse_cdf_normals.txt.
     assert imports_of(path.read_text(encoding="utf-8"), "scipy") == []
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from stablekern import (
     uniform_grid,
 )
 
-from helpers import inverse_cdf_paths
+from helpers import inverse_cdf_normals, inverse_cdf_paths
 
 LN2 = math.log(2.0)
 GRID = make_grid([0.5, 1.0, 2.0, 3.5])
@@ -97,7 +98,10 @@ class TestInverseCdfPaths:
     and the helper then matched it bit for bit on every case below: the true
     responses of the committed refined-fit problems (SS-1 c = 2, beta = 0.3
     on 50 points and beta = 0.4 on 10, seeds 0-2) and 120 paths of each
-    family on the golden-bytes grid.
+    family on the golden-bytes grid.  The helper reads the sampler's
+    normals from the committed ``inverse_cdf_normals.txt``, which reproduces
+    that digest; the provenance test ties each stored normal to its seed's
+    uniforms.
     """
 
     DIGEST = "dd48201256748cabb837af1c547c55aff5f8c0d7c532b3dac459818cd0eeac6e"
@@ -112,6 +116,29 @@ class TestInverseCdfPaths:
         for spec, grid, seed, p in cases:
             digest.update(inverse_cdf_paths(spec, grid, seed, p).paths.tobytes())
         assert digest.hexdigest() == self.DIGEST
+
+    def test_stored_normals_are_the_inverse_cdf_of_their_seeds_uniforms(self):
+        # Each stored normal is within 4 ulp of the 60-digit
+        # sqrt(2) erfinv(2u - 1) of its seed's uniform u (an exact 0.0 moved
+        # to the smallest subnormal); scipy's ndtri reads at most 3.13 ulp here.
+        normals = inverse_cdf_normals()
+        assert {seed: z.size for seed, z in normals.items()} == {0: 50, 1: 50, 2: 50, 7: 960, 11: 30, 12: 6, 13: 6}
+        worst = 0.0
+        with mpmath.workdps(60):
+            for seed, z in normals.items():
+                u = np.random.default_rng(seed).random(z.size)
+                u[u == 0.0] = np.nextafter(0.0, 1.0)
+                for zi, ui in zip(z.tolist(), u.tolist()):
+                    exact = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(ui) - 1)
+                    worst = max(worst, float(abs(zi - exact)) / math.ulp(zi))
+        assert worst <= 4.0
+
+    def test_missing_draws_name_the_seed_and_the_count(self):
+        spec = KernelSpec(family=WIENER, c=1.0)
+        with pytest.raises(LookupError, match="6 normals of seed 12; 12 were asked for"):
+            inverse_cdf_paths(spec, uniform_grid(6, 1.0, 1.0), 12, 2)
+        with pytest.raises(LookupError, match="0 normals of seed 3; 4 were asked for"):
+            inverse_cdf_paths(spec, uniform_grid(4, 1.0, 1.0), 3, 1)
 
 
 class TestPathSet:
