@@ -267,9 +267,8 @@ def _cmd_check(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> N
     record("precision_factor", _inf_norm(f.T @ f - tri_dense), 1e-10 * _inf_norm(tri_dense))
     u = sqrt_factor(spec, g).to_dense()
     record("sqrt_factor", _inf_norm(u @ u.T - p), 1e-12 * _inf_norm(p))
-    if n >= 3:
-        completion = band_extend(band_project(p))
-        record("band_roundtrip", float(np.max(np.abs(completion - p) / np.abs(p))), 1e-12)
+    completion = band_extend(band_project(p))
+    record("band_roundtrip", float(np.max(np.abs(completion - p) / np.abs(p))), 1e-12)
     ok = all(c["pass"] for c in checks)
     payload = {"meta": _meta_dict("check", spec, g), "checks": checks, "pass": ok}
     _emit(_json_text(payload), args.out)

@@ -116,6 +116,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _UNIT = sys.float_info.epsilon / 2  # unit roundoff u = 2^-53
 _FTOL, _XTOL = 1e-10, 1e-9  # refinement stops: a promised gain in log_ml, a step in (ln lam, ln beta)
+_RIDGE_ITERS, _RIDGE_GAIN = 20, 1e-7  # and where this many iterations together gained less than this
+_NOT_FINITE = "stopped where a value, gradient or promised gain is not finite"
 
 
 def _check_order(order, n_samples: int) -> None:
@@ -513,8 +515,8 @@ class ImpulseResponseEstimate:
         }
 
 
-def _bfgs(func, x: np.ndarray, maxiter: int) -> Tuple[int, bool, np.ndarray]:
-    """Minimize func from x by BFGS; return the iteration count, whether it converged, and the last gradient.
+def _bfgs(func, x: np.ndarray, maxiter: int) -> Tuple[int, str, np.ndarray]:
+    """Minimize func from x by BFGS; return the iteration count, why it stopped, and the last gradient.
 
     func(x) is the value and its gradient, +inf and NaN where it fails.
     Each iteration searches along the quasi-Newton direction p, from a
@@ -526,27 +528,34 @@ def _bfgs(func, x: np.ndarray, maxiter: int) -> Tuple[int, bool, np.ndarray]:
     It converges where the decrease the quadratic model promises, -g'p,
     is at most _FTOL, or where no step above _XTOL lowers the value; it
     stops unconverged after ``maxiter`` iterations, at once where the
-    start's value or gradient is not finite, and where the promised
-    decrease is not.  An update that leaves the inverse Hessian not
-    finite is skipped.  The best point is not returned: the caller
-    records what it evaluates.
+    start's value or gradient is not finite, where the promised
+    decrease is not, and on a ridge: where the last _RIDGE_ITERS
+    iterations together lowered the value by less than _RIDGE_GAIN.
+    An update that leaves the inverse Hessian not finite is skipped.
+    The best point is not returned: the caller records what it
+    evaluates.
     """
     value, grad = func(x)
     if not (math.isfinite(value) and np.isfinite(grad).all()):
-        return 0, False, grad
+        return 0, _NOT_FINITE, grad
     inv_hess = np.eye(x.size)
+    values = []
     for nit in range(maxiter + 1):
+        values.append(value)
         with np.errstate(over="ignore", invalid="ignore"):
             step = -inv_hess @ grad
             gain = -(grad @ step)
-        converged = math.isfinite(gain) and gain <= _FTOL
-        if converged or nit == maxiter or not math.isfinite(gain):
-            return nit, converged, grad
+        if math.isfinite(gain) and gain <= _FTOL:
+            return nit, "converged", grad
+        if nit == maxiter or not math.isfinite(gain):
+            return nit, "stopped at the iteration cap" if nit == maxiter else _NOT_FINITE, grad
+        if nit >= _RIDGE_ITERS and values[nit - _RIDGE_ITERS] - value < _RIDGE_GAIN:
+            return nit, f"stopped on a ridge (the last {_RIDGE_ITERS} iterations gained less than {_RIDGE_GAIN:g})", grad
         t = 1.0 / max(1.0, np.abs(step).max())
         while not (trial := func(x + t * step))[0] <= value - 1e-4 * t * gain:
             t *= 0.5
             if not t * np.abs(step).max() > _XTOL:
-                return nit, True, grad
+                return nit, "converged", grad
         s, y = t * step, trial[1] - grad
         with np.errstate(over="ignore", invalid="ignore"):
             sy = s @ y
@@ -635,9 +644,7 @@ def _tune(stats: _DataStats, grid: SamplingGrid, search: SearchConfig, sigma2: O
             return (-result[2], -result[3]) if isinstance(result, tuple) else (math.inf, math.nan)
 
         start = [best[2], best[0]["beta"]] if tune_beta else [best[2]]
-        nit, converged, grad = _bfgs(func, np.log(start), search.refine_maxiter)
-        why = ("converged" if converged else "stopped at the iteration cap" if nit == search.refine_maxiter
-               else "stopped where a value, gradient or promised gain is not finite")
+        nit, why, grad = _bfgs(func, np.log(start), search.refine_maxiter)
         _log.debug("refinement: %s after %d iterations, max |gradient| %.3g", why, nit, np.abs(grad).max())
     return best[0], best[1], best[2], trace, n_failed, scanned
 

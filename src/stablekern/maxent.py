@@ -122,22 +122,21 @@ def band_project(m: np.ndarray) -> TridiagonalMatrix:
     a = _real_array(m, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 3:
-        raise InvalidParameter("band projection needs n >= 3; below that the band is the matrix")
     if not np.array_equal(a, a.T):
         raise NotSymmetric("matrix is not exactly symmetric")
     return TridiagonalMatrix(diag=np.diag(a).copy(), offdiag=np.diag(a, 1).copy())
 
 
-def _band_correlations(a: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Neighbour correlations rho of a band and 1 - rho^2; raise unless completable.
+def _band_correlations(a: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbour correlations rho of a band, 1 - rho^2 and the regressions o_i / d_i; raise unless completable.
 
     A band of finite entries is completable exactly when its diagonal
     and every 1 - rho^2 are positive.  1 - rho^2 is taken as the Schur
     complement d_{i+1} - o_i (o_i / d_i) over d_{i+1}: no product of two
     diagonal entries, which underflows for small diagonals, and positive
     where rho itself rounds to +-1.  Where o_i / d_i overflows (a
-    subnormal d_i next to a large d_{i+1}), it is (1 - rho)(1 + rho).
+    subnormal d_i next to a large d_{i+1}), the regression is infinite
+    and 1 - rho^2 is (1 - rho)(1 + rho).
     """
     d = a.diag
     o = a.offdiag
@@ -153,7 +152,7 @@ def _band_correlations(a: TridiagonalMatrix) -> Tuple[np.ndarray, np.ndarray]:
             far = np.isinf(ratio)
             v[far] = (1.0 - rho[far]) * (1.0 + rho[far])
         if np.all(v > 0.0):
-            return rho, v
+            return rho, v, ratio
     raise NotCompletable("a contiguous 2x2 principal minor is not positive definite")
 
 
@@ -170,17 +169,15 @@ def band_extend(a: TridiagonalMatrix) -> np.ndarray:
     overflows (a subnormal M[j-1, j-1]), both entries are divided by
     sqrt(M[j-1, j-1]) instead.  A band of finite entries is completable
     exactly when every contiguous 2x2 principal minor is positive
-    definite.
+    definite.  For n <= 2 the band is the whole matrix.
     """
-    _band_correlations(a)
+    ratio = _band_correlations(a)[2].tolist()
     d = a.diag
     o = a.offdiag
     n = a.n
-    m = np.diag(d.astype(float))
+    m = np.diag(d)
     idx = np.arange(n - 1)
     m[idx, idx + 1] = o
-    with np.errstate(over="ignore"):
-        ratio = (o / d[:-1]).tolist()
     for j in range(2, n):
         if math.isinf(ratio[j - 1]):
             sd = math.sqrt(d[j - 1])
@@ -279,7 +276,7 @@ def _dvine(rho: np.ndarray, v: np.ndarray, partials: np.ndarray) -> np.ndarray:
 
 def _completions(a: TridiagonalMatrix, partials: np.ndarray) -> np.ndarray:
     """D-vine completions of band ``a``, one per row of ``partials``; the band is written back bit-exactly."""
-    cov = _dvine(*_band_correlations(a), partials)
+    cov = _dvine(*_band_correlations(a)[:2], partials)
     sd = np.sqrt(a.diag)
     cov *= np.outer(sd, sd)
     idx = np.arange(a.n)
@@ -319,8 +316,6 @@ def random_positive_extension(a: TridiagonalMatrix, seed) -> np.ndarray:
     ``completion_entropy_audit(..., seed=s, ...)`` on the same band.
     """
     _check_seed(seed)
-    if a.n < 3:
-        raise InvalidParameter("extensions beyond the band need n >= 3")
     return _completions(a, _partials((a.n - 1) * (a.n - 2) // 2, seed)[None])[0]
 
 

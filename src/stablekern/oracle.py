@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, Singular, _real_array
 
-__all__ = ["dense_inverse", "dense_logdet", "dense_chol", "matmul"]
+__all__ = ["dense_inverse", "dense_logdet", "dense_chol"]
 
 # Pivots at or below this magnitude are treated as exact zeros.
 _PIVOT_FLOOR = 1e-300
@@ -98,12 +98,3 @@ def dense_chol(m: np.ndarray) -> np.ndarray:
         if j + 1 < n:
             low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
     return low
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    x = _real_array(a, "matrix entries")
-    y = _real_array(b, "matrix entries")
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {x.shape} and {y.shape}")
-    return x @ y

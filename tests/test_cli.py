@@ -249,6 +249,14 @@ class TestAudit:
         assert captured.err == ("ERROR InvalidParameter: paths must be finite, "
                                 "with increment variances in the float range\n")
 
+    def test_paths_file_without_numeric_rows(self, tmp_path, wiener_kernel, capsys):
+        paths_file = tmp_path / "paths.csv"
+        paths_file.write_text("# stablekern sample\n\n")
+        assert run(["audit", "--paths", str(paths_file), "--kernel", wiener_kernel, "--uniform", "4,0.5,0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR InvalidParameter: {paths_file}: no numeric rows\n"
+
 
 class TestExtend:
     def test_fill_in_value(self, tmp_path, capsys):
@@ -310,6 +318,15 @@ class TestMaxentAudit:
         assert run(["maxent-audit", "--kernel", wiener_kernel, "--grid", str(grid_file), "--trials", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["increments"]["dominance"] is True
+
+    @pytest.mark.parametrize("uniform", ["1,1,1", "2,1,1"])
+    def test_one_and_two_point_grids(self, ss1_kernel, wiener_kernel, uniform, capsys):
+        for kernel in (ss1_kernel, wiener_kernel):
+            assert run(["maxent-audit", "--kernel", kernel, "--uniform", uniform, "--trials", "20"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["completion"]["dominance"] is True
+            assert report["completion"]["identity_residual"] == 0.0
+            assert report["increments"]["dominance"] is True
 
 
 class TestFit:
@@ -428,6 +445,20 @@ class TestFit:
                     "--kernel-family", WIENER, "--search", str(search_file)]) == 1
         assert capsys.readouterr().err.startswith("ERROR InvalidParameter:")
 
+    @pytest.mark.parametrize("text, message", [("u,y\n1,2\n3,4,5\n", "line 3 does not have two columns"),
+                                               ("u,y\n1,2\n# note\n3,x\n", "line 4 is not numeric"),
+                                               ("# u,y to come\n\n", "empty data file")],
+                             ids=["three_columns", "not_numeric", "empty"])
+    def test_malformed_data_file(self, tmp_path, text, message, capsys):
+        # The data file is read first: the search file named here does not exist.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run(["fit", "--data", str(bad), "--order", "1",
+                    "--kernel-family", WIENER, "--search", str(tmp_path / "absent.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR InvalidParameter: {bad}: {message}\n"
+
     @pytest.mark.parametrize("bad", [{"c": {"min": "x", "max": 1, "num": 3}},
                                      {"refine_maxiter": "many"},
                                      {"refine": "no"},
@@ -458,7 +489,8 @@ class TestFit:
 
 
 class TestCheck:
-    @pytest.mark.parametrize("uniform", ["10,0.5,0.5", "7,1,2"])
+    # For n <= 2 the band is the matrix, and band_roundtrip is reported too.
+    @pytest.mark.parametrize("uniform", ["10,0.5,0.5", "7,1,2", "1,1,1", "2,1,1"])
     def test_passes_for_both_kernels(self, ss1_kernel, wiener_kernel, uniform, capsys):
         for kernel in (ss1_kernel, wiener_kernel):
             code = run(["check", "--kernel", kernel, "--uniform", uniform])
@@ -514,6 +546,13 @@ class TestErrorsAndUsage:
         assert run(["gram", "--kernel", ss1_kernel, "--uniform", "3,1,1",
                     "--grid", str(grid_file)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("uniform", ["3,x,1", "2.5,1,1"])
+    def test_unparsable_uniform_grid_exits_two(self, ss1_kernel, uniform, capsys):
+        assert run(["gram", "--kernel", ss1_kernel, "--uniform", uniform]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot parse {uniform!r} as N,DELTA,T_START" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -151,6 +151,14 @@ class TestPosteriorMean:
             with pytest.raises(errors.InvalidParameter):
                 posterior_mean(np.ones((5, 4)), np.ones(5), sigma2, spec, grid)
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 4, 1)])
+    def test_regressor_must_be_two_dimensional(self, shape):
+        grid = uniform_grid(4, 1.0, 1.0)
+        spec = KernelSpec(family=WIENER, c=1.0)
+        for evaluate in (posterior_mean, log_marginal_likelihood):
+            with pytest.raises(errors.DimensionMismatch, match=re.escape(f"must be 2-D, got shape {shape}")):
+                evaluate(np.ones(shape), np.ones(5), 0.1, spec, grid)
+
 
 class TestLogMarginalLikelihood:
     def test_scalar_case(self):
@@ -1135,6 +1143,47 @@ class TestRefinementGuards:
                                                        make_grid([0.0, 16.456516904743648]), search, caplog)
         assert est.log_ml >= grid_only.log_ml
         assert np.all(np.isfinite(est.coefficients))
+
+    def test_line_search_floor_stops_converged(self):
+        # A gradient of the wrong sign promises a gain along a direction that
+        # only raises the value: the step halves down to _XTOL, then stops.
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return float(x @ x), -2.0 * x
+
+        nit, why, grad = stablekern.estimator._bfgs(func, np.array([1.0, -0.5]), 50)
+        assert (nit, why) == (0, "converged")
+        np.testing.assert_array_equal(grad, [-2.0, 1.0])
+        # The start, then trial steps halving from a largest move of 1 down to the last one above 1e-9.
+        moves = [np.abs(x - calls[0]).max() for x in calls[1:]]
+        assert moves[0] == 1.0 and 1e-9 < moves[-1] <= 2e-9
+        assert moves == [2.0 ** -k for k in range(len(moves))]
+
+
+class TestRidgeStop:
+    """Refinement along a ridge stops once 20 iterations gain less than 1e-7, not at the iteration cap."""
+
+    # fit(...).log_ml of each seed, recorded when refinement ran to its cap of
+    # 200 iterations (about 290 evaluations).
+    RECORDED_AT_CAP = {4: -38.383291863479904, 8: -49.635018733600205,
+                       18: -47.34970876549513, 23: -46.43274103066329}
+
+    @pytest.mark.parametrize("seed", sorted(RECORDED_AT_CAP))
+    def test_stops_well_before_the_cap(self, seed, caplog):
+        rng = np.random.default_rng(seed)
+        u, y = rng.standard_normal(32), rng.standard_normal(32)
+        search = SearchConfig(family=SS1, c_grid=(0.1, 1.0, 10.0), beta_grid=(0.1, 1.0), sigma2_grid=(0.1, 1.0))
+        with caplog.at_level(logging.DEBUG, logger="stablekern"):
+            est = fit(EstimationProblem(u=u, y=y, order=2), uniform_grid(2, 1.0, 1.0), search)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refinement: ")]
+        found = re.match(r"refinement: stopped on a ridge \(the last 20 iterations gained less than 1e-07\) "
+                         r"after (\d+) iterations", line)
+        assert found, line
+        assert int(found.group(1)) <= 0.75 * search.refine_maxiter
+        assert est.diagnostics["n_evaluations"] < 200
+        assert est.log_ml == pytest.approx(self.RECORDED_AT_CAP[seed], abs=1e-6)
 
 
 class TestOneDomain:

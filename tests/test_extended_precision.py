@@ -161,11 +161,14 @@ class TestBandCompletion:
         band = TridiagonalMatrix(diag=np.array(diag), offdiag=np.array(offdiag))
         d = [mpmath.mpf(x) for x in diag]
         o = [mpmath.mpf(x) for x in offdiag]
-        rho, v = stablekern.maxent._band_correlations(band)
+        rho, v, ratio = stablekern.maxent._band_correlations(band)
         for i in range(2):
             exact = o[i] / mpmath.sqrt(d[i] * d[i + 1])
             assert float(abs((mpmath.mpf(rho[i]) - exact) / exact)) <= 2 * u
             assert float(abs((mpmath.mpf(v[i]) - (1 - exact**2)) / (1 - exact**2))) <= 2 * u
+            # The regression o_i / d_i is infinite exactly where it overflows.
+            assert math.isinf(ratio[i]) is (o[i] / d[i] > np.finfo(float).max)
+            assert math.isinf(ratio[i]) or ratio[i] == offdiag[i] / diag[i]
         m = band_extend(band)
         exact = o[0] * o[1] / d[1]
         assert float(abs(mpmath.mpf(m[0, 2]) - exact)) <= max(4 * u * float(exact), 2.0**-1075)

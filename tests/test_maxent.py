@@ -67,9 +67,33 @@ class TestBandProject:
         with pytest.raises(errors.DimensionMismatch):
             band_project(np.ones((2, 3)))
 
-    def test_too_small(self):
-        with pytest.raises(errors.InvalidParameter):
-            band_project(np.eye(2))
+
+class TestBandIsTheMatrix:
+    """For n <= 2 every entry is in the band: each function returns the matrix, each audit its identity."""
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("times", [[0.7], [0.7, 1.9]], ids=["n1", "n2"])
+    def test_completions_are_the_gram_matrix(self, family, times):
+        p = gram(KernelSpec(family=family, c=1.3, beta=None if family == WIENER else 0.5), make_grid(times)).values
+        band = band_project(p)
+        assert np.array_equal(band.to_dense(), p)
+        assert np.array_equal(band_extend(band), p)
+        for seed in range(3):
+            assert np.array_equal(random_positive_extension(band, seed), p)
+
+    @pytest.mark.parametrize("family", [WIENER, SS1])
+    @pytest.mark.parametrize("times", [[0.7], [0.7, 1.9]], ids=["n1", "n2"])
+    def test_audits_report_dominance(self, family, times):
+        spec = KernelSpec(family=family, c=1.3, beta=None if family == WIENER else 0.5)
+        completion = completion_entropy_audit(spec, make_grid(times), seed=5, trials=50)
+        assert completion.dominance
+        # Every candidate is the reference matrix itself, and every gap is an empty sum.
+        assert completion.identity_residual == 0.0
+        assert completion.max_excess == 0.0
+        increments = increment_constrained_entropy_test(spec, make_grid(times), seed=5, trials=50)
+        assert increments.dominance
+        # A closed-form reference against dense candidates: equal up to rounding.
+        assert increments.identity_residual <= 1e-12
 
 
 class TestBandExtend:

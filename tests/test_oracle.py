@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stablekern import errors
-from stablekern.oracle import dense_chol, dense_inverse, dense_logdet, matmul
+from stablekern.oracle import dense_chol, dense_inverse, dense_logdet
 
 
 class TestDenseInverse:
@@ -88,24 +88,10 @@ class TestDenseChol:
             dense_chol([[1.0, 1.0], [1.0, 1.0]])
 
 
-class TestMatmul:
-    def test_product(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(errors.DimensionMismatch):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestNonNumericInput:
     def test_string_matrix_to_dense_logdet(self):
         with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
             dense_logdet([["a"]])
-
-    def test_complex_factors_to_matmul(self):
-        with pytest.raises(errors.InvalidParameter, match="must be real numbers"):
-            matmul([[1j]], [[1.0]])
 
     def test_list_input_is_not_modified(self):
         m = [[4.0, 2.0], [2.0, 3.0]]
