@@ -6,12 +6,18 @@ plain text with full decimal precision (17 significant digits) and are
 byte-stable for fixed inputs and seed; '#' lines carry metadata such as
 seeds and algorithm identifiers.
 
-CSV bodies are written and read one row at a time.  A row is formatted
-by one ``%`` call, which is byte-identical to formatting each value on
-its own: ``"%.17g" % x == format(x, ".17g")`` for every float, NaN,
-infinities and signed zeros included (both run CPython's
-``PyOS_double_to_string``).  A cell read back is any Python float
+CSV bodies are written one row at a time.  A row is formatted by one
+``%`` call, which is byte-identical to formatting each value on its own:
+``"%.17g" % x == format(x, ".17g")`` for every float, NaN, infinities and
+signed zeros included (both run CPython's ``PyOS_double_to_string``).
+
+Every table the CLI reads (``audit --paths``, ``extend --band``,
+``fit --data``, ``--grid``) has one grammar, read by
+:func:`stablekern.grid._read_table`: '#' starts a comment, lines left blank
+are skipped, cells are split on ',', and a cell is any Python float
 literal (surrounding blanks allowed); empty or blank cells are skipped.
+``fit --data`` starts with the header line ``u,y``.  A bad line is
+reported by file and line number.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CheckFailed, InvalidParameter, StableKernError
-from .grid import SamplingGrid, _data_lines, read_grid_file, uniform_grid
+from .grid import SamplingGrid, _parse_rows, _read_table, read_grid_file, uniform_grid
 from .kernels import SS1, WIENER, KernelSpec, gram, read_kernel_file
 from .maxent import band_extend, band_project, completion_entropy_audit, increment_constrained_entropy_test
 from .process import NOISE_ALGORITHM, PathSet, audit_constraints, sample
@@ -90,56 +96,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _read_numeric_rows(path: str) -> List[List[float]]:
-    rows: List[List[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, text in _data_lines(fh):
-            cells = text.split(",")
-            try:
-                rows.append(list(map(float, cells)))
-            except ValueError:
-                # A blank cell fails float() above; it is skipped, any other failure is an error.
-                try:
-                    rows.append([float(x) for x in cells if x.strip() != ""])
-                except ValueError:
-                    raise InvalidParameter(f"{path}: line {lineno} is not numeric CSV") from None
-    return rows
-
-
-def _read_rectangular(path: str) -> np.ndarray:
-    rows = _read_numeric_rows(path)
-    if not rows:
-        raise InvalidParameter(f"{path}: no numeric rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InvalidParameter(f"{path}: rows have inconsistent lengths")
-    return np.asarray(rows, dtype=float)
-
-
-def _read_uy_csv(path: str):
-    header: Optional[List[str]] = None
-    u: List[float] = []
-    y: List[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, text in _data_lines(fh):
-            cells = [c.strip() for c in text.split(",")]
-            if header is None:
-                header = [c.lower() for c in cells]
-                if header != ["u", "y"]:
-                    raise InvalidParameter(f"{path}: expected header 'u,y', got {text!r}")
-                continue
-            if len(cells) != 2:
-                raise InvalidParameter(f"{path}: line {lineno} does not have two columns")
-            try:
-                u.append(float(cells[0]))
-                y.append(float(cells[1]))
-            except ValueError:
-                raise InvalidParameter(f"{path}: line {lineno} is not numeric") from None
-    if header is None:
-        raise InvalidParameter(f"{path}: empty data file")
-    return np.asarray(u), np.asarray(y)
-
-
 def _uniform_type(text: str):
     parts = text.split(",")
     if len(parts) != 3:
@@ -193,7 +149,7 @@ def _cmd_sample(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> 
 
 
 def _cmd_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> None:
-    ps = PathSet(grid=g, paths=_read_rectangular(args.paths))
+    ps = PathSet(grid=g, paths=_read_table(args.paths))
     report = audit_constraints(ps, spec)
     payload = {"meta": _meta_dict("audit", spec, g, {"paths_file": args.paths})}
     payload.update(report.to_dict())
@@ -201,7 +157,8 @@ def _cmd_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> N
 
 
 def _cmd_extend(args: argparse.Namespace, spec: None, g: None) -> None:
-    rows = _read_numeric_rows(args.band)
+    with open(args.band, "r", encoding="utf-8") as fh:
+        rows = _parse_rows(fh, args.band, ragged=True)
     if len(rows) not in (1, 2):
         raise InvalidParameter(f"{args.band}: band CSV needs two lines (diag, offdiag)")
     offdiag = rows[1] if len(rows) == 2 else []
@@ -223,14 +180,14 @@ def _cmd_maxent_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGri
 
 
 def _cmd_fit(args: argparse.Namespace, spec: None, g: None) -> None:
-    u, y = _read_uy_csv(args.data)
+    data = _read_table(args.data, "u,y", 2)
     with open(args.search, "r", encoding="utf-8") as fh:
         try:
             search_payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameter(f"search config is not valid JSON: {exc}") from None
     config = SearchConfig.from_dict(search_payload, args.kernel_family)
-    problem = EstimationProblem(u=u, y=y, order=args.order, sigma2=args.sigma2)
+    problem = EstimationProblem(u=data[:, 0], y=data[:, 1], order=args.order, sigma2=args.sigma2)
     # The grid is read last, so a bad data or search file is reported first.
     g = _resolve_grid(args, default_uniform=(args.order, 1.0, 1.0))
     estimate = fit(problem, g, config)

@@ -136,8 +136,9 @@ class EstimationProblem:
     sigma2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        u = _real_array(self.u, "u").reshape(-1)
-        y = _real_array(self.y, "y").reshape(-1)
+        # Contiguous: BLAS sums y'y and the lag products in another order on a strided column.
+        u = np.ascontiguousarray(_real_array(self.u, "u").reshape(-1))
+        y = np.ascontiguousarray(_real_array(self.y, "y").reshape(-1))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
         if u.shape != y.shape:

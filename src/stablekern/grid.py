@@ -2,13 +2,19 @@
 
 A grid is the shared domain object for every kernel operation in this
 package.  Grids are immutable; the stored time array is read-only.
+
+Grid files, and every other table the command line reads, share one text
+grammar: '#' starts a comment, lines left blank are skipped, and cells are
+split on ','.  A cell is any Python float literal, with blanks around it
+allowed; an empty or blank cell is skipped.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,17 +106,71 @@ def _data_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
             yield lineno, text
 
 
-def parse_grid_lines(lines: Iterable[str]) -> SamplingGrid:
-    """Parse a grid from text: one decimal time per line, '#' starts a comment."""
-    times = []
+def _parse_rows(lines: Iterable[str], name: str, width: Optional[int] = None, skip: int = 0,
+                ragged: bool = False) -> List[List[float]]:
+    """The numbers on each data line after line ``skip`` of a table, one row per line.
+
+    Each row holds ``width`` numbers (by default as many as the first row)
+    unless the table is ``ragged``.  A line that breaks the grammar raises
+    InvalidParameter naming ``name`` and the line.
+    """
+    rows = []
     for lineno, text in _data_lines(lines):
+        if lineno <= skip:
+            continue
         try:
-            times.append(float(text))
+            row = [float(cell) for cell in map(str.strip, text.split(",")) if cell]
         except ValueError:
-            raise InvalidParameter(f"line {lineno}: not a decimal time: {text!r}") from None
-    return make_grid(times)
+            raise InvalidParameter(f"{name}: line {lineno} is not numeric CSV") from None
+        if not ragged:
+            width = len(row) if width is None else width
+            if len(row) != width:
+                raise InvalidParameter(f"{name}: line {lineno} is {len(row)} wide, not {width}")
+        rows.append(row)
+    return rows
+
+
+def _read_table(path: Union[str, os.PathLike], header: Optional[str] = None,
+                width: Optional[int] = None) -> np.ndarray:
+    """The rows of a table file as a 2-D float64 array.
+
+    With a ``header`` (such as ``"u,y"``), the first data line must name the
+    columns, blanks and case aside.  numpy's C parser reads a well-formed
+    table; whatever it refuses (blank cells, blank or indented comment lines,
+    ``1_0``, non-ASCII digits, a row of the wrong width, no rows at all) is
+    read again by :func:`_parse_rows`, which names the first bad line.  Both
+    convert a cell with CPython's ``PyOS_string_to_double``, so a table
+    either accepts reads to the same bits.
+    """
+    skip = 0
+    if header is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            skip, text = next(_data_lines(fh), (0, ""))
+        if not skip:
+            raise InvalidParameter(f"{path}: empty data file")
+        if [cell.strip().lower() for cell in text.split(",")] != header.split(","):
+            raise InvalidParameter(f"{path}: expected header {header!r}, got {text!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" takes the quiet path below
+            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, encoding="utf-8", skiprows=skip)
+        if width in (None, table.shape[1]):
+            return table
+    except (ValueError, Warning):
+        pass
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _parse_rows(fh, str(path), width, skip)
+    if rows:
+        return np.array(rows, dtype=float)
+    if width is None:
+        raise InvalidParameter(f"{path}: no numeric rows")
+    return np.empty((0, width))
+
+
+def parse_grid_lines(lines: Iterable[str]) -> SamplingGrid:
+    """Parse a grid from text: one time per data line, in the table grammar of this module."""
+    return make_grid(np.array(_parse_rows(lines, "grid", width=1)))
 
 
 def read_grid_file(path: Union[str, os.PathLike]) -> SamplingGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid_lines(fh)
+    return make_grid(_read_table(path, width=1)[:, 0])

@@ -20,8 +20,15 @@ from .errors import DimensionMismatch, InvalidParameter, NotPositiveDefinite, Si
 
 __all__ = ["dense_inverse", "dense_logdet", "dense_chol"]
 
-# Pivots at or below this magnitude are treated as exact zeros.
+# A pivot at or below this fraction of its column's largest input entry is
+# treated as an exact zero.  The floor is relative, so a well-conditioned
+# matrix whose entries all lie near 1e-300 (an SS-1 Gram at beta*t ~ 700)
+# is not taken for a singular one.
 _PIVOT_FLOOR = 1e-300
+
+
+def _pivot_floors(a: np.ndarray) -> np.ndarray:
+    return _PIVOT_FLOOR * np.max(np.abs(a), axis=0, initial=0.0)
 
 
 def _checked_square(m: np.ndarray) -> np.ndarray:
@@ -37,11 +44,12 @@ def dense_inverse(m: np.ndarray) -> np.ndarray:
     """Invert by Gauss-Jordan elimination with partial pivoting."""
     a = _checked_square(m)
     n = a.shape[0]
+    floors = _pivot_floors(a)
     aug = np.hstack([a, np.eye(n)])
     for k in range(n):
         piv = k + int(np.argmax(np.abs(aug[k:, k])))
-        if abs(aug[piv, k]) <= _PIVOT_FLOOR:
-            raise Singular(f"pivot {k + 1} of {n} is below {_PIVOT_FLOOR:g}")
+        if abs(aug[piv, k]) <= floors[k]:
+            raise Singular(f"pivot {k + 1} of {n} is below {floors[k]:g}")
         if piv != k:
             aug[[k, piv]] = aug[[piv, k]]
         aug[k] /= aug[k, k]
@@ -59,12 +67,13 @@ def dense_logdet(m: np.ndarray) -> float:
     """
     a = _checked_square(m)
     n = a.shape[0]
+    floors = _pivot_floors(a)
     sign = 1.0
     acc = 0.0
     for k in range(n):
         piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= _PIVOT_FLOOR:
-            raise Singular(f"pivot {k + 1} of {n} is below {_PIVOT_FLOOR:g}")
+        if abs(a[piv, k]) <= floors[k]:
+            raise Singular(f"pivot {k + 1} of {n} is below {floors[k]:g}")
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
             sign = -sign

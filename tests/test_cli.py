@@ -39,7 +39,7 @@ from stablekern import (
 )
 from stablekern.cli import run
 from stablekern.errors import InvalidParameter
-from stablekern.grid import _data_lines
+from stablekern.grid import _data_lines, _parse_rows, _read_table
 from stablekern.kernels import _Chain
 
 LN2 = math.log(2.0)
@@ -445,8 +445,8 @@ class TestFit:
                     "--kernel-family", WIENER, "--search", str(search_file)]) == 1
         assert capsys.readouterr().err.startswith("ERROR InvalidParameter:")
 
-    @pytest.mark.parametrize("text, message", [("u,y\n1,2\n3,4,5\n", "line 3 does not have two columns"),
-                                               ("u,y\n1,2\n# note\n3,x\n", "line 4 is not numeric"),
+    @pytest.mark.parametrize("text, message", [("u,y\n1,2\n3,4,5\n", "line 3 is 3 wide, not 2"),
+                                               ("u,y\n1,2\n# note\n3,x\n", "line 4 is not numeric CSV"),
                                                ("# u,y to come\n\n", "empty data file")],
                              ids=["three_columns", "not_numeric", "empty"])
     def test_malformed_data_file(self, tmp_path, text, message, capsys):
@@ -501,6 +501,19 @@ class TestCheck:
             assert {"inverse_identity", "log_det_vs_dense", "precision_factor",
                     "sqrt_factor", "band_roundtrip"} <= names
             assert all(c["pass"] for c in report["checks"])
+
+    # SS-1 c = 1, beta = 1: every Gram entry lies near 1e-300 and every closed form exists.
+    @pytest.mark.parametrize("times", [[1.0, 300.0, 700.0], np.linspace(1.0, 705.0, 50).tolist()],
+                             ids=["1-300-700", "linspace-1-705-50"])
+    def test_passes_where_the_gram_nears_the_pivot_floor(self, tmp_path, times, capsys):
+        kernel = tmp_path / "ss1.json"
+        kernel.write_text(json.dumps({"family": SS1, "c": 1.0, "beta": 1.0}))
+        grid = tmp_path / "grid.txt"
+        grid.write_text("".join(f"{t!r}\n" for t in times))
+        code = run(["check", "--kernel", str(kernel), "--grid", str(grid)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["pass"] is True
 
 
 class TestErrorsAndUsage:
@@ -1142,22 +1155,23 @@ class TestCsvRows:
     def test_reader_inputs(self, tmp_path, text):
         path = tmp_path / "rows.csv"
         path.write_text(text)
-        new = self.outcome(cli._read_numeric_rows, str(path))
+        new = self.outcome(read_ragged_rows, str(path))
         old = self.outcome(read_numeric_rows_per_value, str(path))
         assert repr(new) == repr(old)  # repr: NaN cells compare equal as text
 
     def test_reader_error_names_the_line(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("# one\n1,2\n# two\n3, x\n")
-        with pytest.raises(InvalidParameter, match=r"rows\.csv: line 4 is not numeric CSV$"):
-            cli._read_numeric_rows(str(path))
+        for read in (read_ragged_rows, _read_table):
+            with pytest.raises(InvalidParameter, match=r"rows\.csv: line 4 is not numeric CSV$"):
+                read(str(path))
 
     def test_ragged_rows_are_not_rectangular(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("1,2,3\n4,,5\n6,7\n")
-        assert cli._read_numeric_rows(str(path)) == [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
-        with pytest.raises(InvalidParameter, match="rows have inconsistent lengths"):
-            cli._read_rectangular(str(path))
+        assert read_ragged_rows(str(path)) == [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+        with pytest.raises(InvalidParameter, match=r"rows\.csv: line 2 is 2 wide, not 3$"):
+            _read_table(str(path))
 
     CELLS = ["", " ", "\t", "1", " 2 ", "-0", "1e5", "1_0", "nan", "-inf", "x", "1 2", "0x1", ".5", "5."]
 
@@ -1166,7 +1180,7 @@ class TestCsvRows:
     def test_reader_agrees_on_any_cells(self, tmp_path_factory, lines):
         path = tmp_path_factory.mktemp("cells") / "rows.csv"
         path.write_text("".join(",".join(cells) + "\n" for cells in lines))
-        new = self.outcome(cli._read_numeric_rows, str(path))
+        new = self.outcome(read_ragged_rows, str(path))
         old = self.outcome(read_numeric_rows_per_value, str(path))
         assert repr(new) == repr(old)
 
@@ -1174,7 +1188,7 @@ class TestCsvRows:
         paths = sample_ss1(uniform_grid(50, 0.5, 0.5), 1.3, 0.2, 11, 40).paths
         path = tmp_path / "paths.csv"
         path.write_text(cli._rows_csv(paths, self.META))
-        assert bitwise_equal(cli._read_rectangular(str(path)), paths)
+        assert bitwise_equal(_read_table(str(path)), paths)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(1, 6).flatmap(
@@ -1184,7 +1198,161 @@ class TestCsvRows:
         values[np.isnan(values)] = 0.0  # a NaN reads back as the one NaN float() makes
         path = tmp_path_factory.mktemp("bits") / "rows.csv"
         path.write_text(cli._rows_csv(values, self.META))
-        assert bitwise_equal(cli._read_rectangular(str(path)), values)
+        assert bitwise_equal(_read_table(str(path)), values)
+
+
+def read_ragged_rows(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_rows(fh, path, ragged=True)
+
+
+def numpy_table(path):
+    """The table numpy's C parser reads from ``path``, or None where it refuses the file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, delimiter=",", comments="#", ndmin=2, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
+
+
+# Table cells: a literal between two blanks.  numpy's parser refuses some
+# literals ("", "1_0", non-ASCII digits, a blank inside a number) and
+# accepts every blank here, the separators \x1c-\x1f included, which
+# float() accepts only once str.strip() has cut them.
+BLANK = st.sampled_from(["", " ", "\t", "\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028"])
+LITERAL = st.one_of(BITS.map(lambda bits: repr(float(float_bits(bits)))),
+                    st.sampled_from(["+7e-3", ".5", "-0", "1_0", "\u0661", "\u0663.\u0665", "1\x1c2", "1 2", ""]))
+TABLE_CELL = st.builds(lambda left, literal, right: left + literal + right, BLANK, LITERAL, BLANK)
+NON_DATA_LINE = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment", "\xa0"])
+TABLE_TEXT = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.one_of(st.lists(TABLE_CELL, min_size=width, max_size=width).map(",".join), NON_DATA_LINE),
+              st.sampled_from(["\n", "\r\n"])),
+    max_size=6).map(lambda lines: "".join(line + end for line, end in lines)))
+
+
+class TestTableReader:
+    """numpy's parser and the line parser read one grammar to the same bits."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(TABLE_TEXT)
+    def test_numpy_and_the_line_parser_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast = numpy_table(str(path))
+        try:
+            slow = _read_table(str(path))
+        except InvalidParameter:
+            slow = None
+        if fast is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = np.array(_parse_rows(fh, str(path)), dtype=float)
+            assert bitwise_equal(lines, fast)
+            assert bitwise_equal(slow, fast)
+        elif slow is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                assert bitwise_equal(slow, np.array(_parse_rows(fh, str(path)), dtype=float))
+
+    def test_the_fallback_covers_what_numpy_refuses(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for text in ("1,,2\n", "1,2\n   \n3,4\n", "1,2\n  # note\n3,4\n", "1_0,2\n", "\u0661,2\n"):
+            path.write_text(text)
+            assert numpy_table(str(path)) is None, text
+            with open(path, "r", encoding="utf-8") as fh:
+                assert bitwise_equal(_read_table(str(path)), np.array(_parse_rows(fh, str(path))))
+
+
+class TestOneGrammar:
+    """audit, extend, fit and --grid read tables through one reader, with one message per fault."""
+
+    def run_readers(self, tmp_path, ss1_kernel, body, capsys, fit_body=None):
+        search = tmp_path / "search.json"
+        search.write_text(json.dumps({"c": {"min": 1, "max": 1, "num": 1}}))
+        results = {}
+        for name in ("audit", "extend", "fit", "grid"):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(fit_body if name == "fit" else body)
+            argv = {
+                "audit": ["audit", "--paths", str(path), "--kernel", ss1_kernel, "--uniform", "1,1,1"],
+                "extend": ["extend", "--band", str(path)],
+                "fit": ["fit", "--data", str(path), "--order", "1", "--kernel-family", SS1, "--search", str(search)],
+                "grid": ["logdet", "--kernel", ss1_kernel, "--grid", str(path)],
+            }[name]
+            code = run(argv)
+            captured = capsys.readouterr()
+            results[name] = (code, captured.out, captured.err.replace(str(path), "FILE"))
+        return results
+
+    def test_same_bad_line_same_error(self, tmp_path, ss1_kernel, capsys):
+        results = self.run_readers(tmp_path, ss1_kernel, "1\n# note\n2, x\n", capsys, fit_body="u,y\n# note\n2, x\n")
+        want = (1, "", "ERROR InvalidParameter: FILE: line 3 is not numeric CSV\n")
+        assert results == {name: want for name in ("audit", "extend", "fit", "grid")}
+
+    def test_same_wide_line_same_error(self, tmp_path, ss1_kernel, capsys):
+        results = self.run_readers(tmp_path, ss1_kernel, "1\n# note\n2, 3\n", capsys, fit_body="u,y\n1,2\n7\n")
+        assert results["audit"] == results["grid"] == (1, "", "ERROR InvalidParameter: FILE: line 3 is 2 wide, not 1\n")
+        assert results["fit"] == (1, "", "ERROR InvalidParameter: FILE: line 3 is 1 wide, not 2\n")
+        assert "wide" not in results["extend"][2]  # a band is ragged by design
+
+    def test_blank_cells_and_lines_are_skipped_by_every_reader(self, tmp_path, ss1_kernel, capsys):
+        # Each command prints the same bytes for a table and for that table with
+        # blank cells, blank lines and indented comments added.
+        def messy(text):
+            lines = [line if line.startswith("#") else f" ,{line}, \t" if i % 2 else f"{line},,\n  # note"
+                     for i, line in enumerate(text.splitlines())]
+            return "\n \t\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(3)
+        uy = "".join(f"{a!r},{b!r}\n" for a, b in rng.standard_normal((30, 2)).tolist())
+        (tmp_path / "search.json").write_text(json.dumps({"c": {"min": 0.5, "max": 2.0, "num": 2},
+                                                          "beta": {"min": 0.3, "max": 0.6, "num": 2},
+                                                          "sigma2": {"min": 0.1, "max": 1.0, "num": 2}}))
+        assert run(["sample", "--kernel", ss1_kernel, "--uniform", "3,1,1", "--paths", "120",
+                    "--out", str(tmp_path / "paths.csv")]) == 0
+        tables = {
+            "paths": (tmp_path / "paths.csv").read_text(),
+            "band": "0.5,0.25,0.125\n0.25,0.125\n",
+            "uy": uy,
+            "grid": "1\n2.5\n4\n",
+        }
+        commands = {
+            "paths": ["audit", "--kernel", ss1_kernel, "--uniform", "3,1,1", "--paths"],
+            "band": ["extend", "--band"],
+            "uy": ["fit", "--order", "3", "--kernel-family", SS1, "--search", str(tmp_path / "search.json"), "--data"],
+            "grid": ["gram", "--kernel", ss1_kernel, "--grid"],
+        }
+        for name, text in tables.items():
+            outputs = []
+            for kind, body in (("clean", text), ("messy", messy(text))):
+                path = tmp_path / f"{kind}-{name}.csv"
+                path.write_text(("u,y\n" if kind == "clean" else " U , y \n") * (name == "uy") + body)
+                assert run(commands[name] + [str(path)]) == 0, (name, kind)
+                outputs.append(capsys.readouterr().out.replace(str(path), "FILE"))
+            assert outputs[0] == outputs[1], name
+
+    def test_empty_tables_print_only_the_error_line(self, tmp_path, ss1_kernel):
+        # numpy warns "input contained no data" on these files; no warning may reach
+        # stderr.  A header-only fit file keeps its OrderTooLarge.
+        (tmp_path / "comments.csv").write_text("# nothing\n\n")
+        (tmp_path / "header.csv").write_text("u,y\n# nothing\n")
+        (tmp_path / "search.json").write_text(json.dumps({"c": {"min": 1, "max": 1, "num": 1}}))
+        fit = ["fit", "--order", "1", "--kernel-family", SS1, "--search", "search.json", "--data"]
+        commands = [["audit", "--paths", "comments.csv", "--kernel", ss1_kernel, "--uniform", "1,1,1"],
+                    fit + ["comments.csv"], fit + ["header.csv"],
+                    ["logdet", "--kernel", ss1_kernel, "--grid", "comments.csv"],
+                    ["extend", "--band", "comments.csv"]]
+        script = "import json, sys\nfrom stablekern.cli import run\nfor argv in json.loads(sys.argv[1]):\n    run(argv)\n"
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True,
+                                timeout=120, env=source_env(), cwd=tmp_path)
+        assert result.returncode == 0
+        assert (result.stdout, result.stderr) == ("", "".join([
+            "ERROR InvalidParameter: comments.csv: no numeric rows\n",
+            "ERROR InvalidParameter: comments.csv: empty data file\n",
+            "ERROR OrderTooLarge: FIR order 1 exceeds the 0 data samples\n",
+            "ERROR Empty: grid contains no time instants\n",
+            "ERROR InvalidParameter: comments.csv: band CSV needs two lines (diag, offdiag)\n",
+        ]))
 
 
 class TestLogHandler:

@@ -118,6 +118,20 @@ class TestEstimationProblem:
             with pytest.raises(errors.InvalidParameter, match="must be finite"):
                 EstimationProblem(u=uu, y=yy, order=5)
 
+    def test_fit_does_not_depend_on_memory_layout(self):
+        # The columns of an (N, 2) table are strided views, as the CLI reads u and y;
+        # BLAS sums y'y and the lag products in another order on them.
+        rng = np.random.default_rng(0)
+        u, y = rng.standard_normal(5000), rng.standard_normal(5000)
+        table = np.column_stack([u, y])
+        config = SearchConfig(family=SS1, c_grid=np.geomspace(0.1, 10.0, 5), beta_grid=np.geomspace(0.05, 1.0, 5),
+                              sigma2_grid=np.geomspace(1e-3, 10.0, 5))
+        grid = uniform_grid(50, 1.0, 1.0)
+        strided = fit(EstimationProblem(u=table[:, 0], y=table[:, 1], order=50), grid, config)
+        contiguous = fit(EstimationProblem(u=u, y=y, order=50), grid, config)
+        assert strided.log_ml == contiguous.log_ml
+        assert np.array_equal(strided.coefficients.view(np.uint64), contiguous.coefficients.view(np.uint64))
+
 
 class TestPosteriorMean:
     def test_zero_data(self):

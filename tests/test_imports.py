@@ -5,8 +5,9 @@ no library module reaches into numpy's private modules or names, no
 library module or test file imports scipy, only the chain core reads the
 chain's kernel family, only the likelihood evaluator and the posterior
 mean factor the estimator's bordered system, the estimator imports
-nothing from ``structure`` and builds a chain only in its whitening, and
-nothing ``fit`` reaches builds the Toeplitz regressor.
+nothing from ``structure`` and builds a chain only in its whitening,
+nothing ``fit`` reaches builds the Toeplitz regressor, and one loop parses
+the lines of a text table.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -264,6 +265,26 @@ def test_fit_builds_no_regressor():
     # fit folds the data from lag products of u: no N x n Toeplitz regressor.
     source = pathlib.Path(estimator.__file__).read_text(encoding="utf-8")
     assert set(reachable(source, "fit")).intersection(callers(source, "toeplitz_regressor")) == set()
+
+
+def table_line_loops(source: str):
+    """Names of the functions that loop over ``_data_lines(...)`` (a for statement or a comprehension)."""
+    return _owners(source, lambda node: isinstance(node, (ast.For, ast.comprehension))
+                   and isinstance(node.iter, ast.Call) and _reads(node.iter.func, "_data_lines"))
+
+
+def test_scan_finds_the_loops_over_table_lines():
+    source = ("def a(fh):\n    return [t for _, t in _data_lines(fh)]\n"
+              "def b(fh):\n    for k, t in grid._data_lines(fh):\n        pass\n"
+              "def c(fh):\n    return next(_data_lines(fh))\n")
+    assert table_line_loops(source) == ["a", "b"]
+
+
+def test_one_loop_parses_table_lines():
+    # audit, extend, fit and grid files share one grammar; a second loop over
+    # a table's lines would be a second grammar.
+    loops = [f"{p.stem}.{name}" for p in MODULES for name in table_line_loops(p.read_text(encoding="utf-8"))]
+    assert loops == ["grid._parse_rows"]
 
 
 def test_only_the_evaluators_factor_the_bordered_system():

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from stablekern import errors
+from stablekern import SS1, KernelSpec, errors, gram, make_grid
 from stablekern.oracle import dense_chol, dense_inverse, dense_logdet
 
 
@@ -64,6 +65,37 @@ class TestDenseLogdet:
     def test_singular(self):
         with pytest.raises(errors.Singular):
             dense_logdet(np.zeros((2, 2)))
+
+
+class TestRelativePivotFloor:
+    """SS-1 Grams whose last pivots lie below 1e-300, judged against 60-digit arithmetic.
+
+    Their correlations exp(-beta|t_i - t_j|/2) are well conditioned, so the
+    pivot floor is relative to each column: an absolute floor of 1e-300
+    raised Singular on all three.
+    """
+
+    GRIDS = ([1.0, 300.0, 700.0], [1.0, 300.0, 709.0], np.linspace(600.0, 705.0, 12).tolist())
+
+    @pytest.mark.parametrize("times", GRIDS, ids=["1-300-700", "1-300-709", "linspace-600-705"])
+    def test_log_det_and_inverse_match_60_digits(self, times):
+        p = gram(KernelSpec(SS1, 1.0, 1.0), make_grid(times)).values
+        assert p[-1, -1] < 1e-300
+        # mpmath's own singularity test is relative to the matrix norm, so it is
+        # given the correlation form, scaled in 60-digit arithmetic.
+        with mpmath.workdps(60):
+            roots = [mpmath.sqrt(mpmath.mpf(x)) for x in np.diag(p)]
+            corr = mpmath.matrix([[mpmath.mpf(x) / (ri * rj) for x, rj in zip(row, roots)]
+                                  for row, ri in zip(p.tolist(), roots)])
+            ld = float(mpmath.log(mpmath.det(corr)) + 2 * mpmath.fsum(map(mpmath.log, roots)))
+            corr_inv = corr**-1
+            inv = np.array([[float(corr_inv[i, j] / (ri * rj)) for j, rj in enumerate(roots)]
+                            for i, ri in enumerate(roots)])
+        assert abs(dense_logdet(p) - ld) <= 1e-14 * abs(ld)
+        # Entry errors of the inverse scale with its rows and columns: compare on the correlation scale.
+        root = np.sqrt(np.diag(p))
+        err = root[:, None] * (dense_inverse(p) - inv) * root
+        assert np.max(np.abs(err)) <= 1e-13 * np.max(np.abs(root[:, None] * inv * root))
 
 
 class TestDenseChol:
