@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CheckFailed, InvalidParameter, StableKernError
-from .grid import SamplingGrid, _parse_rows, _read_table, read_grid_file, uniform_grid
+from .grid import SamplingGrid, _open_text, _parse_rows, _read_table, read_grid_file, uniform_grid
 from .kernels import SS1, WIENER, KernelSpec, gram, read_kernel_file
 from .maxent import band_extend, band_project, completion_entropy_audit, increment_constrained_entropy_test
 from .process import NOISE_ALGORITHM, PathSet, audit_constraints, sample
@@ -157,7 +157,7 @@ def _cmd_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGrid) -> N
 
 
 def _cmd_extend(args: argparse.Namespace, spec: None, g: None) -> None:
-    with open(args.band, "r", encoding="utf-8") as fh:
+    with _open_text(args.band) as fh:
         rows = _parse_rows(fh, args.band, ragged=True)
     if len(rows) not in (1, 2):
         raise InvalidParameter(f"{args.band}: band CSV needs two lines (diag, offdiag)")
@@ -181,7 +181,7 @@ def _cmd_maxent_audit(args: argparse.Namespace, spec: KernelSpec, g: SamplingGri
 
 def _cmd_fit(args: argparse.Namespace, spec: None, g: None) -> None:
     data = _read_table(args.data, "u,y", 2)
-    with open(args.search, "r", encoding="utf-8") as fh:
+    with _open_text(args.search) as fh:
         try:
             search_payload = json.load(fh)
         except json.JSONDecodeError as exc:

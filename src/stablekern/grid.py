@@ -1,7 +1,10 @@
 """Sampling grids: strictly increasing, nonnegative time instants.
 
 A grid is the shared domain object for every kernel operation in this
-package.  Grids are immutable; the stored time array is read-only.
+package.  Grids are immutable; the stored time array is read-only.  A grid
+also holds one slot for :mod:`stablekern.kernels`: the Markov chain of the
+last kernel asked of it, so that repeated closed forms on one grid share
+that chain.
 
 Grid files, and every other table the command line reads, share one text
 grammar: '#' starts a comment, lines left blank are skipped, and cells are
@@ -13,8 +16,9 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +32,8 @@ class SamplingGrid:
     """Finite sequence of time instants t1 < t2 < ... < tn with t1 >= 0."""
 
     times: np.ndarray = field(repr=False)
+    # The chain of the last kernel asked of this grid, kept by kernels._chain.
+    _chain: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -95,6 +101,16 @@ def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
     return make_grid(times)
 
 
+@contextmanager
+def _open_text(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
+    """``path`` open as UTF-8 text; a byte read from it that does not decode raises InvalidParameter naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter(f"{path}: not UTF-8 text ({exc.reason}: 0x{exc.object[exc.start]:02x})") from None
+
+
 def _data_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
     """(line number, text) of each line of an input file that holds data.
 
@@ -144,7 +160,7 @@ def _read_table(path: Union[str, os.PathLike], header: Optional[str] = None,
     """
     skip = 0
     if header is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             skip, text = next(_data_lines(fh), (0, ""))
         if not skip:
             raise InvalidParameter(f"{path}: empty data file")
@@ -156,9 +172,9 @@ def _read_table(path: Union[str, os.PathLike], header: Optional[str] = None,
             table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, encoding="utf-8", skiprows=skip)
         if width in (None, table.shape[1]):
             return table
-    except (ValueError, Warning):
+    except (ValueError, Warning):  # a UnicodeDecodeError too: the reread below reports it
         pass
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         rows = _parse_rows(fh, str(path), width, skip)
     if rows:
         return np.array(rows, dtype=float)

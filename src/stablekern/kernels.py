@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidParameter, SingularGram, _check_positive, _is_finite_real
-from .grid import SamplingGrid, make_grid
+from .grid import SamplingGrid, _open_text, make_grid
 
 __all__ = [
     "WIENER",
@@ -115,6 +115,12 @@ _MIN_SCALE = float(np.nextafter(np.finfo(float).tiny, 0.0))
 _MIN_STEP = 2.0 / np.finfo(float).max
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x, marked read-only: a chain's arrays outlive the call that formed them."""
+    x.setflags(write=False)
+    return x
+
+
 def _regular(x: np.ndarray, lo: float, message: str) -> np.ndarray:
     """The chain's one zero/non-finite check: x, unless an entry is NaN, infinite or not above lo."""
     if not (lo < x.min() and x.max() < math.inf):
@@ -136,7 +142,14 @@ class _Chain:
     float range, and its rel where an entry is below the normal floats
     (beta*(t_{i+1} - t_i) < 2.2e-308, where it loses digits).
     ``order`` lists the grid from the vanishing end; ``rising`` is true
-    when that end is t = 0.  Methods allocate at most one n-array each,
+    when that end is t = 0.
+
+    A chain keeps the n-arrays ``log_scale``, ``clock`` and ``rel`` (a
+    Wiener clock is the grid's times, a Wiener log_scale the float 0),
+    read-only, and nothing else: every method returns a new array.  A grid
+    holds at most one chain, that of the last kernel asked of it
+    (:func:`_chain`), so the closed forms and the sampler of one kernel on
+    one grid form those arrays once.  Methods allocate at most one n-array each,
     ``roots`` two: the closed forms run at n = 10^6.  ``root_slopes``,
     which only the estimator's gradient reads, at the FIR order, allocates
     about eight.
@@ -149,6 +162,7 @@ class _Chain:
     """
 
     def __init__(self, spec: KernelSpec, times: np.ndarray) -> None:
+        self.spec = spec
         self.c = spec.c
         self.beta = spec.beta
         self.times = times
@@ -156,20 +170,20 @@ class _Chain:
         if self.rising:
             self.clock = times
             self.log_scale = 0.0
-            self.rel = np.diff(times, prepend=0.0)
+            self.rel = _read_only(np.diff(times, prepend=0.0))
         else:
             # A Python float product: no numpy overflow warning.  The times
             # ascend, so every other -beta*t and -beta*dt is finite too.
             if spec.beta * float(times[-1]) == math.inf:
                 raise SingularGram("the SS-1 log clock -beta*t_n leaves the float range: beta*t_n must be "
                                    "below 1.8e308")
-            self.log_scale = -spec.beta * times
+            self.log_scale = _read_only(-spec.beta * times)
         self.order = slice(None) if self.rising else slice(None, None, -1)
 
     @cached_property
     def clock(self) -> np.ndarray:
         """The SS-1 clock exp(-beta*t); a Wiener chain sets its times."""
-        return np.exp(self.log_scale)
+        return _read_only(np.exp(self.log_scale))
 
     @cached_property
     def rel(self) -> np.ndarray:
@@ -181,8 +195,9 @@ class _Chain:
         head *= -self.beta
         np.expm1(head, out=head)
         np.negative(head, out=head)
-        return _regular(rel, _MIN_SCALE, "an SS-1 relative step -expm1(-beta*(t_{i+1} - t_i)) is subnormal "
-                                         "or zero: beta*(t_{i+1} - t_i) must be at least 2.2e-308")
+        return _read_only(_regular(rel, _MIN_SCALE, "an SS-1 relative step -expm1(-beta*(t_{i+1} - t_i)) is "
+                                                    "subnormal or zero: beta*(t_{i+1} - t_i) must be at least "
+                                                    "2.2e-308"))
 
     @property
     def scale(self):
@@ -263,6 +278,28 @@ class _Chain:
                                                 "t1 > 0), or the sum of their logs leaves the float range"))
 
 
+def _chain(spec: KernelSpec, grid: SamplingGrid) -> _Chain:
+    """The chain of ``spec`` on ``grid``, kept on the grid until another spec is asked of it.
+
+    A grid whose times are read-only and own their memory, as every grid
+    :func:`~stablekern.grid.make_grid` returns, holds one chain: that of
+    the last spec asked of it.  A new spec drops it before building its
+    own, so a grid never holds two.  Times that could still change get a
+    new chain on every call.  Each caller returns a chain it checked or
+    built itself, so threads sharing a grid may build a chain twice but
+    never read another spec's.
+    """
+    times = grid.times
+    if times.flags.writeable or not times.flags.owndata:
+        return _Chain(spec, times)
+    chain = grid._chain
+    if chain is None or chain.spec != spec:
+        object.__setattr__(grid, "_chain", None)
+        chain = _Chain(spec, times)
+        object.__setattr__(grid, "_chain", chain)
+    return chain
+
+
 def _unit_triangle(family: str, times: np.ndarray) -> np.ndarray:
     """The unit upper triangle W of the square root U = W diag(roots) of a kernel's Gram matrix on ``times``.
 
@@ -292,7 +329,7 @@ def kernel_eval(spec: KernelSpec, t: float, s: float) -> float:
     for name, value in (("t", t), ("s", s)):
         if not _is_finite_real(value):
             raise InvalidParameter(f"kernel_eval needs finite real times, got {name}={value!r}")
-    chain = _Chain(spec, make_grid(np.unique([float(t), float(s)])).times)
+    chain = _chain(spec, make_grid(np.unique([float(t), float(s)])))
     return float(chain.scaled(chain.clock.min()))
 
 
@@ -312,7 +349,7 @@ def gram(spec: KernelSpec, grid: SamplingGrid) -> KernelMatrix:
         outside the SS-1 chain's domain (beta * t_n overflows, or a step
         beta * (t_{i+1} - t_i) is below 2.2e-308).
     """
-    chain = _Chain(spec, grid.times)
+    chain = _chain(spec, grid)
     chain.scaled_steps()
     cphi = chain.scaled(chain.clock)
     values = np.minimum(cphi[:, None], cphi[None, :])
@@ -333,12 +370,12 @@ def stable_increments(grid: SamplingGrid, beta: float) -> np.ndarray:
     exp(-beta*t_i) * (-expm1(-beta*(t_{i+1} - t_i))) without cancellation.
     """
     _check_positive(beta, "stable increments need finite beta > 0, got {!r}")
-    return _Chain(KernelSpec(family=SS1, c=1.0, beta=beta), grid.times).steps()
+    return _chain(KernelSpec(family=SS1, c=1.0, beta=beta), grid).steps()
 
 
 def read_kernel_file(path: Union[str, os.PathLike]) -> KernelSpec:
     """Load a KernelSpec from a JSON file like {"family": "ss1", "c": 1.0, "beta": 0.69}."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DimensionMismatch, InvalidParameter, TooFewPaths, _check_count, _check_positive, _check_seed,
                      _real_array)
 from .grid import SamplingGrid, make_grid
-from .kernels import SS1, WIENER, KernelSpec, _Chain, _regular
+from .kernels import SS1, WIENER, KernelSpec, _chain, _regular
 
 __all__ = [
     "NOISE_ALGORITHM",
@@ -67,7 +67,9 @@ class WhiteNoiseSource:
         self._rng = np.random.default_rng(self.seed)
 
     def draw(self, shape) -> np.ndarray:
-        return math.sqrt(self.variance) * self._rng.standard_normal(shape)
+        z = self._rng.standard_normal(shape)
+        z *= math.sqrt(self.variance)
+        return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +97,10 @@ class PathSet:
 def sample(spec: KernelSpec, grid: SamplingGrid, seed, p: int) -> PathSet:
     """Sample p paths, one per row: sums of the chain's N(0, c*delta_i) increments."""
     _check_count(p, "need at least one path, got p={!r}")
-    chain = _Chain(spec, grid.times)
+    chain = _chain(spec, grid)
     w = WhiteNoiseSource(seed=seed, variance=spec.c).draw((p, grid.n))
-    w *= np.sqrt(chain.steps())
+    sd = chain.steps()
+    w *= np.sqrt(sd, out=sd)
     return PathSet(grid=grid, paths=np.cumsum(w[:, chain.order], axis=1)[:, chain.order])
 
 
@@ -193,7 +196,7 @@ def audit_constraints(ps: PathSet, spec: KernelSpec) -> ConstraintAuditReport:
     p = ps.p
     if p < 100:
         raise TooFewPaths(f"audit needs at least 100 paths, got {p}")
-    chain = _Chain(spec, ps.grid.times)
+    chain = _chain(spec, ps.grid)
     with np.errstate(over="ignore", invalid="ignore"):
         increments = np.diff(ps.paths[:, chain.order], axis=1, prepend=0.0)[:, chain.order]
         means = increments.mean(axis=0)

@@ -12,7 +12,10 @@ the precision is two O(n) sweeps).  The factors exist on one domain,
 where the chain's roots are normal floats.
 
 Everything here is exact algebra on the chain; there is no iteration
-and no tolerance.  The kernel family is read only by the chain.
+and no tolerance.  The kernel family is read only by the chain.  A grid
+keeps the chain of the last kernel asked of it, so the closed forms of one
+kernel on one grid form its clock and steps once; every array they return
+is new, never a view of that chain.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, _real_array
 from .grid import SamplingGrid
-from .kernels import KernelSpec, _Chain, _unit_triangle
+from .kernels import KernelSpec, _chain, _unit_triangle
 
 __all__ = [
     "TridiagonalMatrix",
@@ -133,7 +136,7 @@ def closed_form_inverse(spec: KernelSpec, grid: SamplingGrid) -> TridiagonalMatr
     and the off-diagonal (-r_2, ..., -r_n), both read back in grid order.
     Raises SingularGram where an entry would not be a finite float.
     """
-    chain = _Chain(spec, grid.times)
+    chain = _chain(spec, grid)
     r = chain.scaled_steps()
     np.divide(1.0, r, out=r)
     r = r[chain.order]
@@ -154,7 +157,7 @@ def log_det(spec: KernelSpec, grid: SamplingGrid) -> float:
     ln delta_n = -beta*t_n), so it stays finite where the increments or
     the raw determinant underflow a double.
     """
-    return _Chain(spec, grid.times).log_det()
+    return _chain(spec, grid).log_det()
 
 
 def precision_factor(spec: KernelSpec, grid: SamplingGrid) -> UpperBidiagonal:
@@ -170,9 +173,8 @@ def precision_factor(spec: KernelSpec, grid: SamplingGrid) -> UpperBidiagonal:
     SingularGram elsewhere; a root is at least 2.2e-308, so F's entries
     are at most 4.5e307.
     """
-    chain = _Chain(spec, grid.times)
-    diag = chain.roots()
-    np.divide(1.0, diag, out=diag)
+    chain = _chain(spec, grid)
+    diag = 1.0 / chain.roots()
     return UpperBidiagonal(diag=diag, super=-chain.rho * diag[:-1])
 
 
@@ -187,7 +189,7 @@ def sqrt_factor(spec: KernelSpec, grid: SamplingGrid) -> StructuredSqrt:
     or where exp(-beta*t_n / 2) is (SS-1 beta*t_n above about 1416.8,
     whatever c).
     """
-    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_Chain(spec, grid.times).roots())
+    return StructuredSqrt(spec=spec, grid=grid, inv_diag=_chain(spec, grid).roots())
 
 
 def apply_precision(factor: UpperBidiagonal, v: np.ndarray) -> np.ndarray:

@@ -1354,6 +1354,35 @@ class TestOneGrammar:
             "ERROR InvalidParameter: comments.csv: band CSV needs two lines (diag, offdiag)\n",
         ]))
 
+    @pytest.mark.parametrize("reader, body", [
+        ("paths", b"1,2\n\xff3,4\n"),
+        ("grid", b"1\n\xff2\n"),
+        ("band", b"2,2\n\xff0.5\n"),
+        ("data header", b"u,\xffy\n1,2\n"),
+        # Past the header line's first decoded chunk: numpy's parser meets the byte first.
+        ("data rows", b"u,y\n" + b"1,2\n" * 5000 + b"\xff3,4\n"),
+        ("search", b'{"c": \xff1}'),
+        ("kernel", b'{"family": "ss1", "c": 1, "beta": \xff}'),
+    ])
+    def test_a_file_that_is_not_utf8_is_one_error_line(self, tmp_path, ss1_kernel, reader, body, capsys):
+        # Each reader printed a UnicodeDecodeError traceback.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(body)
+        (tmp_path / "io.csv").write_text("u,y\n1,2\n3,4\n")
+        (tmp_path / "search.json").write_text(json.dumps({"c": {"min": 1, "max": 1, "num": 1}}))
+        fit = ["fit", "--order", "1", "--kernel-family", SS1]
+        argv = {
+            "paths": ["audit", "--paths", bad, "--kernel", ss1_kernel, "--uniform", "2,1,1"],
+            "grid": ["logdet", "--kernel", ss1_kernel, "--grid", bad],
+            "band": ["extend", "--band", bad],
+            "data header": fit + ["--data", bad, "--search", tmp_path / "search.json"],
+            "data rows": fit + ["--data", bad, "--search", tmp_path / "search.json"],
+            "search": fit + ["--data", tmp_path / "io.csv", "--search", bad],
+            "kernel": ["logdet", "--kernel", bad, "--uniform", "2,1,1"],
+        }[reader]
+        assert run(list(map(str, argv))) == 1
+        assert capsys.readouterr() == ("", f"ERROR InvalidParameter: {bad}: not UTF-8 text (invalid start byte: 0xff)\n")
+
 
 class TestLogHandler:
     def test_logs_to_the_current_stderr(self, tmp_path, ss1_kernel):

@@ -6,8 +6,9 @@ library module or test file imports scipy, only the chain core reads the
 chain's kernel family, only the likelihood evaluator and the posterior
 mean factor the estimator's bordered system, the estimator imports
 nothing from ``structure`` and builds a chain only in its whitening,
-nothing ``fit`` reaches builds the Toeplitz regressor, and one loop parses
-the lines of a text table.
+every other module builds one only through the grid's chain memo,
+nothing ``fit`` reaches builds the Toeplitz regressor, and one loop
+parses the lines of a text table.
 
 pyflakes is not a dependency, so this walks the syntax tree with the
 standard library's ``ast``.  ``__init__.py`` is skipped by the unused-import
@@ -231,6 +232,13 @@ def test_only_the_whitening_builds_a_chain_in_the_estimator():
     # One chain per beta, kept with its whitened data: the gradient's slopes
     # and the posterior mean read that chain instead of building another.
     assert callers(pathlib.Path(estimator.__file__).read_text(encoding="utf-8"), "_Chain") == ["_whiten"]
+
+
+def test_only_the_memo_builds_a_chain_outside_the_estimator():
+    # A grid keeps the chain of the last kernel asked of it; a function that
+    # built its own would form the chain's n-arrays again on every call.
+    found = {p.stem: callers(p.read_text(encoding="utf-8"), "_Chain") for p in SOURCES if p.stem != "estimator"}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {"kernels": ["_chain"]}
 
 
 def reachable(source: str, start: str):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -19,10 +20,15 @@ from stablekern import (
     log_det,
     make_grid,
     oracle,
+    audit_constraints,
     precision_factor,
+    sample,
     sqrt_factor,
+    stable_increments,
     uniform_grid,
 )
+from stablekern import kernels
+from stablekern.grid import SamplingGrid
 from stablekern.structure import TridiagonalMatrix, UpperBidiagonal
 
 from helpers import inf_norm, random_grid, random_spec
@@ -462,3 +468,103 @@ class TestNonNumericOrMisshapenBands:
         assert band.diag is diag and band.offdiag is off
         factor = precision_factor(W_SPEC, uniform_grid(4, 1.0, 1.0))
         assert UpperBidiagonal(factor.diag, factor.super).diag is factor.diag
+
+
+# Every public function that reads a grid's chain, as the arrays (or floats) it returns.
+CHAIN_READERS = {
+    "inverse": lambda spec, g: (lambda tri: (tri.diag, tri.offdiag))(closed_form_inverse(spec, g)),
+    "log_det": lambda spec, g: (log_det(spec, g),),
+    "precision": lambda spec, g: (lambda f: (f.diag, f.super))(precision_factor(spec, g)),
+    "sqrt": lambda spec, g: (sqrt_factor(spec, g).inv_diag,),
+    "gram": lambda spec, g: (gram(spec, g).values,),
+    "sample": lambda spec, g: (sample(spec, g, 7, 3).paths,),
+    "audit": lambda spec, g: ([list(vars(check).values())
+                               for check in audit_constraints(sample(spec, g, 7, 100), spec).checks],),
+    "increments": lambda spec, g: (stable_increments(g, spec.beta) if spec.beta else np.zeros(0),),
+}
+MEMO_TIMES = np.cumsum(np.random.default_rng(11).uniform(0.01, 0.6, 40))
+MEMO_SPECS = (KernelSpec(family=SS1, c=1.5, beta=0.7), KernelSpec(family=WIENER, c=1.5),
+              KernelSpec(family=SS1, c=2.5, beta=0.7))
+
+
+def bits(values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def fresh(spec, name, times=MEMO_TIMES):
+    """What ``name`` returns on a grid that holds no chain yet."""
+    return bits(CHAIN_READERS[name](spec, make_grid(times)))
+
+
+class TestChainMemo:
+    """A grid keeps the chain of the last kernel asked of it; no result depends on that."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_order_of_calls_gives_the_bits_of_a_fresh_grid(self, seed):
+        # SS-1 and Wiener alternate, and two scales c share one beta.
+        calls = [(spec, name) for spec in MEMO_SPECS for name in CHAIN_READERS] * 2
+        order = np.random.default_rng(seed).permutation(len(calls))
+        g = make_grid(MEMO_TIMES)
+        for k in order:
+            spec, name = calls[k]
+            assert bits(CHAIN_READERS[name](spec, g)) == fresh(spec, name), (spec, name)
+
+    def test_writing_into_results_changes_no_later_call(self):
+        g = make_grid(MEMO_TIMES)
+        for spec in MEMO_SPECS:
+            outputs = [closed_form_inverse(spec, g).diag, precision_factor(spec, g).diag,
+                       sqrt_factor(spec, g).inv_diag, sample(spec, g, 7, 3).paths,
+                       stable_increments(g, spec.beta or 1.0)]
+            for out in outputs:
+                out[...] = np.nan
+            for name in CHAIN_READERS:
+                assert bits(CHAIN_READERS[name](spec, g)) == fresh(spec, name), (spec, name)
+
+    def test_the_kept_arrays_are_read_only(self):
+        g = make_grid(MEMO_TIMES)
+        for spec in MEMO_SPECS:
+            chain = kernels._chain(spec, g)
+            kept = [chain.clock, chain.rel] + ([chain.log_scale] if spec.beta else [])
+            assert [a.flags.writeable for a in kept] == [False] * len(kept)
+            with pytest.raises(ValueError):
+                chain.rel[0] = 1.0
+
+    def test_one_chain_per_grid(self):
+        g = make_grid(MEMO_TIMES)
+        first = kernels._chain(MEMO_SPECS[0], g)
+        assert kernels._chain(KernelSpec(family=SS1, c=1.5, beta=0.7), g) is first  # an equal spec
+        ref = weakref.ref(first)
+        del first
+        log_det(MEMO_SPECS[1], g)
+        assert ref() is None
+        assert g._chain.spec == MEMO_SPECS[1]
+
+    def test_a_grid_builds_one_chain_per_change_of_kernel(self, monkeypatch):
+        # The benchmark's op: both samplers, then four closed forms per kernel.
+        built = []
+
+        class Counted(kernels._Chain):
+            def __init__(self, spec, times):
+                built.append(spec.family)
+                super().__init__(spec, times)
+
+        monkeypatch.setattr(kernels, "_Chain", Counted)
+        g = make_grid(MEMO_TIMES)
+        ss1, wiener = MEMO_SPECS[:2]
+        sample(ss1, g, 1, 1), sample(wiener, g, 1, 1)
+        for spec in (ss1, wiener):
+            closed_form_inverse(spec, g), log_det(spec, g), precision_factor(spec, g), sqrt_factor(spec, g)
+        assert built == [SS1, WIENER, SS1, WIENER]
+
+    def test_a_grid_on_writable_times_follows_them(self):
+        times = MEMO_TIMES.copy()
+        base = MEMO_TIMES.copy()
+        view = base.view()
+        view.setflags(write=False)  # read-only, but its memory can still change
+        for g, source in ((SamplingGrid(times), times), (SamplingGrid(view), base)):
+            for spec in MEMO_SPECS:
+                for name in CHAIN_READERS:
+                    CHAIN_READERS[name](spec, g)
+                    source[-1] += 0.25
+                    assert bits(CHAIN_READERS[name](spec, g)) == fresh(spec, name, source.copy()), (spec, name)
+            assert g._chain is None
