@@ -98,7 +98,7 @@ from .errors import (
     _real_array,
 )
 from .grid import SamplingGrid
-from .kernels import SS1, WIENER, KernelSpec, _Chain, _unit_triangle
+from .kernels import SS1, WIENER, KernelSpec, _Chain, _chain, _unit_triangle
 
 __all__ = [
     "EstimationProblem",
@@ -259,7 +259,7 @@ def _whiten(stats: _DataStats, family: str, beta: Optional[float], grid: Samplin
 
     Raises SingularGram where that square root does not exist.
     """
-    chain = _Chain(KernelSpec(family=family, c=1.0, beta=beta), grid.times)
+    chain = _chain(KernelSpec(family=family, c=1.0, beta=beta), grid)
     s = chain.roots()
     # Overflow is reported per candidate, by the finiteness check of its system.
     with np.errstate(over="ignore", invalid="ignore"):

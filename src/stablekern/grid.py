@@ -1,10 +1,12 @@
 """Sampling grids: strictly increasing, nonnegative time instants.
 
 A grid is the shared domain object for every kernel operation in this
-package.  Grids are immutable; the stored time array is read-only.  A grid
-also holds one slot for :mod:`stablekern.kernels`: the Markov chain of the
-last kernel asked of it, so that repeated closed forms on one grid share
-that chain.
+package.  Grids are immutable: a grid checks the times it is given and
+keeps its own read-only copy of them, so every grid obeys the grid rules
+however it was built.  A grid also holds one slot for
+:mod:`stablekern.kernels`: the Markov chain of the last kernel asked of
+it, so that repeated closed forms on one grid share that chain.  A copy
+or a pickle of a grid carries its times only.
 
 Grid files, and every other table the command line reads, share one text
 grammar: '#' starts a comment, lines left blank are skipped, and cells are
@@ -24,35 +26,15 @@ import numpy as np
 
 from .errors import Empty, InvalidParameter, NegativeTime, NonIncreasing, _check_count, _is_real, _real_array
 
-__all__ = ["SamplingGrid", "make_grid", "uniform_grid", "read_grid_file", "parse_grid_lines"]
+__all__ = ["SamplingGrid", "make_grid", "uniform_grid", "read_grid_file"]
 
 
 @dataclass(frozen=True, eq=False)
 class SamplingGrid:
-    """Finite sequence of time instants t1 < t2 < ... < tn with t1 >= 0."""
+    """Finite sequence of time instants t1 < t2 < ... < tn with t1 >= 0.
 
-    times: np.ndarray = field(repr=False)
-    # The chain of the last kernel asked of this grid, kept by kernels._chain.
-    _chain: object = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.times.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SamplingGrid):
-            return NotImplemented
-        return np.array_equal(self.times, other.times)
-
-    def __repr__(self) -> str:
-        return f"SamplingGrid(n={self.n}, t1={self.times[0]!r}, tn={self.times[-1]!r})"
-
-
-def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
-    """Validate and freeze a sequence of time instants.
+    ``times`` may be any sequence or array of real numbers; it is flattened,
+    and the grid stores a read-only float64 copy of it.
 
     Raises
     ------
@@ -68,20 +50,50 @@ def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
         rejected by exact comparison; near-duplicates are the caller's
         responsibility.
     """
-    t = _real_array(times, "grid times").reshape(-1)
-    if t.size == 0:
-        raise Empty("grid contains no time instants")
-    if not np.all(np.isfinite(t)):
-        raise InvalidParameter("grid times must be finite")
-    if np.any(t < 0.0):
-        k = int(np.argmax(t < 0.0))
-        raise NegativeTime(f"grid times must be nonnegative, got t{k + 1}={float(t[k])!r}")
-    if t.size > 1 and not np.all(t[1:] > t[:-1]):
-        k = int(np.argmin(t[1:] > t[:-1]))
-        raise NonIncreasing(f"grid times must be strictly increasing, got t{k + 2} <= t{k + 1}")
-    t = t.copy()
-    t.setflags(write=False)
-    return SamplingGrid(t)
+
+    times: np.ndarray = field(repr=False)
+    # The chain of the last kernel asked of this grid, kept by kernels._chain.
+    _chain: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        t = _real_array(self.times, "grid times").reshape(-1)
+        if t.size == 0:
+            raise Empty("grid contains no time instants")
+        if not np.all(np.isfinite(t)):
+            raise InvalidParameter("grid times must be finite")
+        if np.any(t < 0.0):
+            k = int(np.argmax(t < 0.0))
+            raise NegativeTime(f"grid times must be nonnegative, got t{k + 1}={float(t[k])!r}")
+        if t.size > 1 and not np.all(t[1:] > t[:-1]):
+            k = int(np.argmin(t[1:] > t[:-1]))
+            raise NonIncreasing(f"grid times must be strictly increasing, got t{k + 2} <= t{k + 1}")
+        t = t.copy()
+        t.setflags(write=False)
+        object.__setattr__(self, "times", t)
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt from the times alone, without the chain.
+        return SamplingGrid, (self.times,)
+
+    @property
+    def n(self) -> int:
+        return self.times.shape[0]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SamplingGrid):
+            return NotImplemented
+        return np.array_equal(self.times, other.times)
+
+    def __repr__(self) -> str:
+        return f"SamplingGrid(n={self.n}, t1={float(self.times[0])!r}, tn={float(self.times[-1])!r})"
+
+
+def make_grid(times: Union[Sequence[float], np.ndarray]) -> SamplingGrid:
+    """Validate and freeze a sequence of time instants: ``SamplingGrid(times)``, which lists what it raises."""
+    return SamplingGrid(times)
 
 
 def uniform_grid(n: int, delta: float, t_start: float) -> SamplingGrid:
@@ -181,11 +193,6 @@ def _read_table(path: Union[str, os.PathLike], header: Optional[str] = None,
     if width is None:
         raise InvalidParameter(f"{path}: no numeric rows")
     return np.empty((0, width))
-
-
-def parse_grid_lines(lines: Iterable[str]) -> SamplingGrid:
-    """Parse a grid from text: one time per data line, in the table grammar of this module."""
-    return make_grid(np.array(_parse_rows(lines, "grid", width=1)))
 
 
 def read_grid_file(path: Union[str, os.PathLike]) -> SamplingGrid:

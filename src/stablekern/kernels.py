@@ -281,21 +281,16 @@ class _Chain:
 def _chain(spec: KernelSpec, grid: SamplingGrid) -> _Chain:
     """The chain of ``spec`` on ``grid``, kept on the grid until another spec is asked of it.
 
-    A grid whose times are read-only and own their memory, as every grid
-    :func:`~stablekern.grid.make_grid` returns, holds one chain: that of
-    the last spec asked of it.  A new spec drops it before building its
-    own, so a grid never holds two.  Times that could still change get a
-    new chain on every call.  Each caller returns a chain it checked or
-    built itself, so threads sharing a grid may build a chain twice but
-    never read another spec's.
+    A grid holds one chain: that of the last spec asked of it.  Its times
+    are its own read-only copy, so that chain never goes stale.  A new spec
+    drops it before building its own, so a grid never holds two.  Each
+    caller returns a chain it checked or built itself, so threads sharing a
+    grid may build a chain twice but never read another spec's.
     """
-    times = grid.times
-    if times.flags.writeable or not times.flags.owndata:
-        return _Chain(spec, times)
     chain = grid._chain
     if chain is None or chain.spec != spec:
         object.__setattr__(grid, "_chain", None)
-        chain = _Chain(spec, times)
+        chain = _Chain(spec, grid.times)
         object.__setattr__(grid, "_chain", chain)
     return chain
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stablekern import errors, make_grid, read_grid_file, uniform_grid
+from stablekern import (SS1, WIENER, KernelSpec, SamplingGrid, closed_form_inverse, errors, log_det, make_grid,
+                        read_grid_file, uniform_grid)
 
 
 class TestMakeGrid:
@@ -123,3 +126,57 @@ class TestNonNumericTimes:
 
     def test_integer_and_object_times_convert(self):
         assert make_grid([1, 2, 3]) == make_grid(np.array([1.0, 2.0, 3.0], dtype=object))
+
+
+# Every input of TestMakeGrid and TestNonNumericTimes, then unsorted, 2-D and
+# negative times.
+GRID_INPUTS = [[0.0, 0.5, 1.25], [2.0], [1.0, 2.0], [0.5, 1.5, 4.0], [0.5, 1.5, 4.0001], [], [-1.0, 2.0],
+               [3.0, -1.0], [2.0, 1.0], [1.0, 1.0, 2.0], [1.0, float("nan")], [1.0, float("inf")], ["a"], [1j],
+               [[1.0, 2.0], [3.0]], [1.0, None], ["1.0"], [10**400], [1, 2, 3],
+               np.array([1.0, 2.0, 3.0], dtype=object), [3.0, 1.0, 2.0], np.array([[2.0, 3.0]]),
+               np.array([-1.0, 0.5])]
+
+
+def outcome(build, times):
+    """The grid's times and their flags, or the error's type and message."""
+    try:
+        g = build(times)
+    except errors.StableKernError as exc:
+        return type(exc), str(exc)
+    return g.times.dtype, g.times.tobytes(), g.times.flags.writeable, g.times.flags.owndata
+
+
+class TestHandBuiltGrids:
+    """``SamplingGrid(times)`` obeys the grid rules as ``make_grid`` does."""
+
+    @pytest.mark.parametrize("times", GRID_INPUTS, ids=[repr(t)[:40] for t in GRID_INPUTS])
+    def test_the_constructor_checks_as_make_grid_does(self, times):
+        assert outcome(SamplingGrid, times) == outcome(make_grid, times)
+
+    @pytest.mark.parametrize("times,error", [([3.0, 1.0, 2.0], errors.NonIncreasing),
+                                             (np.array([-1.0, 0.5]), errors.NegativeTime),
+                                             (np.array([1.0, float("nan")]), errors.InvalidParameter)])
+    @pytest.mark.parametrize("spec", [KernelSpec(family=WIENER, c=1.0), KernelSpec(family=SS1, c=1.0, beta=0.5)],
+                             ids=[WIENER, SS1])
+    def test_bad_times_raise_the_grid_error(self, times, error, spec):
+        # They raised AttributeError, returned a log-det or raised SingularGram.
+        with pytest.raises(error):
+            log_det(spec, SamplingGrid(times))
+
+    def test_a_row_of_times_is_flattened(self):
+        # It raised TypeError.
+        spec = KernelSpec(family=SS1, c=1.0, beta=0.5)
+        assert log_det(spec, SamplingGrid(np.array([[2.0, 3.0]]))) == log_det(spec, make_grid([2.0, 3.0]))
+
+    def test_copies_and_pickles_carry_the_times_only(self):
+        g = make_grid(np.linspace(0.5, 50.0, 10**4))
+        closed_form_inverse(KernelSpec(family=SS1, c=1.0, beta=0.5), g)
+        assert g._chain is not None
+        blob = pickle.dumps(g)
+        assert len(blob) < g.times.nbytes + 1024  # the chain's three n-arrays would quadruple it
+        for h in (pickle.loads(blob), copy.deepcopy(g), copy.copy(g)):
+            assert h == g and h._chain is None
+            assert not h.times.flags.writeable and h.times.flags.owndata
+
+    def test_repr_prints_python_floats(self):
+        assert repr(make_grid([1, 2.5, 3])) == "SamplingGrid(n=3, t1=1.0, tn=3.0)"
